@@ -16,14 +16,14 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from .data import (Dataset, KeelFormatError, apply_min_max, fit_min_max,
-                   parse_keel, stratified_folds)
+                   imbalance_ratio, parse_keel, stratified_folds)
 from .ensemble import decision_score, train_liuboost, train_rusboost
 from .stats import wilcoxon_signed_rank
 from .synth import write_benchmark_suite
@@ -85,6 +85,17 @@ def _train(algo: str, ds: Dataset, cfg: ExperimentConfig, seed: int):
         target_majority_fraction=cfg.target_majority_fraction)
 
 
+def _scaled_split(ds: Dataset, train_idx, test_idx):
+    """(training Dataset, test features), both min-max scaled with the
+    statistics of the training rows only."""
+    mins, ranges = fit_min_max(ds.features[train_idx])
+    train_ds = Dataset(
+        features=apply_min_max(ds.features[train_idx], mins, ranges),
+        labels=ds.labels[train_idx], feature_names=ds.feature_names,
+        name=ds.name)
+    return train_ds, apply_min_max(ds.features[test_idx], mins, ranges)
+
+
 def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig) -> dict:
     """All folds of one repeat on one dataset; returns raw fold metrics."""
     started = time.perf_counter()
@@ -103,11 +114,7 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig) -> dict:
         if len(set(y_test.tolist())) < 2 or len(set(y_train.tolist())) < 2:
             skipped += 1
             continue
-        mins, ranges = fit_min_max(ds.features[train_idx])
-        train_ds = Dataset(
-            features=apply_min_max(ds.features[train_idx], mins, ranges),
-            labels=y_train, feature_names=ds.feature_names, name=ds.name)
-        X_test = apply_min_max(ds.features[test_idx], mins, ranges)
+        train_ds, X_test = _scaled_split(ds, train_idx, test_idx)
         models = {}
         for algo in cfg.algorithms:
             seed = derive_seed(cfg.master_seed, name, repeat, fold, algo)
@@ -128,8 +135,24 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig) -> dict:
         "seconds": time.perf_counter() - started,
         "n_instances": ds.n_instances,
         "n_features": ds.n_features,
-        "imbalance_ratio": ds.majority_count / ds.minority_count,
+        "imbalance_ratio": imbalance_ratio(ds),
     }
+
+
+def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
+    """(rusboost, liuboost) means of one metric per dataset, in name order;
+    datasets where either mean is missing are left out."""
+    pairs = []
+    for name in sorted(datasets):
+        algos = datasets[name]["algorithms"]
+        for algo in ALGORITHMS:
+            if algo not in algos:
+                raise ValueError(f"dataset {name!r} has no {algo} results")
+        rus = algos["rusboost"][f"{metric}_mean"]
+        liu = algos["liuboost"][f"{metric}_mean"]
+        if rus is not None and liu is not None:
+            pairs.append((rus, liu))
+    return pairs
 
 
 def _repeat_job(args):
@@ -190,21 +213,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     summary = {"wins": {}, "wilcoxon": {}}
     if set(cfg.algorithms) == set(ALGORITHMS):
         for metric in ("auroc", "aupr"):
-            pairs = []
-            wins = {"liuboost": 0, "rusboost": 0, "tie": 0}
-            for name in sorted(datasets):
-                rus = datasets[name]["algorithms"]["rusboost"][f"{metric}_mean"]
-                liu = datasets[name]["algorithms"]["liuboost"][f"{metric}_mean"]
-                if rus is None or liu is None:
-                    continue
-                pairs.append((rus, liu))
-                if liu > rus:
-                    wins["liuboost"] += 1
-                elif rus > liu:
-                    wins["rusboost"] += 1
-                else:
-                    wins["tie"] += 1
-            summary["wins"][metric] = wins
+            pairs = _mean_pairs(datasets, metric)
+            summary["wins"][metric] = {
+                "liuboost": sum(liu > rus for rus, liu in pairs),
+                "rusboost": sum(rus > liu for rus, liu in pairs),
+                "tie": sum(rus == liu for rus, liu in pairs),
+            }
             if len(pairs) >= 5:
                 try:
                     r = wilcoxon_signed_rank(pairs, zeros="drop")
@@ -276,27 +290,33 @@ def emit_report(report: dict, format: str, path,
 def _config_from_args(args, paths) -> ExperimentConfig:
     return ExperimentConfig(
         dataset_paths=tuple(str(p) for p in paths),
-        algorithms=tuple(args.algos.split(",")),
-        repeats=args.repeats, folds=args.folds, rounds=args.rounds,
-        knn_k=args.knn, delta=args.delta,
-        target_majority_fraction=args.maj_frac,
-        max_depth=args.max_depth, min_leaf_weight=args.min_leaf_weight,
-        min_gain=args.min_gain, master_seed=args.seed)
+        **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+           if f.name != "dataset_paths"})
 
 
 def _add_shared_options(p):
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=10, help="boosting rounds T")
-    p.add_argument("--knn", type=int, default=5, help="neighborhood size k")
-    p.add_argument("--delta", type=float, default=1.0,
+    """One flag per ExperimentConfig field except dataset_paths; each
+    flag's dest is its field name and its default the field's default."""
+    c = ExperimentConfig
+    p.add_argument("--algos", dest="algorithms", metavar="ALGOS",
+                   default=c.algorithms, type=lambda s: tuple(s.split(",")))
+    p.add_argument("--repeats", type=int, default=c.repeats)
+    p.add_argument("--folds", type=int, default=c.folds)
+    p.add_argument("--rounds", type=int, default=c.rounds,
+                   help="boosting rounds T")
+    p.add_argument("--knn", dest="knn_k", metavar="KNN", type=int,
+                   default=c.knn_k, help="neighborhood size k")
+    p.add_argument("--delta", type=float, default=c.delta,
                    help="fallback cost for one-sided neighborhoods")
-    p.add_argument("--maj-frac", type=float, default=0.5,
+    p.add_argument("--maj-frac", dest="target_majority_fraction",
+                   metavar="MAJ_FRAC", type=float,
+                   default=c.target_majority_fraction,
                    help="majority fraction of each round's sample")
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--min-leaf-weight", type=float, default=0.01)
-    p.add_argument("--min-gain", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--max-depth", type=int, default=c.max_depth)
+    p.add_argument("--min-leaf-weight", type=float, default=c.min_leaf_weight)
+    p.add_argument("--min-gain", type=float, default=c.min_gain)
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                   default=c.master_seed, help="master seed")
 
 
 def _cmd_run(args) -> int:
@@ -318,13 +338,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_wilcoxon(args) -> int:
     report = json.loads(Path(args.report).read_text())
-    pairs = []
-    for name in sorted(report["datasets"]):
-        algos = report["datasets"][name]["algorithms"]
-        rus = algos["rusboost"][f"{args.metric}_mean"]
-        liu = algos["liuboost"][f"{args.metric}_mean"]
-        if rus is not None and liu is not None:
-            pairs.append((rus, liu))
+    pairs = _mean_pairs(report["datasets"], args.metric)
     r = wilcoxon_signed_rank(pairs, zeros=args.zeros)
     print(f"n_pairs={len(pairs)} n_effective={r.n_effective} "
           f"w-={r.w_minus} w+={r.w_plus} p={r.p_two_sided:.6g} "
@@ -334,24 +348,20 @@ def _cmd_wilcoxon(args) -> int:
 
 def _cmd_curves(args) -> int:
     path = Path(args.dataset)
+    cfg = _config_from_args(args, [path])
     ds = parse_keel(path.read_text(), name=path.stem)
-    plan = stratified_folds(ds, max(2, args.folds),
-                            derive_seed(args.seed, ds.name, "curves"))
+    plan = stratified_folds(ds, cfg.folds,
+                            derive_seed(cfg.master_seed, ds.name, "curves"))
     train_idx, test_idx = plan.split(0)
-    mins, ranges = fit_min_max(ds.features[train_idx])
-    train_ds = Dataset(features=apply_min_max(ds.features[train_idx], mins, ranges),
-                       labels=ds.labels[train_idx],
-                       feature_names=ds.feature_names, name=ds.name)
-    X_test = apply_min_max(ds.features[test_idx], mins, ranges)
+    train_ds, X_test = _scaled_split(ds, train_idx, test_idx)
     y_test = ds.labels[test_idx]
 
-    cfg = _config_from_args(args, [path])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "metric", "x", "y"])
         for algo in cfg.algorithms:
             model = _train(algo, train_ds, cfg,
-                           derive_seed(args.seed, ds.name, 0, 0, algo))
+                           derive_seed(cfg.master_seed, ds.name, 0, 0, algo))
             scores = decision_score(model, X_test)
             roc = metrics.roc_curve(scores, y_test)
             pr = metrics.pr_curve(scores, y_test)
@@ -379,7 +389,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the cross-validated comparison")
     p_run.add_argument("--data-dir", required=True)
-    p_run.add_argument("--algos", default="liuboost,rusboost")
     _add_shared_options(p_run)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
@@ -396,7 +405,6 @@ def main(argv=None) -> int:
 
     p_c = sub.add_parser("curves", help="emit ROC/PR points for one dataset")
     p_c.add_argument("--dataset", required=True)
-    p_c.add_argument("--algos", default="liuboost,rusboost")
     _add_shared_options(p_c)
     p_c.add_argument("--out", required=True)
     p_c.set_defaults(func=_cmd_curves)

@@ -72,7 +72,6 @@ class FoldPlan:
 
     folds: tuple[np.ndarray, ...]
     seed: int
-    repeats: int = 1
 
     @property
     def k(self) -> int:

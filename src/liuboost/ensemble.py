@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,9 +100,16 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _boost_loop(X, y, weight_plus, weight_minus, T, rng, tree_params,
-                target_majority_fraction, undersample, config,
-                record_history=False) -> BoostModel:
+def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
+                tree_params, target_majority_fraction, undersample,
+                record_history, **locality) -> BoostModel:
+    """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
+    the config snapshot."""
+    rng = _as_rng(rng)
+    config = {"algorithm": algorithm, "T": T, **locality,
+              "target_majority_fraction": target_majority_fraction,
+              "undersample": undersample,
+              "tree_params": asdict(tree_params)}
     m = len(y)
     D = np.full(m, 1.0 / m)
     alphas: list[float] = []
@@ -114,7 +121,7 @@ def _boost_loop(X, y, weight_plus, weight_minus, T, rng, tree_params,
     retries = 0
     while t < T:
         if undersample:
-            sample = random_undersample(y, target_majority_fraction, rng).indices
+            sample = random_undersample(y, target_majority_fraction, rng)
         else:
             sample = np.arange(m)
         tree = fit_tree(X[sample], y[sample], D[sample], tree_params)
@@ -168,19 +175,11 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    rng = _as_rng(rng)
     cv = assign_weights(ds, k=k, delta=delta)
-    config = {
-        "algorithm": "liuboost", "T": T, "k": k, "delta": delta,
-        "target_majority_fraction": target_majority_fraction,
-        "undersample": undersample,
-        "tree_params": {"max_depth": tree_params.max_depth,
-                        "min_leaf_weight": tree_params.min_leaf_weight,
-                        "min_gain": tree_params.min_gain},
-    }
-    return _boost_loop(ds.features, ds.labels, cv.weight_plus, cv.weight_minus,
-                       T, rng, tree_params, target_majority_fraction,
-                       undersample, config, record_history)
+    return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
+                       cv.weight_minus, T, rng, tree_params,
+                       target_majority_fraction, undersample, record_history,
+                       k=k, delta=delta)
 
 
 def train_rusboost(ds, T: int = 10, rng=0,
@@ -191,20 +190,10 @@ def train_rusboost(ds, T: int = 10, rng=0,
     """Classical undersampled AdaBoost: the shared loop with unit costs."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    rng = _as_rng(rng)
-    m = ds.n_instances
-    ones = np.ones(m)
-    config = {
-        "algorithm": "rusboost", "T": T,
-        "target_majority_fraction": target_majority_fraction,
-        "undersample": undersample,
-        "tree_params": {"max_depth": tree_params.max_depth,
-                        "min_leaf_weight": tree_params.min_leaf_weight,
-                        "min_gain": tree_params.min_gain},
-    }
-    return _boost_loop(ds.features, ds.labels, ones, ones, T, rng,
+    ones = np.ones(ds.n_instances)
+    return _boost_loop("rusboost", ds.features, ds.labels, ones, ones, T, rng,
                        tree_params, target_majority_fraction, undersample,
-                       config, record_history)
+                       record_history)
 
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:

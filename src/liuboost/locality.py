@@ -8,7 +8,6 @@ weight_plus; instances in safe neighborhoods get large weight_minus.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,36 +32,22 @@ def _squared_distances(features: np.ndarray) -> np.ndarray:
     return d
 
 
-def knn_indices(features: np.ndarray, i: int, k: int) -> np.ndarray:
-    """Indices of the k nearest rows to row i (self excluded).
-
-    Euclidean distance; ties broken by smaller index; sorted by
-    (distance, index).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    m = features.shape[0]
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"k={k} must be in [1, m-1] with m={m}")
-    d = ((features - features[i]) ** 2).sum(axis=1)
-    d[i] = np.inf
-    order = np.argsort(d, kind="stable")  # stable sort = index tie-break
-    return order[:k]
-
-
 def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) neighbor indices for every row, same tie rule as knn_indices."""
+    """(m, k) matrix whose row i holds the k nearest rows to row i.
+
+    Euclidean distance, self excluded.  Each row is a set: its order is
+    unspecified.  Ties at the k-th distance go to the smaller index.
+    """
     d = _squared_distances(features)
-    m = d.shape[0]
-    # argpartition is O(m) per row; exact only when no tie straddles the
-    # k-th position, so such rows are redone with a stable full sort.
-    part = np.argpartition(d, k - 1, axis=1)[:, :k]
+    # argpartition is O(m) per row; it picks the right set only when no
+    # tie straddles the k-th position, so such rows are redone with a
+    # stable full sort (index order among equal distances).
+    nearest = np.argpartition(d, k - 1, axis=1)[:, :k]
     kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
     ambiguous = (d <= kth).sum(axis=1) > k
-    rows = np.arange(m)[:, None]
-    order = np.take_along_axis(part, np.argsort(d[rows, part], kind="stable", axis=1), axis=1)
     for i in np.flatnonzero(ambiguous):
-        order[i] = np.argsort(d[i], kind="stable")[:k]
-    return order
+        nearest[i] = np.argsort(d[i], kind="stable")[:k]
+    return nearest
 
 
 def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
@@ -92,16 +77,3 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
         k=k,
         delta=delta,
     )
-
-
-def dump_costs_csv(cv: CostVector, labels: np.ndarray, path) -> None:
-    """Debug dump: one row per instance with neighbor counts and costs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "label", "n_same", "n_opposite",
-                         "weight_plus", "weight_minus"])
-        for i in range(len(labels)):
-            writer.writerow([i, int(labels[i]), int(cv.n_same[i]),
-                             int(cv.n_opposite[i]),
-                             repr(float(cv.weight_plus[i])),
-                             repr(float(cv.weight_minus[i]))])

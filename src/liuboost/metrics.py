@@ -7,7 +7,6 @@ never linear interpolation between PR points.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +132,3 @@ def auroc(scores, labels) -> float:
 def aupr(scores, labels) -> float:
     """Area under the precision-recall curve."""
     return pr_curve(scores, labels).area
-
-
-def curve_to_csv(curve: Curve, metric_name: str, path,
-                 x_name: str = "x", y_name: str = "y") -> None:
-    """Write curve points as CSV with a header row naming the metric."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"metric={metric_name}", f"area={curve.area!r}"])
-        writer.writerow([x_name, y_name])
-        for x, y in curve.points:
-            writer.writerow([repr(x), repr(y)])

@@ -2,23 +2,14 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SampleIndices:
-    """Balanced sample: all minority indices plus a majority subset."""
-
-    indices: np.ndarray
-    rng_state: dict = field(repr=False)
-
-
 def random_undersample(labels: np.ndarray, target_majority_fraction: float,
-                       rng: np.random.Generator) -> SampleIndices:
-    """Keep every minority instance and a uniform without-replacement
-    draw of majority instances.
+                       rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of every minority instance and a uniform
+    without-replacement draw of majority instances.
 
     The majority draw size is ceil(n_min * f / (1 - f)) for
     f = target_majority_fraction, so f = 0.5 yields a 50:50 sample.  The
@@ -38,7 +29,6 @@ def random_undersample(labels: np.ndarray, target_majority_fraction: float,
 
     f = target_majority_fraction
     n_target = int(np.ceil(len(minority) * f / (1.0 - f)))
-    state = rng.bit_generator.state
     if n_target > len(majority):
         warnings.warn(
             f"requested {n_target} majority instances but only "
@@ -48,5 +38,4 @@ def random_undersample(labels: np.ndarray, target_majority_fraction: float,
         chosen = majority
     else:
         chosen = rng.choice(majority, size=n_target, replace=False)
-    indices = np.sort(np.concatenate([minority, chosen]))
-    return SampleIndices(indices=indices, rng_state=state)
+    return np.sort(np.concatenate([minority, chosen]))

@@ -6,7 +6,7 @@ normalized internally, so any positive rescaling yields the same tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,9 +60,7 @@ class DecisionTree:
             "label": self.label.tolist(),
             "confidence": self.confidence.tolist(),
             "n_features": self.n_features,
-            "params": {"max_depth": self.params.max_depth,
-                       "min_leaf_weight": self.params.min_leaf_weight,
-                       "min_gain": self.params.min_gain},
+            "params": asdict(self.params),
         }
 
     @classmethod
@@ -201,36 +199,3 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         params=params,
         n_features=X.shape[1],
     )
-
-
-def predict_tree(tree: DecisionTree, x: np.ndarray) -> int:
-    """Route a single feature vector to a leaf; x[f] <= threshold goes left."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.n_features,):
-        raise ValueError("feature dimensionality mismatch")
-    node = 0
-    while tree.feature[node] >= 0:
-        if x[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-    return int(tree.label[node])
-
-
-def dump_tree(tree: DecisionTree) -> str:
-    """Indented text rendering for debugging."""
-    lines = []
-
-    def walk(node, depth):
-        pad = "  " * depth
-        if tree.feature[node] < 0:
-            lines.append(f"{pad}leaf label={tree.label[node]:+d} "
-                         f"confidence={tree.confidence[node]:.3f}")
-        else:
-            lines.append(f"{pad}x[{tree.feature[node]}] <= "
-                         f"{tree.threshold[node]:.6g}")
-            walk(tree.left[node], depth + 1)
-            walk(tree.right[node], depth + 1)
-
-    walk(0, 0)
-    return "\n".join(lines)

@@ -331,7 +331,7 @@ class TestCriterion7Invariants:
         labels = np.r_[np.ones(12, dtype=np.int64),
                        -np.ones(80, dtype=np.int64)]
         for _ in range(300):
-            idx = random_undersample(labels, 0.5, rng).indices
+            idx = random_undersample(labels, 0.5, rng)
             ok = ok and len(set(idx.tolist())) == len(idx) == 24 \
                 and set(range(12)) <= set(idx.tolist())
         # fold partition and stratification

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import make_clusters
 
+from liuboost import bench
 from liuboost.bench import (ExperimentConfig, derive_seed, emit_report, main,
                             run_experiment)
 from liuboost.data import serialize_keel
@@ -200,3 +201,33 @@ class TestCli:
         small = tmp_path / "small.json"
         small.write_text(json.dumps({"datasets": {}}))
         assert main(["wilcoxon", "--report", str(small)]) == 1
+        # a report without RUSBoost results (a `--algos liuboost` run)
+        one_algo = tmp_path / "liuboost_only.json"
+        one_algo.write_text(json.dumps({"datasets": {"d0": {"algorithms": {
+            "liuboost": {"auroc_mean": 0.9, "aupr_mean": 0.8}}}}}))
+        capsys.readouterr()
+        assert main(["wilcoxon", "--report", str(one_algo)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rusboost" in err
+
+    def test_flags_reach_config_fields(self, small_suite, monkeypatch):
+        data_dir, paths = small_suite
+        seen = []
+        real = bench._config_from_args
+
+        def capture(*args):
+            seen.append(real(*args))
+            raise ValueError("config captured")
+
+        monkeypatch.setattr(bench, "_config_from_args", capture)
+        for command in (["run", "--data-dir", str(data_dir), "--out", "o"],
+                        ["curves", "--dataset", str(paths[0]), "--out", "o"]):
+            seen.clear()
+            assert main(command) == 1
+            assert main(command + ["--knn", "3", "--maj-frac", "0.6",
+                                   "--seed", "9"]) == 1
+            defaults, tuned = seen
+            assert defaults == ExperimentConfig(
+                dataset_paths=defaults.dataset_paths)
+            assert (tuned.knn_k, tuned.target_majority_fraction,
+                    tuned.master_seed) == (3, 0.6, 9)

@@ -1,10 +1,8 @@
-import csv
-
 import numpy as np
 import pytest
 
 from liuboost.data import Dataset
-from liuboost.locality import assign_weights, dump_costs_csv, knn_indices
+from liuboost.locality import _neighbor_matrix, assign_weights
 
 
 def one_d_dataset(positions, labels):
@@ -21,33 +19,46 @@ def brute_force_neighbors(X, i, k):
     return np.asarray(order[:k])
 
 
+def neighbor_sets(X, k):
+    """Rows of _neighbor_matrix, each sorted: the rows are sets."""
+    return np.sort(_neighbor_matrix(X, k), axis=1)
+
+
 class TestKnnIndices:
     def test_three_collinear_points(self):
         X = np.array([[0.0], [1.0], [3.0]])
-        assert knn_indices(X, 0, 1).tolist() == [1]
-        assert knn_indices(X, 1, 1).tolist() == [0]
-        assert knn_indices(X, 2, 1).tolist() == [1]
+        assert neighbor_sets(X, 1).tolist() == [[1], [0], [1]]
 
     def test_duplicate_points_tie_break_by_index(self):
         X = np.array([[0.0], [0.0], [0.0], [5.0]])
-        assert knn_indices(X, 2, 2).tolist() == [0, 1]
-        assert knn_indices(X, 0, 3).tolist() == [1, 2, 3]
+        assert neighbor_sets(X, 2)[2].tolist() == [0, 1]
+        assert neighbor_sets(X, 3)[0].tolist() == [1, 2, 3]
 
     def test_k_bounds(self):
-        X = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            knn_indices(X, 0, 0)
-        with pytest.raises(ValueError):
-            knn_indices(X, 0, 4)
+        # the neighbor search is reached through assign_weights, which
+        # owns the k check: k must lie in [1, m-1]
+        ds = one_d_dataset([0, 1, 2, 3], [1, 1, -1, -1])
+        with pytest.raises(ValueError, match="k="):
+            assign_weights(ds, k=0)
+        with pytest.raises(ValueError, match="k="):
+            assign_weights(ds, k=4)
+        assert assign_weights(ds, k=3).n_same.tolist() == [1, 1, 1, 1]
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(11)
         # integer grid coordinates force many exact distance ties
         X = rng.integers(0, 4, size=(50, 3)).astype(float)
-        for i in range(50):
-            for k in (1, 3, 7):
+        d = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d, np.inf)
+        for k in (1, 3, 7):
+            # ties straddle the k-th distance on some rows, so the path
+            # that redoes ambiguous rows runs
+            kth = np.sort(d, axis=1)[:, k - 1:k]
+            assert ((d <= kth).sum(axis=1) > k).any()
+            got = neighbor_sets(X, k)
+            for i in range(50):
                 np.testing.assert_array_equal(
-                    knn_indices(X, i, k), brute_force_neighbors(X, i, k))
+                    got[i], np.sort(brute_force_neighbors(X, i, k)))
 
 
 class TestAssignWeights:
@@ -126,14 +137,3 @@ class TestAssignWeights:
         cv, cv_t = assign_weights(ds, 4), assign_weights(ds_t, 4)
         np.testing.assert_allclose(cv_t.weight_plus, cv.weight_plus)
         np.testing.assert_allclose(cv_t.weight_minus, cv.weight_minus)
-
-
-def test_dump_costs_csv(tmp_path):
-    ds = one_d_dataset([0, 1, 2, 3, 10, 11], [1, 1, -1, -1, -1, -1])
-    cv = assign_weights(ds, k=3)
-    path = tmp_path / "costs.csv"
-    dump_costs_csv(cv, ds.labels, path)
-    rows = list(csv.reader(path.open()))
-    assert rows[0][:3] == ["index", "label", "n_same"]
-    assert len(rows) == 7
-    assert float(rows[1][4]) == cv.weight_plus[0]

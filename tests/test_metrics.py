@@ -1,11 +1,8 @@
-import csv
-
 import numpy as np
 import pytest
 
 from liuboost.metrics import (ConfusionCounts, aupr, auroc, confusion_counts,
-                              curve_to_csv, fpr, pr_curve, precision, rates,
-                              roc_curve, tpr)
+                              fpr, pr_curve, precision, rates, roc_curve, tpr)
 
 
 def pairwise_auroc(scores, labels):
@@ -149,17 +146,3 @@ class TestPr:
     def test_no_positive_rejected(self):
         with pytest.raises(ValueError):
             pr_curve(np.zeros(3), np.array([-1, -1, -1]))
-
-
-def test_curve_to_csv_round_trip(tmp_path):
-    s = np.array([0.9, 0.8, 0.2, 0.1])
-    y = np.array([1, -1, 1, -1])
-    curve = roc_curve(s, y)
-    path = tmp_path / "roc.csv"
-    curve_to_csv(curve, "roc", path)
-    rows = list(csv.reader(path.open()))
-    assert rows[0][0] == "metric=roc"
-    assert float(rows[0][1].split("=")[1]) == curve.area
-    assert len(rows) == len(curve.points) + 2
-    parsed = [(float(a), float(b)) for a, b in rows[2:]]
-    assert tuple(parsed) == curve.points

@@ -16,36 +16,29 @@ def labels_of(n_min, n_maj):
 class TestRandomUndersample:
     def test_half_fraction_balances(self):
         y = labels_of(10, 100)
-        s = random_undersample(y, 0.5, np.random.default_rng(0))
-        assert len(s.indices) == 20
-        assert len(set(s.indices.tolist())) == 20
-        assert set(range(10)) <= set(s.indices.tolist())  # all minority kept
-        assert (y[s.indices] == -1).sum() == 10
+        idx = random_undersample(y, 0.5, np.random.default_rng(0))
+        assert len(idx) == 20
+        assert len(set(idx.tolist())) == 20
+        assert set(range(10)) <= set(idx.tolist())  # all minority kept
+        assert (y[idx] == -1).sum() == 10
 
     def test_already_balanced_is_identity(self):
         y = labels_of(8, 8)
-        s = random_undersample(y, 0.5, np.random.default_rng(0))
-        np.testing.assert_array_equal(s.indices, np.arange(16))
+        idx = random_undersample(y, 0.5, np.random.default_rng(0))
+        np.testing.assert_array_equal(idx, np.arange(16))
 
     def test_ceil_rounding(self):
         # ceil(3 * 0.6 / 0.4) = 5 majority instances
         y = labels_of(3, 20)
-        s = random_undersample(y, 0.6, np.random.default_rng(1))
-        assert (y[s.indices] == -1).sum() == 5
+        idx = random_undersample(y, 0.6, np.random.default_rng(1))
+        assert (y[idx] == -1).sum() == 5
 
     def test_successive_calls_draw_different_subsets(self):
         y = labels_of(10, 100)
         rng = np.random.default_rng(7)
         a = random_undersample(y, 0.5, rng)
         b = random_undersample(y, 0.5, rng)
-        assert not np.array_equal(a.indices, b.indices)
-
-    def test_rng_state_snapshot(self):
-        y = labels_of(4, 40)
-        rng = np.random.default_rng(5)
-        expected = np.random.default_rng(5).bit_generator.state
-        s = random_undersample(y, 0.5, rng)
-        assert s.rng_state == expected
+        assert not np.array_equal(a, b)
 
     def test_all_subsets_reachable(self):
         # 2 minority, 4 majority, draw 2: all C(4,2)=6 subsets must appear
@@ -53,8 +46,8 @@ class TestRandomUndersample:
         rng = np.random.default_rng(2)
         seen = set()
         for _ in range(300):
-            s = random_undersample(y, 0.5, rng)
-            seen.add(tuple(sorted(i for i in s.indices if y[i] == -1)))
+            idx = random_undersample(y, 0.5, rng)
+            seen.add(tuple(sorted(i for i in idx if y[i] == -1)))
         expected = {tuple(sorted(c))
                     for c in itertools.combinations(range(2, 6), 2)}
         assert seen == expected
@@ -66,7 +59,7 @@ class TestRandomUndersample:
         n_trials = 10_000
         counts = np.zeros(7)
         for _ in range(n_trials):
-            for i in random_undersample(y, 0.5, rng).indices:
+            for i in random_undersample(y, 0.5, rng):
                 counts[i] += 1
         three_sigma = 3 * np.sqrt(n_trials * 0.4 * 0.6)
         assert np.all(np.abs(counts[2:] - 0.4 * n_trials) < three_sigma)
@@ -75,8 +68,8 @@ class TestRandomUndersample:
         # ceil(5 * 0.9 / 0.1) = 45 > 6 available majority instances
         y = labels_of(5, 6)
         with pytest.warns(UserWarning, match="keeping all"):
-            s = random_undersample(y, 0.9, np.random.default_rng(0))
-        np.testing.assert_array_equal(s.indices, np.arange(11))
+            idx = random_undersample(y, 0.9, np.random.default_rng(0))
+        np.testing.assert_array_equal(idx, np.arange(11))
 
     def test_exact_availability_no_warning(self):
         import warnings
@@ -84,8 +77,8 @@ class TestRandomUndersample:
         y = labels_of(5, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = random_undersample(y, 0.5, np.random.default_rng(0))
-        assert len(s.indices) == 10
+            idx = random_undersample(y, 0.5, np.random.default_rng(0))
+        assert len(idx) == 10
 
     def test_validation(self):
         rng = np.random.default_rng(0)
@@ -106,9 +99,9 @@ class TestRandomUndersample:
         y = labels_of(n_min, n_maj)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            s = random_undersample(y, f, np.random.default_rng(seed))
-        idx = s.indices
+            idx = random_undersample(y, f, np.random.default_rng(seed))
         assert len(set(idx.tolist())) == len(idx)        # no duplicates
+        assert (np.diff(idx) > 0).all()                  # sorted
         assert set(range(n_min)) <= set(idx.tolist())    # minority intact
         n_target = int(np.ceil(n_min * f / (1 - f)))
         assert (y[idx] == -1).sum() == min(n_target, n_maj)

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from liuboost.tree import (DecisionTree, TreeParams, dump_tree, fit_tree,
-                           predict_tree)
+from liuboost.tree import DecisionTree, TreeParams, fit_tree
+
+
+def walk_tree(tree, x):
+    """Oracle: route one feature vector to a leaf; x[f] <= threshold goes
+    left."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return int(tree.label[node])
 
 
 def weighted_error(tree, X, y, w):
@@ -32,10 +43,9 @@ class TestFitTree:
         assert tree.n_nodes == 3
         assert tree.feature[0] == 0 and tree.threshold[0] == 1.5
         assert weighted_error(tree, X, y, w) == 0.0
-        assert predict_tree(tree, np.array([0.2])) == -1
         # boundary value routes left (<=)
-        assert predict_tree(tree, np.array([1.5])) == -1
-        assert predict_tree(tree, np.array([1.500001])) == 1
+        assert tree.predict_many(np.array([[0.2], [1.5], [1.500001]])
+                                 ).tolist() == [-1, -1, 1]
 
     def test_pure_node_is_single_leaf(self):
         X = np.arange(5, dtype=float)[:, None]
@@ -154,7 +164,7 @@ class TestPrediction:
         tree = fit_tree(X, y, np.ones(80), TreeParams(max_depth=4))
         Xq = rng.normal(size=(100, 4))
         many = tree.predict_many(Xq)
-        singles = np.array([predict_tree(tree, x) for x in Xq])
+        singles = np.array([walk_tree(tree, x) for x in Xq])
         np.testing.assert_array_equal(many, singles)
 
     def test_dimension_mismatch(self):
@@ -162,7 +172,7 @@ class TestPrediction:
         with pytest.raises(ValueError):
             tree.predict_many(np.zeros((3, 5)))
         with pytest.raises(ValueError):
-            predict_tree(tree, np.zeros(5))
+            tree.predict_many(np.zeros(2))
 
 
 class TestSerialization:
@@ -175,8 +185,3 @@ class TestSerialization:
         np.testing.assert_equal(back.to_dict(), tree.to_dict())
         np.testing.assert_array_equal(back.predict_many(X),
                                       tree.predict_many(X))
-
-    def test_dump_tree_text(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        text = dump_tree(fit_tree(X, np.array([-1, -1, 1, 1]), np.ones(4)))
-        assert "x[0] <= 1.5" in text and text.count("leaf") == 2
