@@ -288,19 +288,23 @@ def emit_report(report: dict, format: str, path,
 
 
 def _config_from_args(args, paths) -> ExperimentConfig:
+    """Fields without a flag on the subcommand keep their defaults."""
+    given = vars(args)
     return ExperimentConfig(
         dataset_paths=tuple(str(p) for p in paths),
-        **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-           if f.name != "dataset_paths"})
+        **{f.name: given[f.name] for f in fields(ExperimentConfig)
+           if f.name in given})
 
 
-def _add_shared_options(p):
-    """One flag per ExperimentConfig field except dataset_paths; each
-    flag's dest is its field name and its default the field's default."""
+def _add_shared_options(p, repeats=True):
+    """One flag per ExperimentConfig field except dataset_paths (and
+    repeats, for a subcommand that scores a single fold); each flag's
+    dest is its field name and its default the field's default."""
     c = ExperimentConfig
     p.add_argument("--algos", dest="algorithms", metavar="ALGOS",
                    default=c.algorithms, type=lambda s: tuple(s.split(",")))
-    p.add_argument("--repeats", type=int, default=c.repeats)
+    if repeats:
+        p.add_argument("--repeats", type=int, default=c.repeats)
     p.add_argument("--folds", type=int, default=c.folds)
     p.add_argument("--rounds", type=int, default=c.rounds,
                    help="boosting rounds T")
@@ -405,7 +409,7 @@ def main(argv=None) -> int:
 
     p_c = sub.add_parser("curves", help="emit ROC/PR points for one dataset")
     p_c.add_argument("--dataset", required=True)
-    _add_shared_options(p_c)
+    _add_shared_options(p_c, repeats=False)  # scores fold 0 of one plan
     p_c.add_argument("--out", required=True)
     p_c.set_defaults(func=_cmd_curves)
 

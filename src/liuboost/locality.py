@@ -5,6 +5,10 @@ weight_plus amplifies the boosting weight increase when the instance is
 misclassified, weight_minus accelerates the decrease when it is correct.
 Instances in hostile neighborhoods (few same-class neighbors) get large
 weight_plus; instances in safe neighborhoods get large weight_minus.
+
+The k-NN search is exact and runs over blocks of query rows, so its
+working memory stays near a fixed _BLOCK_BYTES budget whatever m is,
+instead of growing with an m x m distance matrix.
 """
 from __future__ import annotations
 
@@ -26,10 +30,8 @@ class CostVector:
     delta: float
 
 
-def _squared_distances(features: np.ndarray) -> np.ndarray:
-    d = cdist(features, features, "sqeuclidean")
-    np.fill_diagonal(d, np.inf)  # never a neighbor of itself
-    return d
+# Byte budget of one block of query-row distances in _neighbor_matrix.
+_BLOCK_BYTES = 16 * 2**20
 
 
 def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
@@ -37,16 +39,30 @@ def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
 
     Euclidean distance, self excluded.  Each row is a set: its order is
     unspecified.  Ties at the k-th distance go to the smaller index.
+
+    Query rows are taken in blocks of at most _BLOCK_BYTES of float64
+    distances (one row at least), so besides the (m, k) result the
+    search holds about two blocks at once: one of distances and one of
+    int64 indices (or the next block's distances).  cdist computes every
+    pair on its own, so the result does not depend on the block height.
     """
-    d = _squared_distances(features)
-    # argpartition is O(m) per row; it picks the right set only when no
-    # tie straddles the k-th position, so such rows are redone with a
-    # stable full sort (index order among equal distances).
-    nearest = np.argpartition(d, k - 1, axis=1)[:, :k]
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-    ambiguous = (d <= kth).sum(axis=1) > k
-    for i in np.flatnonzero(ambiguous):
-        nearest[i] = np.argsort(d[i], kind="stable")[:k]
+    m = len(features)
+    height = max(1, _BLOCK_BYTES // (8 * m))
+    nearest = np.empty((m, k), dtype=np.intp)
+    for start in range(0, m, height):
+        stop = min(start + height, m)
+        d = cdist(features[start:stop], features, "sqeuclidean")
+        rows = np.arange(stop - start)
+        d[rows, rows + start] = np.inf  # never a neighbor of itself
+        # argpartition is O(m) per row; it picks the right set only when
+        # no tie straddles the k-th position, so such rows are redone
+        # with a stable full sort (index order among equal distances).
+        nearest[start:stop] = np.argpartition(d, k - 1, axis=1)[:, :k]
+        block = nearest[start:stop]
+        kth = np.take_along_axis(d, block, axis=1).max(axis=1, keepdims=True)
+        ambiguous = (d <= kth).sum(axis=1) > k
+        for i in np.flatnonzero(ambiguous):
+            block[i] = np.argsort(d[i], kind="stable")[:k]
     return nearest
 
 

@@ -210,6 +210,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rusboost" in err
 
+    def test_curves_rejects_repeats(self, small_suite, tmp_path, capsys):
+        # curves scores fold 0 of one plan, so a repeat count would be
+        # ignored: the flag is refused instead
+        _, paths = small_suite
+        out = tmp_path / "curves.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--dataset", str(paths[0]), "--out", str(out),
+                  "--repeats", "5"])
+        assert exc.value.code != 0
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_reach_config_fields(self, small_suite, monkeypatch):
         data_dir, paths = small_suite
         seen = []

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from liuboost import locality
 from liuboost.data import Dataset
 from liuboost.locality import _neighbor_matrix, assign_weights
 
@@ -17,6 +20,12 @@ def brute_force_neighbors(X, i, k):
     order = sorted((j for j in range(len(X)) if j != i),
                    key=lambda j: (d[j], j))
     return np.asarray(order[:k])
+
+
+def tie_grid():
+    """50 points on an integer grid: many exact distance ties."""
+    rng = np.random.default_rng(11)
+    return rng.integers(0, 4, size=(50, 3)).astype(float)
 
 
 def neighbor_sets(X, k):
@@ -45,9 +54,7 @@ class TestKnnIndices:
         assert assign_weights(ds, k=3).n_same.tolist() == [1, 1, 1, 1]
 
     def test_matches_brute_force_with_ties(self):
-        rng = np.random.default_rng(11)
-        # integer grid coordinates force many exact distance ties
-        X = rng.integers(0, 4, size=(50, 3)).astype(float)
+        X = tie_grid()
         d = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d, np.inf)
         for k in (1, 3, 7):
@@ -59,6 +66,42 @@ class TestKnnIndices:
             for i in range(50):
                 np.testing.assert_array_equal(
                     got[i], np.sort(brute_force_neighbors(X, i, k)))
+
+
+class TestBlockedSearch:
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    def test_block_boundaries(self, monkeypatch, height):
+        # 50 rows in blocks of 1, 3 (uneven last block) and 7 (uneven)
+        X = tie_grid()
+        m = len(X)
+        ks = (1, 3, 7)
+        assert m * m * 8 <= locality._BLOCK_BYTES  # the default: one block
+        whole = [_neighbor_matrix(X, k) for k in ks]
+        # a budget a few bytes over height rows still gives height rows
+        monkeypatch.setattr(locality, "_BLOCK_BYTES", height * m * 8 + 5)
+        for k, one_block in zip(ks, whole):
+            got = _neighbor_matrix(X, k)
+            for i in range(m):
+                np.testing.assert_array_equal(
+                    np.sort(got[i]), np.sort(brute_force_neighbors(X, i, k)))
+            np.testing.assert_array_equal(got, one_block)
+
+    def test_memory_bounded_by_block_budget(self):
+        rng = np.random.default_rng(12)
+        m = 6000
+        X = rng.normal(size=(m, 10))
+        y = np.where(rng.random(m) < 0.1, 1, -1)
+        ds = Dataset(features=X, labels=y, feature_names=tuple("abcdefghij"))
+        bound = 4 * locality._BLOCK_BYTES
+        assert m * m * 8 > 4 * bound  # one dense m x m matrix: 275 MiB
+        tracemalloc.start()
+        try:
+            cv = assign_weights(ds, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
+        np.testing.assert_array_equal(cv.n_same + cv.n_opposite, 5)
 
 
 class TestAssignWeights:
