@@ -9,11 +9,15 @@ opposite-class neighborhood) are expensive.
 """
 import numpy as np
 
-from liuboost import assign_weights, min_max_normalize
+from liuboost import Dataset, assign_weights
+from liuboost.data import apply_min_max, fit_min_max
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
 
 entry = next(e for e in BENCHMARK_CATALOG if e.name == "haberman")
-ds = min_max_normalize(generate_catalog_dataset(entry))
+raw = generate_catalog_dataset(entry)
+mins, ranges = fit_min_max(raw.features)
+ds = Dataset(features=apply_min_max(raw.features, mins, ranges),
+             labels=raw.labels, feature_names=raw.feature_names, name=raw.name)
 cv = assign_weights(ds, k=5, delta=1.0)
 
 print(f"dataset {ds.name}: {ds.n_instances} instances, "

@@ -2,23 +2,22 @@
 classification, with a RUSBoost baseline and evaluation tooling."""
 
 from .data import (Dataset, FoldPlan, KeelFormatError, imbalance_ratio,
-                   min_max_normalize, parse_keel, serialize_keel,
-                   stratified_folds)
+                   parse_keel, serialize_keel, stratified_folds)
 from .ensemble import (BoostModel, classify, compute_alpha, decision_score,
                        train_liuboost, train_rusboost)
 from .locality import CostVector, assign_weights
-from .metrics import aupr, auroc, confusion_counts, pr_curve, roc_curve
+from .metrics import aupr, auroc, pr_curve, roc_curve
 from .resample import random_undersample
 from .stats import RankTestResult, wilcoxon_signed_rank
 from .tree import DecisionTree, TreeParams, fit_tree
 
 __all__ = [
     "Dataset", "FoldPlan", "KeelFormatError", "imbalance_ratio",
-    "min_max_normalize", "parse_keel", "serialize_keel", "stratified_folds",
+    "parse_keel", "serialize_keel", "stratified_folds",
     "BoostModel", "classify", "compute_alpha", "decision_score",
     "train_liuboost", "train_rusboost",
     "CostVector", "assign_weights",
-    "aupr", "auroc", "confusion_counts", "pr_curve", "roc_curve",
+    "aupr", "auroc", "pr_curve", "roc_curve",
     "random_undersample",
     "RankTestResult", "wilcoxon_signed_rank",
     "DecisionTree", "TreeParams", "fit_tree",

@@ -155,10 +155,6 @@ def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _repeat_job(args):
-    return args[:2], _run_repeat(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Full protocol: repeats x stratified folds per dataset, both
     algorithms, aggregated metrics, win counts and signed-rank tests."""
@@ -173,14 +169,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
             skipped_datasets[str(p)] = str(exc)
 
     cells = [(p, r, cfg) for p in sorted(paths) for r in range(cfg.repeats)]
-    results = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, value in pool.map(_repeat_job, cells):
-                results[key] = value
+            values = list(pool.map(_run_repeat, *zip(*cells)))
     else:
-        for args in cells:
-            results[args[:2]] = _run_repeat(*args)
+        values = [_run_repeat(*args) for args in cells]
+    results = {args[:2]: value for args, value in zip(cells, values)}
 
     datasets: dict[str, dict] = {}
     timings: dict[str, float] = {}

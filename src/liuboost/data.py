@@ -71,7 +71,6 @@ class FoldPlan:
     """Disjoint stratified index folds covering every instance."""
 
     folds: tuple[np.ndarray, ...]
-    seed: int
 
     @property
     def k(self) -> int:
@@ -94,14 +93,12 @@ def _parse_header_line(line: str):
     return keyword.lower(), rest.strip()
 
 
-def parse_keel(text: str, positive_class_hint: str | None = None,
-               name: str | None = None) -> Dataset:
+def parse_keel(text: str, name: str | None = None) -> Dataset:
     """Parse KEEL .dat text into a Dataset.
 
     The class column is the single @outputs attribute (last attribute if
-    @outputs is absent).  The minority class becomes +1; a cardinality tie
-    is broken by ``positive_class_hint``, else the lexicographically
-    smaller class name becomes +1.
+    @outputs is absent).  The minority class becomes +1; on a cardinality
+    tie the lexicographically smaller class name becomes +1.
     """
     attr_names: list[str] = []
     attr_nominal: list[bool] = []
@@ -168,6 +165,8 @@ def parse_keel(text: str, positive_class_hint: str | None = None,
 
     n_cols = len(attr_names)
     feat_cols = [j for j in range(n_cols) if j != class_col]
+    if not feat_cols:
+        raise KeelFormatError("no input attribute declared")
     features = np.empty((len(rows), len(feat_cols)))
     classes: list[str] = []
     for i, row in enumerate(rows):
@@ -184,15 +183,19 @@ def parse_keel(text: str, positive_class_hint: str | None = None,
                     f"non-numeric value {row[j]!r} in attribute {attr_names[j]!r}")
         classes.append(row[class_col])
 
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, jj = bad[0]
+        raise KeelFormatError(
+            f"non-finite value {rows[i][feat_cols[jj]]!r} in row {i}, "
+            f"attribute {attr_names[feat_cols[jj]]!r}")
+
     uniq, counts = np.unique(classes, return_counts=True)
     if len(uniq) != 2:
         raise KeelFormatError(f"expected 2 classes, found {len(uniq)}: {list(uniq)}")
-    if counts[0] != counts[1]:
-        positive = uniq[np.argmin(counts)]
-    elif positive_class_hint is not None and positive_class_hint in uniq:
-        positive = positive_class_hint
-    else:
-        positive = min(uniq)
+    # argmin picks the first of equal counts: the smaller name, as uniq
+    # is sorted
+    positive = uniq[np.argmin(counts)]
 
     labels = np.where(np.asarray(classes) == positive, 1, -1)
     return Dataset(
@@ -203,19 +206,18 @@ def parse_keel(text: str, positive_class_hint: str | None = None,
     )
 
 
-def serialize_keel(ds: Dataset, positive_name: str = "positive",
-                   negative_name: str = "negative") -> str:
+def serialize_keel(ds: Dataset) -> str:
     """Render a Dataset back to KEEL .dat text (inverse of parse_keel)."""
     lines = [f"@relation {ds.name}"]
     for j, fname in enumerate(ds.feature_names):
         col = ds.features[:, j]
         lines.append(f"@attribute {fname} real [{col.min():.6f}, {col.max():.6f}]")
-    lines.append(f"@attribute Class {{{negative_name}, {positive_name}}}")
+    lines.append("@attribute Class {negative, positive}")
     lines.append(f"@inputs {', '.join(ds.feature_names)}")
     lines.append("@outputs Class")
     lines.append("@data")
     for x, y in zip(ds.features, ds.labels):
-        cls = positive_name if y == 1 else negative_name
+        cls = "positive" if y == 1 else "negative"
         lines.append(",".join(repr(float(v)) for v in x) + "," + cls)
     return "\n".join(lines) + "\n"
 
@@ -246,7 +248,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
         for j in range(k):
             buckets[j].extend(idx[j::k])
     folds = tuple(np.sort(np.asarray(b, dtype=np.int64)) for b in buckets)
-    return FoldPlan(folds=folds, seed=seed)
+    return FoldPlan(folds=folds)
 
 
 def fit_min_max(features: np.ndarray):
@@ -261,13 +263,3 @@ def apply_min_max(features: np.ndarray, mins: np.ndarray,
                   ranges: np.ndarray) -> np.ndarray:
     return (features - mins) / ranges
 
-
-def min_max_normalize(ds: Dataset) -> Dataset:
-    """Rescale every feature column to [0, 1]; constant columns map to 0."""
-    mins, ranges = fit_min_max(ds.features)
-    return Dataset(
-        features=apply_min_max(ds.features, mins, ranges),
-        labels=ds.labels.copy(),
-        feature_names=ds.feature_names,
-        name=ds.name,
-    )

@@ -59,8 +59,8 @@ class BoostModel:
             "retries_exhausted": self.retries_exhausted,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostModel":
@@ -94,18 +94,12 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
     return 0.5 * math.log(max(num, 1e-12) / max(den, 1e-12))
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
                 tree_params, target_majority_fraction, undersample,
                 record_history, **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is passed through
     config = {"algorithm": algorithm, "T": T, **locality,
               "target_majority_fraction": target_majority_fraction,
               "undersample": undersample,

@@ -1,4 +1,4 @@
-"""Threshold metrics, ROC/PR curves and their areas over decision scores.
+"""ROC/PR curves and their areas over decision scores.
 
 Positive class is +1.  A prediction is positive when score > threshold.
 AUROC uses trapezoidal integration (equal to the Mann-Whitney statistic
@@ -10,22 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-@dataclass(frozen=True)
-class Rates:
-    precision: float
-    tpr: float
-    fpr: float
-    degenerate: frozenset = frozenset()  # names of zero-denominator rates
 
 
 @dataclass(frozen=True)
@@ -42,40 +26,6 @@ def _check_scored(scores, labels):
     if not np.all(np.isin(labels, (-1, 1))):
         raise ValueError("labels must be -1 or +1")
     return scores, labels
-
-
-def confusion_counts(scores, labels, threshold: float) -> ConfusionCounts:
-    """Counts at one threshold; predicted positive iff score > threshold."""
-    scores, labels = _check_scored(scores, labels)
-    pred_pos = scores > threshold
-    pos = labels == 1
-    return ConfusionCounts(
-        tp=int((pred_pos & pos).sum()),
-        fp=int((pred_pos & ~pos).sum()),
-        tn=int((~pred_pos & ~pos).sum()),
-        fn=int((~pred_pos & pos).sum()),
-    )
-
-
-def precision(c: ConfusionCounts) -> float:
-    return c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
-
-
-def tpr(c: ConfusionCounts) -> float:
-    return c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
-
-
-def fpr(c: ConfusionCounts) -> float:
-    return c.fp / (c.fp + c.tn) if c.fp + c.tn else 0.0
-
-
-def rates(c: ConfusionCounts) -> Rates:
-    """All three rates plus flags naming any zero-denominator rate."""
-    degenerate = {name for name, den in
-                  (("precision", c.tp + c.fp), ("tpr", c.tp + c.fn),
-                   ("fpr", c.fp + c.tn)) if den == 0}
-    return Rates(precision=precision(c), tpr=tpr(c), fpr=fpr(c),
-                 degenerate=frozenset(degenerate))
 
 
 def _cumulative_by_threshold(scores, labels):

@@ -22,29 +22,27 @@ class CatalogEntry:
     n_instances: int
     n_features: int
     minority_count: int
-    published_ir: float  # imbalance ratio as published; two entries are
-    # inconsistent with their instance counts and cannot be hit exactly
 
 
 BENCHMARK_CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry("pima", 768, 8, 268, 1.87),
-    CatalogEntry("glass5", 214, 9, 9, 22.78),
-    CatalogEntry("yeast5", 1484, 8, 37, 38.73),
-    CatalogEntry("yeast6", 1484, 8, 35, 41.4),
-    CatalogEntry("ecoli-0-3-4_vs_5", 200, 7, 20, 9.0),
-    CatalogEntry("abalone19", 4174, 8, 32, 129.44),
-    CatalogEntry("pageblocks", 548, 10, 3, 164.0),
-    CatalogEntry("led7digit-0-2-4-5-6-7-8-9_vs_1", 443, 7, 37, 10.97),
-    CatalogEntry("glass-0-1-4-6_vs_2", 205, 9, 17, 11.06),
-    CatalogEntry("glass2", 214, 9, 17, 11.59),
-    CatalogEntry("glass6", 214, 9, 29, 6.38),
-    CatalogEntry("yeast-1_vs_7", 459, 7, 30, 14.3),
-    CatalogEntry("poker-8-9_vs_6", 1485, 10, 25, 58.4),
-    CatalogEntry("haberman", 306, 3, 81, 2.78),
-    CatalogEntry("winequality-red-8_vs_6", 656, 11, 18, 35.44),
-    CatalogEntry("glass0", 214, 9, 70, 2.06),
-    CatalogEntry("glass-0-1-5_vs_2", 172, 9, 17, 9.12),
-    CatalogEntry("yeast-0-2-5-7-9_vs_3-6-8", 1004, 8, 99, 9.14),
+    CatalogEntry("pima", 768, 8, 268),
+    CatalogEntry("glass5", 214, 9, 9),
+    CatalogEntry("yeast5", 1484, 8, 37),
+    CatalogEntry("yeast6", 1484, 8, 35),
+    CatalogEntry("ecoli-0-3-4_vs_5", 200, 7, 20),
+    CatalogEntry("abalone19", 4174, 8, 32),
+    CatalogEntry("pageblocks", 548, 10, 3),
+    CatalogEntry("led7digit-0-2-4-5-6-7-8-9_vs_1", 443, 7, 37),
+    CatalogEntry("glass-0-1-4-6_vs_2", 205, 9, 17),
+    CatalogEntry("glass2", 214, 9, 17),
+    CatalogEntry("glass6", 214, 9, 29),
+    CatalogEntry("yeast-1_vs_7", 459, 7, 30),
+    CatalogEntry("poker-8-9_vs_6", 1485, 10, 25),
+    CatalogEntry("haberman", 306, 3, 81),
+    CatalogEntry("winequality-red-8_vs_6", 656, 11, 18),
+    CatalogEntry("glass0", 214, 9, 70),
+    CatalogEntry("glass-0-1-5_vs_2", 172, 9, 17),
+    CatalogEntry("yeast-0-2-5-7-9_vs_3-6-8", 1004, 8, 99),
 )
 
 

@@ -27,7 +27,6 @@ class DecisionTree:
     left: np.ndarray        # (n_nodes,) int child ids, -1 for leaves
     right: np.ndarray
     label: np.ndarray       # (n_nodes,) int in {-1, +1}, leaves only
-    confidence: np.ndarray  # (n_nodes,) float in [0.5, 1], leaves only
     params: TreeParams
     n_features: int
 
@@ -58,7 +57,6 @@ class DecisionTree:
             "left": self.left.tolist(),
             "right": self.right.tolist(),
             "label": self.label.tolist(),
-            "confidence": self.confidence.tolist(),
             "n_features": self.n_features,
             "params": asdict(self.params),
         }
@@ -71,7 +69,6 @@ class DecisionTree:
             left=np.asarray(d["left"], dtype=np.int64),
             right=np.asarray(d["right"], dtype=np.int64),
             label=np.asarray(d["label"], dtype=np.int64),
-            confidence=np.asarray(d["confidence"], dtype=np.float64),
             params=TreeParams(**d["params"]),
             n_features=int(d["n_features"]),
         )
@@ -147,7 +144,7 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         raise ValueError("weights must be nonnegative with positive sum")
     w = w / w.sum()
 
-    feature, threshold, left, right, label, conf = [], [], [], [], [], []
+    feature, threshold, left, right, label = [], [], [], [], []
 
     def new_node():
         feature.append(-1)
@@ -155,18 +152,13 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         left.append(-1)
         right.append(-1)
         label.append(0)
-        conf.append(0.0)
         return len(feature) - 1
 
     def make_leaf(node, idx):
         wpos = w[idx][y[idx] == 1].sum()
         wneg = w[idx].sum() - wpos
-        if wpos + wneg > 0:
-            label[node] = 1 if wpos > wneg else -1
-            conf[node] = max(wpos, wneg) / (wpos + wneg)
-        else:  # only zero-weight instances routed here
-            label[node] = -1
-            conf[node] = 0.5
+        # ties, and leaves holding only zero-weight instances, go to -1
+        label[node] = 1 if wpos > wneg else -1
 
     def build(idx, depth):
         node = new_node()
@@ -195,7 +187,6 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         label=np.asarray(label, dtype=np.int64),
-        confidence=np.asarray(conf, dtype=np.float64),
         params=params,
         n_features=X.shape[1],
     )

@@ -11,6 +11,19 @@ from liuboost.bench import (ExperimentConfig, derive_seed, emit_report, main,
 from liuboost.data import serialize_keel
 
 
+# a well-formed KEEL file but for one infinite feature value
+SAMPLE_INF = """\
+@relation inf
+@attribute a real [0.0, 10.0]
+@attribute Class {negative, positive}
+@outputs Class
+@data
+1.0, negative
+inf, negative
+3.0, positive
+"""
+
+
 def write_dataset(tmp_path, ds):
     path = tmp_path / f"{ds.name}.dat"
     path.write_text(serialize_keel(ds))
@@ -97,10 +110,12 @@ class TestRunExperiment:
         emit_report(run_experiment(cfg, jobs=2), "json", out2)
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_unparseable_dataset_skipped_with_entry(self, small_suite):
+    @pytest.mark.parametrize("text", ["not a keel file\n", SAMPLE_INF],
+                             ids=["garbage", "inf"])
+    def test_unparseable_dataset_skipped_with_entry(self, small_suite, text):
         tmp_path, paths = small_suite
-        bad = tmp_path / "garbage.dat"
-        bad.write_text("not a keel file\n")
+        bad = tmp_path / "bad.dat"
+        bad.write_text(text)
         report = run_experiment(small_config(paths + [bad], repeats=1))
         assert str(bad) in report["skipped_datasets"]
         assert len(report["datasets"]) == 2

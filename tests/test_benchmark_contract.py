@@ -1,0 +1,40 @@
+"""The benchmark in perfbench/ reaches the program through fixed names and
+call counts; these tests fail when a change to src/ breaks that contract,
+before a benchmark run would."""
+import sys
+import time
+from pathlib import Path
+
+import pytest
+from conftest import make_clusters
+
+from liuboost.bench import ExperimentConfig, run_experiment
+from liuboost.data import serialize_keel
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_entry_points_resolve():
+    for owner, attr, _ in spans.ENTRY_POINTS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+# five files: the fewest on which run_experiment reaches the signed-rank test
+@pytest.mark.parametrize("algorithms", [("liuboost", "rusboost"),
+                                        ("liuboost",)], ids=["both", "liu"])
+def test_traced_run_matches_report(tmp_path, algorithms):
+    paths = []
+    for i in range(5):
+        ds = make_clusters(8, 16 + 2 * i, d=2, sep=2.5, seed=40 + i)
+        paths.append(tmp_path / f"{ds.name}.dat")
+        paths[-1].write_text(serialize_keel(ds))
+    cfg = ExperimentConfig(dataset_paths=tuple(map(str, paths)),
+                           algorithms=algorithms, repeats=1, folds=3,
+                           rounds=3, knn_k=3, max_depth=2, master_seed=5)
+    started = time.perf_counter()
+    with spans.LayerTrace() as trace:
+        report = run_experiment(cfg)
+    wall = time.perf_counter() - started
+    assert trace.unrestored() == []
+    assert trace.problems(cfg, report, trace.layer_metrics(wall)) == []

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liuboost.data import (Dataset, KeelFormatError, apply_min_max,
-                           fit_min_max, imbalance_ratio, min_max_normalize,
-                           parse_keel, serialize_keel, stratified_folds)
+                           fit_min_max, imbalance_ratio, parse_keel,
+                           serialize_keel, stratified_folds)
 
 SAMPLE = """\
 @relation toy
@@ -40,11 +40,9 @@ class TestParseKeel:
         assert ds.minority_count == 1
         assert ds.labels.tolist() == [-1, -1, -1, 1]
 
-    def test_tie_broken_by_hint_else_lexicographic(self):
+    def test_tie_broken_lexicographically(self):
         text = SAMPLE.replace("3.0, 4.0, negative", "3.0, 4.0, positive")
-        assert parse_keel(text, positive_class_hint="positive").labels.tolist() \
-            == [-1, 1, -1, 1]
-        # without a hint the lexicographically smaller name becomes +1
+        # the lexicographically smaller name becomes +1
         assert parse_keel(text).labels.tolist() == [1, -1, 1, -1]
 
     def test_outputs_column_not_last(self):
@@ -70,6 +68,14 @@ class TestParseKeel:
         (lambda t: t.replace("real [0.0, 10.0]", "string"), "unsupported"),
         (lambda t: t.replace("@inputs", "@bogus"), "unknown header"),
         (lambda t: "1.0, 2.0, negative\n" + t, "before @data"),
+        (lambda t: t.replace("5.0, 6.0", "5.0, inf"),
+         "non-finite value 'inf' in row 2, attribute 'b'"),
+        (lambda t: t.replace("3.0, 4.0", "nan, 4.0"),
+         "non-finite value 'nan' in row 1, attribute 'a'"),
+        (lambda t: t.replace("7.0, 8.0", "7.0, 1e999"),
+         "non-finite value '1e999' in row 3, attribute 'b'"),
+        (lambda t: "@relation toy\n@attribute Class {n, p}\n@data\nn\nn\np\n",
+         "no input attribute"),
     ])
     def test_format_errors(self, mutate, message):
         with pytest.raises(KeelFormatError, match=message):
@@ -187,15 +193,14 @@ class TestMinMax:
         np.testing.assert_allclose(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column_maps_to_zero(self):
-        ds = Dataset(features=np.array([[3.0, 1.0], [3.0, 2.0]]),
-                     labels=np.array([1, -1]), feature_names=("a", "b"))
-        out = min_max_normalize(ds)
-        np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0])
-        np.testing.assert_array_equal(out.features[:, 1], [0.0, 1.0])
+        X = np.array([[3.0, 1.0], [3.0, 2.0]])
+        out = apply_min_max(X, *fit_min_max(X))
+        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(out[:, 1], [0.0, 1.0])
 
     def test_idempotent(self):
-        ds = make_clusters(5, 9, d=3, seed=6)
-        once = min_max_normalize(ds)
-        twice = min_max_normalize(once)
-        np.testing.assert_allclose(twice.features, once.features, atol=1e-15)
-        assert once.features.min() >= 0.0 and once.features.max() <= 1.0
+        X = make_clusters(5, 9, d=3, seed=6).features
+        once = apply_min_max(X, *fit_min_max(X))
+        twice = apply_min_max(once, *fit_min_max(once))
+        np.testing.assert_allclose(twice, once, atol=1e-15)
+        assert once.min() >= 0.0 and once.max() <= 1.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -184,6 +185,15 @@ class TestSerialization:
         model = train_liuboost(noisy_ds, T=4, rng=5)
         back = BoostModel.from_json(model.to_json())
         assert back.alphas == model.alphas
+        np.testing.assert_array_equal(
+            decision_score(back, noisy_ds.features),
+            decision_score(model, noisy_ds.features))
+        # files written before leaves lost their unused "confidence" array
+        # still load, under the same schema version
+        old = model.to_dict()
+        for tree in old["trees"]:
+            tree["confidence"] = [1.0] * len(tree["label"])
+        back = BoostModel.from_json(json.dumps(old))
         np.testing.assert_array_equal(
             decision_score(back, noisy_ds.features),
             decision_score(model, noisy_ds.features))

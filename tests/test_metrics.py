@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from liuboost.metrics import (ConfusionCounts, aupr, auroc, confusion_counts,
-                              fpr, pr_curve, precision, rates, roc_curve, tpr)
+from liuboost.metrics import aupr, auroc, pr_curve, roc_curve
 
 
 def pairwise_auroc(scores, labels):
@@ -15,44 +14,29 @@ def pairwise_auroc(scores, labels):
 
 
 def naive_aupr(scores, labels):
-    """Threshold-by-threshold step summation oracle."""
+    """Threshold-by-threshold step summation oracle; a score above the
+    threshold is predicted positive."""
     distinct = np.sort(np.unique(scores))[::-1]
     thresholds = [(distinct[i] + distinct[i + 1]) / 2
                   for i in range(len(distinct) - 1)] + [distinct[-1] - 1.0]
+    pos = labels == 1
     area, prev_recall = 0.0, 0.0
     for t in thresholds:
-        c = confusion_counts(scores, labels, t)
-        r = tpr(c)
-        area += (r - prev_recall) * precision(c)
-        prev_recall = r
+        pred_pos = scores > t
+        tp = int((pred_pos & pos).sum())
+        fp = int((pred_pos & ~pos).sum())
+        recall = tp / int(pos.sum())
+        area += (recall - prev_recall) * (tp / (tp + fp) if tp + fp else 0.0)
+        prev_recall = recall
     return area
 
 
-class TestConfusionAndRates:
-    def test_basic_counts(self):
-        c = confusion_counts(np.array([0.9, 0.8, 0.3, 0.1]),
-                             np.array([1, -1, 1, -1]), 0.5)
-        assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 1)
-        r = rates(c)
-        assert r.precision == 0.5 and r.tpr == 0.5 and r.fpr == 0.5
-        assert r.degenerate == frozenset()
-
-    def test_score_equal_to_threshold_is_negative(self):
-        c = confusion_counts(np.array([0.5, 0.7]), np.array([1, -1]), 0.5)
-        assert (c.tp, c.fp, c.tn, c.fn) == (0, 1, 0, 1)
-
-    def test_degenerate_rates_are_zero_and_flagged(self):
-        c = ConfusionCounts(tp=0, fp=0, tn=3, fn=0)
-        r = rates(c)
-        assert r.precision == 0.0 and r.tpr == 0.0
-        assert r.degenerate == frozenset({"precision", "tpr"})
-        assert fpr(c) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            confusion_counts(np.zeros(3), np.array([1, -1]), 0.0)
-        with pytest.raises(ValueError):
-            confusion_counts(np.zeros(2), np.array([0, 1]), 0.0)
+@pytest.mark.parametrize("curve", [roc_curve, pr_curve], ids=["roc", "pr"])
+def test_validation(curve):
+    with pytest.raises(ValueError, match="equal-length"):
+        curve(np.zeros(3), np.array([1, -1]))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        curve(np.zeros(2), np.array([0, 1]))
 
 
 class TestRoc:

@@ -51,7 +51,7 @@ class TestFitTree:
         X = np.arange(5, dtype=float)[:, None]
         tree = fit_tree(X, np.ones(5, dtype=np.int64), np.ones(5))
         assert tree.n_nodes == 1
-        assert tree.label[0] == 1 and tree.confidence[0] == 1.0
+        assert tree.label[0] == 1
 
     def test_xor_needs_depth_two(self):
         X, y, w = xor_dataset()
@@ -132,7 +132,6 @@ class TestFitTree:
         y = np.array([-1, -1, -1, -1, 1, 1])
         tree = fit_tree(X, y, np.ones(6), TreeParams(max_depth=0))
         assert tree.n_nodes == 1 and tree.label[0] == -1
-        assert tree.confidence[0] == pytest.approx(4 / 6)
 
     def test_leaf_tie_breaks_to_majority_class(self):
         X = np.array([[0.0], [0.0]])  # no split possible
