@@ -28,7 +28,7 @@ y_test = ds.labels[test_idx]
 
 params = TreeParams(max_depth=1)
 model = train_liuboost(train_ds, T=10, k=5, delta=1.0, rng=0,
-                       tree_params=params, record_history=True)
+                       tree_params=params)
 baseline = train_rusboost(train_ds, T=10, rng=0, tree_params=params)
 
 print(f"dataset {ds.name}: train={train_ds.n_instances}, "

@@ -60,6 +60,12 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        # a file's stem names its report entry and enters its seeds
+        stems = [Path(p).stem for p in self.dataset_paths]
+        repeated = sorted({s for s in stems if stems.count(s) > 1})
+        if repeated:
+            raise ValueError(f"dataset file stems must be unique; "
+                             f"repeated: {repeated}")
 
     def tree_params(self) -> TreeParams:
         return TreeParams(max_depth=self.max_depth,
@@ -174,12 +180,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
             values = list(pool.map(_run_repeat, *zip(*cells)))
     else:
         values = [_run_repeat(*args) for args in cells]
-    results = {args[:2]: value for args, value in zip(cells, values)}
 
     datasets: dict[str, dict] = {}
     timings: dict[str, float] = {}
-    for (path, repeat) in sorted(results):
-        cell = results[(path, repeat)]
+    for cell in values:  # in (path, repeat) order, as cells were built
         name = cell["dataset"]
         entry = datasets.setdefault(name, {
             "algorithms": {a: {"auroc_values": [], "aupr_values": []}

@@ -6,6 +6,10 @@ distribution D as sample weights, then account cost-weighted correct/
 incorrect mass over ALL training instances (not just the subsample) to
 set the stage coefficient alpha and the weight update.  Rounds whose
 alpha is non-positive are discarded and redrawn.
+
+Every trained model carries its round trace in ``history``: one
+RoundRecord (mis_sum, cor_sum, epsilon and the updated D) per kept
+stage.  The trace is not serialized.
 """
 from __future__ import annotations
 
@@ -21,18 +25,17 @@ from .resample import random_undersample
 from .tree import DecisionTree, TreeParams, fit_tree
 
 SCHEMA_VERSION = 1
-MAX_EXPONENT = 35.0  # clamp |alpha * cost| before exponentiation
 MAX_CONSECUTIVE_RETRIES = 10
 
 
 @dataclass
 class RoundRecord:
-    """Per-round training trace (kept when record_history=True)."""
+    """Training trace of one kept stage; its alpha is the matching entry
+    of BoostModel.alphas."""
 
     mis_sum: float
     cor_sum: float
     epsilon: float  # plain weighted error, no costs
-    alpha: float
     distribution: np.ndarray  # D after update + normalization
 
 
@@ -44,7 +47,7 @@ class BoostModel:
     trees: tuple[DecisionTree, ...]
     config: dict
     retries_exhausted: bool = False
-    history: tuple[RoundRecord, ...] = ()
+    history: tuple[RoundRecord, ...] = ()  # empty once loaded from JSON
 
     @property
     def trained_iterations(self) -> int:
@@ -88,15 +91,17 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
         raise ValueError("cor_sum and mis_sum must be nonnegative")
     num = 1.0 + cor_sum - mis_sum
     den = 1.0 - cor_sum + mis_sum
-    assert num > -1e-12 and den > -1e-12, "requires cor_sum + mis_sum <= 1"
+    if num <= -1e-12 or den <= -1e-12:
+        raise ValueError("requires cor_sum + mis_sum <= 1")
     # den hits 0 exactly when every instance is correct with unit cost
-    # (a perfect round); clamp instead of overflowing to +inf
+    # (a perfect round); clamp instead of overflowing to +inf, which
+    # bounds |alpha| by 0.5 * ln(2e12) < 14.2
     return 0.5 * math.log(max(num, 1e-12) / max(den, 1e-12))
 
 
 def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
                 tree_params, target_majority_fraction, undersample,
-                record_history, **locality) -> BoostModel:
+                **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
     rng = np.random.default_rng(rng)  # a Generator is passed through
@@ -137,15 +142,13 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
         retries = 0
         epsilon = float(D[mis].sum())  # cost-free weighted error under current D
         cost = np.where(mis, weight_plus, weight_minus)
-        exponent = np.clip(-alpha * y * pred * cost, -MAX_EXPONENT, MAX_EXPONENT)
-        D = D * np.exp(exponent)
-        D = D / D.sum()
+        # |alpha| < 14.2 and every cost is in (0, 1]: no overflow
+        D = D * np.exp(-alpha * y * pred * cost)
+        D = D / D.sum()  # rebinds D, so each record keeps its own array
         alphas.append(alpha)
         trees.append(tree)
-        if record_history:
-            history.append(RoundRecord(mis_sum=mis_sum, cor_sum=cor_sum,
-                                       epsilon=epsilon, alpha=alpha,
-                                       distribution=D.copy()))
+        history.append(RoundRecord(mis_sum=mis_sum, cor_sum=cor_sum,
+                                   epsilon=epsilon, distribution=D))
         t += 1
 
     return BoostModel(
@@ -160,8 +163,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
 def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
                    rng=0, tree_params: TreeParams = TreeParams(),
                    target_majority_fraction: float = 0.5,
-                   undersample: bool = True,
-                   record_history: bool = False) -> BoostModel:
+                   undersample: bool = True) -> BoostModel:
     """Train the cost-sensitive undersampled ensemble on a Dataset.
 
     Locality costs are computed once on the full training split before the
@@ -172,22 +174,19 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
     cv = assign_weights(ds, k=k, delta=delta)
     return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
                        cv.weight_minus, T, rng, tree_params,
-                       target_majority_fraction, undersample, record_history,
-                       k=k, delta=delta)
+                       target_majority_fraction, undersample, k=k, delta=delta)
 
 
 def train_rusboost(ds, T: int = 10, rng=0,
                    tree_params: TreeParams = TreeParams(),
                    target_majority_fraction: float = 0.5,
-                   undersample: bool = True,
-                   record_history: bool = False) -> BoostModel:
+                   undersample: bool = True) -> BoostModel:
     """Classical undersampled AdaBoost: the shared loop with unit costs."""
     if T < 1:
         raise ValueError("T must be >= 1")
     ones = np.ones(ds.n_instances)
     return _boost_loop("rusboost", ds.features, ds.labels, ones, ones, T, rng,
-                       tree_params, target_majority_fraction, undersample,
-                       record_history)
+                       tree_params, target_majority_fraction, undersample)
 
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:

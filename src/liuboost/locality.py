@@ -82,9 +82,8 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
     same = ds.labels[neighbors] == ds.labels[:, None]
     n_same = same.sum(axis=1)
     n_opp = k - n_same
-    with np.errstate(divide="ignore"):
-        weight_plus = np.where(n_same == 0, delta, 1.0 / np.maximum(n_same, 1))
-        weight_minus = np.where(n_opp == 0, delta, 1.0 / np.maximum(n_opp, 1))
+    weight_plus = np.where(n_same == 0, delta, 1.0 / np.maximum(n_same, 1))
+    weight_minus = np.where(n_opp == 0, delta, 1.0 / np.maximum(n_opp, 1))
     return CostVector(
         weight_plus=weight_plus,
         weight_minus=weight_minus,

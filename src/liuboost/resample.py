@@ -29,12 +29,11 @@ def random_undersample(labels: np.ndarray, target_majority_fraction: float,
 
     f = target_majority_fraction
     n_target = int(np.ceil(len(minority) * f / (1.0 - f)))
-    if n_target > len(majority):
-        warnings.warn(
-            f"requested {n_target} majority instances but only "
-            f"{len(majority)} available; keeping all", stacklevel=2)
-        chosen = majority
-    elif n_target == len(majority):
+    if n_target >= len(majority):
+        if n_target > len(majority):
+            warnings.warn(
+                f"requested {n_target} majority instances but only "
+                f"{len(majority)} available; keeping all", stacklevel=2)
         chosen = majority
     else:
         chosen = rng.choice(majority, size=n_target, replace=False)

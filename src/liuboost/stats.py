@@ -80,25 +80,18 @@ def wilcoxon_signed_rank(pairs, zeros: str = "drop") -> RankTestResult:
     if n_nonzero == 0:
         raise ValueError("all differences are zero; no test possible")
 
-    if zeros == "drop":
-        dd = d[nonzero]
-        ranks = rankdata(np.abs(dd))
-        n_ranked = n_nonzero
-        n_zero_ranked = 0
-        abs_for_ties = np.abs(dd)
-    else:
-        ranks_all = rankdata(np.abs(d))
-        dd = d[nonzero]
-        ranks = ranks_all[nonzero]
-        n_ranked = len(d)
-        n_zero_ranked = len(d) - n_nonzero
-        abs_for_ties = np.abs(d)
+    ranked = d[nonzero] if zeros == "drop" else d
+    abs_ranked = np.abs(ranked)
+    ranks = rankdata(abs_ranked)[ranked != 0]
+    dd = d[nonzero]
+    n_ranked = len(ranked)
+    n_zero_ranked = n_ranked - n_nonzero
 
     w_plus = float(ranks[dd > 0].sum())
     w_minus = float(ranks[dd < 0].sum())
     w_min = min(w_plus, w_minus)
 
-    _, tie_counts = np.unique(abs_for_ties, return_counts=True)
+    _, tie_counts = np.unique(abs_ranked, return_counts=True)
     p_normal = _normal_one_sided(w_min, n_ranked, n_zero_ranked,
                                  tie_counts.astype(np.float64))
     if n_nonzero <= EXACT_LIMIT:

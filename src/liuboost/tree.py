@@ -6,7 +6,7 @@ normalized internally, so any positive rescaling yields the same tree.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class DecisionTree:
     left: np.ndarray        # (n_nodes,) int child ids, -1 for leaves
     right: np.ndarray
     label: np.ndarray       # (n_nodes,) int in {-1, +1}, leaves only
-    params: TreeParams
     n_features: int
 
     @property
@@ -58,18 +57,17 @@ class DecisionTree:
             "right": self.right.tolist(),
             "label": self.label.tolist(),
             "n_features": self.n_features,
-            "params": asdict(self.params),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
+        # files written before may also hold "params" and "confidence"
         return cls(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=np.float64),
             left=np.asarray(d["left"], dtype=np.int64),
             right=np.asarray(d["right"], dtype=np.int64),
             label=np.asarray(d["label"], dtype=np.int64),
-            params=TreeParams(**d["params"]),
             n_features=int(d["n_features"]),
         )
 
@@ -187,6 +185,5 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         label=np.asarray(label, dtype=np.int64),
-        params=params,
         n_features=X.shape[1],
     )

@@ -183,7 +183,7 @@ class TestCriterion3AdaBoostReduction:
             ds = make_clusters(25, 55, d=3, sep=2.5, seed=100 + seed,
                                noise=1.4, flip_fraction=0.15)
             model = train_liuboost(ds, T=20, k=1, delta=1.0, rng=0,
-                                   undersample=False, record_history=True,
+                                   undersample=False,
                                    tree_params=params)
             assert model.trained_iterations == 20
             oracle = self.textbook_adaboost(ds.features, ds.labels, 20,
@@ -320,7 +320,7 @@ class TestCriterion7Invariants:
         ok = True
         # boosting distribution invariants and positive stage coefficients
         ds = make_clusters(25, 55, d=3, sep=2.0, seed=700, noise=1.5)
-        model = train_liuboost(ds, T=10, rng=0, record_history=True,
+        model = train_liuboost(ds, T=10, rng=0,
                                tree_params=TreeParams(max_depth=2))
         ok = ok and all(abs(r.distribution.sum() - 1.0) <= 1e-9
                         and np.all(r.distribution >= 0)

@@ -58,6 +58,9 @@ class TestConfig:
             ExperimentConfig(dataset_paths=(), target_majority_fraction=1.0)
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(dataset_paths=(), algorithms=("xgboost",))
+        # one stem, one report entry and one seed stream: never two files
+        with pytest.raises(ValueError, match="repeated: \\['x'\\]"):
+            ExperimentConfig(dataset_paths=("a/x.dat", "b/x.dat", "c/y.dat"))
 
     def test_derive_seed_stable_and_distinct(self):
         a = derive_seed(0, "pima", 1, 2, "liuboost")

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import make_clusters
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liuboost.data import Dataset
 from liuboost.ensemble import (BoostModel, classify, compute_alpha,
@@ -36,6 +38,18 @@ class TestComputeAlpha:
             compute_alpha(-0.1, 0.5)
         with pytest.raises(ValueError):
             compute_alpha(0.5, -0.1)
+        # masses whose difference leaves [-1, 1] break cor_sum + mis_sum <= 1
+        with pytest.raises(ValueError, match="cor_sum \\+ mis_sum <= 1"):
+            compute_alpha(1.5, 0.1)
+        with pytest.raises(ValueError, match="cor_sum \\+ mis_sum <= 1"):
+            compute_alpha(0.1, 1.5)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_magnitude_bounded(self, a, b):
+        # the clamp on num and den bounds |alpha|, so the weight update's
+        # exponent stays below 14.2 for costs in (0, 1]
+        cor, mis = a, min(b, 1.0 - a)
+        assert 0 <= abs(compute_alpha(cor, mis)) <= 0.5 * math.log(2e12)
 
 
 class TestTraining:
@@ -58,7 +72,6 @@ class TestTraining:
     def test_history_replays_weight_update(self, noisy_ds):
         ds = noisy_ds
         model = train_liuboost(ds, T=6, k=5, delta=1.0, rng=7,
-                               record_history=True,
                                tree_params=TreeParams(max_depth=2))
         assert model.trained_iterations == 6
         cv = assign_weights(ds, k=5, delta=1.0)
@@ -85,7 +98,6 @@ class TestTraining:
         # with a uniform prior, misclassified instances end round 1 ordered
         # by weight_plus: higher cost => strictly larger posterior weight
         model = train_liuboost(noisy_ds, T=1, k=5, rng=11,
-                               record_history=True,
                                tree_params=TreeParams(max_depth=1))
         cv = assign_weights(noisy_ds, k=5)
         pred = model.trees[0].predict_many(noisy_ds.features)
@@ -98,7 +110,7 @@ class TestTraining:
         assert np.all(dd[1:][strict] > dd[:-1][strict])
 
     def test_distribution_invariants(self, noisy_ds):
-        model = train_rusboost(noisy_ds, T=10, rng=3, record_history=True,
+        model = train_rusboost(noisy_ds, T=10, rng=3,
                                tree_params=TreeParams(max_depth=2))
         for rec in model.history:
             assert rec.distribution.sum() == pytest.approx(1.0, abs=1e-9)
@@ -188,11 +200,12 @@ class TestSerialization:
         np.testing.assert_array_equal(
             decision_score(back, noisy_ds.features),
             decision_score(model, noisy_ds.features))
-        # files written before leaves lost their unused "confidence" array
-        # still load, under the same schema version
+        # files written before trees lost their unused "confidence" array
+        # and "params" copy still load, under the same schema version
         old = model.to_dict()
         for tree in old["trees"]:
             tree["confidence"] = [1.0] * len(tree["label"])
+            tree["params"] = model.config["tree_params"]
         back = BoostModel.from_json(json.dumps(old))
         np.testing.assert_array_equal(
             decision_score(back, noisy_ds.features),
