@@ -10,7 +10,6 @@ from liuboost import (aupr, auroc, classify, decision_score,
                       stratified_folds, train_liuboost, train_rusboost)
 from liuboost.data import Dataset, apply_min_max, fit_min_max
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
-from liuboost.tree import TreeParams
 
 entry = next(e for e in BENCHMARK_CATALOG if e.name == "glass2")
 ds = generate_catalog_dataset(entry)
@@ -26,10 +25,8 @@ train_ds = Dataset(
 X_test = apply_min_max(ds.features[test_idx], mins, ranges)
 y_test = ds.labels[test_idx]
 
-params = TreeParams(max_depth=1)
-model = train_liuboost(train_ds, T=10, k=5, delta=1.0, rng=0,
-                       tree_params=params)
-baseline = train_rusboost(train_ds, T=10, rng=0, tree_params=params)
+model = train_liuboost(train_ds, T=10, k=5, delta=1.0, rng=0, max_depth=1)
+baseline = train_rusboost(train_ds, T=10, rng=0, max_depth=1)
 
 print(f"dataset {ds.name}: train={train_ds.n_instances}, "
       f"test={len(y_test)}, IR="

@@ -12,7 +12,6 @@ from liuboost.data import Dataset, apply_min_max, fit_min_max, serialize_keel
 from liuboost.ensemble import decision_score
 from liuboost.metrics import pr_curve, roc_curve
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
-from liuboost.tree import TreeParams
 
 entry = next(e for e in BENCHMARK_CATALOG if e.name == "glass0")
 ds = generate_catalog_dataset(entry)
@@ -25,8 +24,7 @@ train_ds = Dataset(
 X_test = apply_min_max(ds.features[test_idx], mins, ranges)
 y_test = ds.labels[test_idx]
 
-model = train_liuboost(train_ds, T=10, rng=0,
-                       tree_params=TreeParams(max_depth=2))
+model = train_liuboost(train_ds, T=10, rng=0, max_depth=2)
 scores = decision_score(model, X_test)
 
 roc = roc_curve(scores, y_test)

@@ -9,7 +9,7 @@ from .locality import CostVector, assign_weights
 from .metrics import aupr, auroc, pr_curve, roc_curve
 from .resample import random_undersample
 from .stats import RankTestResult, wilcoxon_signed_rank
-from .tree import DecisionTree, TreeParams, fit_tree
+from .tree import DecisionTree, fit_tree
 
 __all__ = [
     "Dataset", "FoldPlan", "KeelFormatError", "imbalance_ratio",
@@ -20,7 +20,7 @@ __all__ = [
     "aupr", "auroc", "pr_curve", "roc_curve",
     "random_undersample",
     "RankTestResult", "wilcoxon_signed_rank",
-    "DecisionTree", "TreeParams", "fit_tree",
+    "DecisionTree", "fit_tree",
 ]
 
 __version__ = "0.1.0"

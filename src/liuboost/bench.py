@@ -27,7 +27,6 @@ from .data import (Dataset, KeelFormatError, apply_min_max, fit_min_max,
 from .ensemble import decision_score, train_liuboost, train_rusboost
 from .stats import wilcoxon_signed_rank
 from .synth import write_benchmark_suite
-from .tree import TreeParams
 
 SCHEMA_VERSION = 1
 ALGORITHMS = ("liuboost", "rusboost")
@@ -44,8 +43,6 @@ class ExperimentConfig:
     delta: float = 1.0
     target_majority_fraction: float = 0.5
     max_depth: int = 8
-    min_leaf_weight: float = 0.01
-    min_gain: float = 1e-7
     master_seed: int = 0
 
     def __post_init__(self):
@@ -55,6 +52,12 @@ class ExperimentConfig:
             raise ValueError("folds must be >= 2")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be >= 1")
+        if not 0 < self.delta <= 1:
+            raise ValueError("delta must be in (0, 1]")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
         if not 0 < self.target_majority_fraction < 1:
             raise ValueError("target_majority_fraction must be in (0, 1)")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -66,11 +69,6 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"dataset file stems must be unique; "
                              f"repeated: {repeated}")
-
-    def tree_params(self) -> TreeParams:
-        return TreeParams(max_depth=self.max_depth,
-                          min_leaf_weight=self.min_leaf_weight,
-                          min_gain=self.min_gain)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -84,10 +82,10 @@ def _train(algo: str, ds: Dataset, cfg: ExperimentConfig, seed: int):
     if algo == "liuboost":
         return train_liuboost(
             ds, T=cfg.rounds, k=cfg.knn_k, delta=cfg.delta, rng=seed,
-            tree_params=cfg.tree_params(),
+            max_depth=cfg.max_depth,
             target_majority_fraction=cfg.target_majority_fraction)
     return train_rusboost(
-        ds, T=cfg.rounds, rng=seed, tree_params=cfg.tree_params(),
+        ds, T=cfg.rounds, rng=seed, max_depth=cfg.max_depth,
         target_majority_fraction=cfg.target_majority_fraction)
 
 
@@ -315,8 +313,6 @@ def _add_shared_options(p, repeats=True):
                    default=c.target_majority_fraction,
                    help="majority fraction of each round's sample")
     p.add_argument("--max-depth", type=int, default=c.max_depth)
-    p.add_argument("--min-leaf-weight", type=float, default=c.min_leaf_weight)
-    p.add_argument("--min-gain", type=float, default=c.min_gain)
     p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
                    default=c.master_seed, help="master seed")
 
@@ -377,7 +373,7 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    paths = write_benchmark_suite(args.out_dir, seed=args.seed)
+    paths = write_benchmark_suite(args.out_dir)
     print(f"wrote {len(paths)} datasets to {args.out_dir}")
     return 0
 
@@ -413,7 +409,6 @@ def main(argv=None) -> int:
 
     p_s = sub.add_parser("synth", help="write the stand-in benchmark suite")
     p_s.add_argument("--out-dir", required=True)
-    p_s.add_argument("--seed", type=int, default=20170915)
     p_s.set_defaults(func=_cmd_synth)
 
     args = parser.parse_args(argv)

@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .locality import assign_weights
 from .resample import random_undersample
-from .tree import DecisionTree, TreeParams, fit_tree
+from .tree import DecisionTree, fit_tree
 
 SCHEMA_VERSION = 1
 MAX_CONSECUTIVE_RETRIES = 10
@@ -69,6 +69,8 @@ class BoostModel:
     def from_dict(cls, d: dict) -> "BoostModel":
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema: {d.get('schema_version')}")
+        # the config is kept as written: in files written before, it holds
+        # a "tree_params" dict in place of "max_depth"
         return cls(
             alphas=tuple(d["alphas"]),
             trees=tuple(DecisionTree.from_dict(t) for t in d["trees"]),
@@ -89,10 +91,11 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
     """
     if cor_sum < 0 or mis_sum < 0:
         raise ValueError("cor_sum and mis_sum must be nonnegative")
+    # nonnegative masses with a sum of at most 1 keep num and den >= 0
+    if cor_sum + mis_sum > 1 + 1e-12:
+        raise ValueError("requires cor_sum + mis_sum <= 1")
     num = 1.0 + cor_sum - mis_sum
     den = 1.0 - cor_sum + mis_sum
-    if num <= -1e-12 or den <= -1e-12:
-        raise ValueError("requires cor_sum + mis_sum <= 1")
     # den hits 0 exactly when every instance is correct with unit cost
     # (a perfect round); clamp instead of overflowing to +inf, which
     # bounds |alpha| by 0.5 * ln(2e12) < 14.2
@@ -100,7 +103,7 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
 
 
 def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
-                tree_params, target_majority_fraction, undersample,
+                max_depth, target_majority_fraction, undersample,
                 **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
@@ -108,7 +111,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
     config = {"algorithm": algorithm, "T": T, **locality,
               "target_majority_fraction": target_majority_fraction,
               "undersample": undersample,
-              "tree_params": asdict(tree_params)}
+              "max_depth": max_depth}
     m = len(y)
     D = np.full(m, 1.0 / m)
     alphas: list[float] = []
@@ -123,7 +126,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
             sample = random_undersample(y, target_majority_fraction, rng)
         else:
             sample = np.arange(m)
-        tree = fit_tree(X[sample], y[sample], D[sample], tree_params)
+        tree = fit_tree(X[sample], y[sample], D[sample], max_depth)
         pred = tree.predict_many(X)
         mis = pred != y
         mis_sum = float((D[mis] * weight_plus[mis]).sum())
@@ -161,7 +164,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
 
 
 def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
-                   rng=0, tree_params: TreeParams = TreeParams(),
+                   rng=0, max_depth: int = 8,
                    target_majority_fraction: float = 0.5,
                    undersample: bool = True) -> BoostModel:
     """Train the cost-sensitive undersampled ensemble on a Dataset.
@@ -173,12 +176,11 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
         raise ValueError("T must be >= 1")
     cv = assign_weights(ds, k=k, delta=delta)
     return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
-                       cv.weight_minus, T, rng, tree_params,
+                       cv.weight_minus, T, rng, max_depth,
                        target_majority_fraction, undersample, k=k, delta=delta)
 
 
-def train_rusboost(ds, T: int = 10, rng=0,
-                   tree_params: TreeParams = TreeParams(),
+def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8,
                    target_majority_fraction: float = 0.5,
                    undersample: bool = True) -> BoostModel:
     """Classical undersampled AdaBoost: the shared loop with unit costs."""
@@ -186,7 +188,7 @@ def train_rusboost(ds, T: int = 10, rng=0,
         raise ValueError("T must be >= 1")
     ones = np.ones(ds.n_instances)
     return _boost_loop("rusboost", ds.features, ds.labels, ones, ones, T, rng,
-                       tree_params, target_majority_fraction, undersample)
+                       max_depth, target_majority_fraction, undersample)
 
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:

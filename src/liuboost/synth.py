@@ -15,6 +15,10 @@ import numpy as np
 
 from .data import Dataset, serialize_keel
 
+# the one seed of the stand-in suite; with a dataset's name it seeds the
+# dataset's generator
+SUITE_SEED = 20170915
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -101,9 +105,9 @@ def generate_dataset(name: str, m: int, d: int, n_min: int,
     )
 
 
-def generate_catalog_dataset(entry: CatalogEntry, seed: int = 20170915) -> Dataset:
+def generate_catalog_dataset(entry: CatalogEntry) -> Dataset:
     """Deterministic stand-in for one catalog row."""
-    rng_seed = np.random.SeedSequence([seed, hash_name(entry.name)])
+    rng_seed = np.random.SeedSequence([SUITE_SEED, hash_name(entry.name)])
     return generate_dataset(entry.name, entry.n_instances, entry.n_features,
                             entry.minority_count,
                             seed=rng_seed.generate_state(1)[0])
@@ -115,13 +119,13 @@ def hash_name(name: str) -> int:
     return zlib.crc32(name.encode())
 
 
-def write_benchmark_suite(out_dir, seed: int = 20170915) -> list[Path]:
+def write_benchmark_suite(out_dir) -> list[Path]:
     """Write all 18 stand-in datasets as KEEL .dat files; returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for entry in BENCHMARK_CATALOG:
-        ds = generate_catalog_dataset(entry, seed=seed)
+        ds = generate_catalog_dataset(entry)
         path = out_dir / f"{entry.name}.dat"
         path.write_text(serialize_keel(ds))
         paths.append(path)

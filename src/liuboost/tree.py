@@ -3,6 +3,8 @@
 Binary numeric splits only; no pruning (boosting wants low-bias weak
 learners and handles errors by reweighting).  Sample weights are
 normalized internally, so any positive rescaling yields the same tree.
+Depth is the tree's one parameter; the other two stopping rules are the
+constants MIN_LEAF_WEIGHT and MIN_GAIN.
 """
 from __future__ import annotations
 
@@ -10,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class TreeParams:
-    max_depth: int = 8
-    min_leaf_weight: float = 0.01  # fraction of total weight
-    min_gain: float = 1e-7
+MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
+MIN_GAIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 def fit_tree(features: np.ndarray, labels: np.ndarray,
              sample_weights: np.ndarray,
-             params: TreeParams = TreeParams()) -> DecisionTree:
+             max_depth: int = 8) -> DecisionTree:
     """Greedy top-down induction maximizing weighted gain ratio.
 
     Recursion stops at max_depth, on a pure node, when node weight falls
-    below min_leaf_weight, or when the best gain ratio is below min_gain.
+    below MIN_LEAF_WEIGHT, or when the best gain ratio is below MIN_GAIN.
     Zero-weight instances are excluded from split statistics but still
     routed to leaves.
     """
@@ -163,12 +161,12 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         active = idx[w[idx] > 0]
         w_node = w[idx].sum()
         pure = active.size > 0 and (y[active] == y[active[0]]).all()
-        if (depth >= params.max_depth or pure or active.size == 0
-                or w_node < params.min_leaf_weight):
+        if (depth >= max_depth or pure or active.size == 0
+                or w_node < MIN_LEAF_WEIGHT):
             make_leaf(node, idx)
             return node
         ratio, f, thr = _best_split(X[active], y[active], w[active])
-        if f < 0 or ratio < params.min_gain:
+        if f < 0 or ratio < MIN_GAIN:
             make_leaf(node, idx)
             return node
         feature[node] = f

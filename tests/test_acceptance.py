@@ -18,9 +18,7 @@ from liuboost.metrics import auroc
 from liuboost.resample import random_undersample
 from liuboost.stats import wilcoxon_signed_rank
 from liuboost.synth import BENCHMARK_CATALOG, write_benchmark_suite
-from liuboost.tree import TreeParams, fit_tree
-
-SUITE_SEED = 20170915
+from liuboost.tree import fit_tree
 
 # published per-dataset (baseline, proposed) mean AUROC pairs
 TABLE_AUROC_PAIRS = [
@@ -62,7 +60,7 @@ IR_INFEASIBLE = ("yeast5", "pageblocks")
 @pytest.fixture(scope="session")
 def suite_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("benchmark_suite")
-    write_benchmark_suite(d, seed=SUITE_SEED)
+    write_benchmark_suite(d)
     return d
 
 
@@ -160,14 +158,14 @@ class TestCriterion2WilcoxonOracle:
 
 class TestCriterion3AdaBoostReduction:
     @staticmethod
-    def textbook_adaboost(X, y, T, params):
+    def textbook_adaboost(X, y, T, max_depth):
         """Independently written classical AdaBoost on the same weak
         learner, for the unit-cost/no-undersampling reduction oracle."""
         m = len(y)
         D = np.full(m, 1.0 / m)
         out = []
         for _ in range(T):
-            tree = fit_tree(X, y, D, params)
+            tree = fit_tree(X, y, D, max_depth)
             pred = tree.predict_many(X)
             eps = float(D[pred != y].sum())
             alpha = 0.5 * np.log((1.0 - eps) / eps)
@@ -177,17 +175,14 @@ class TestCriterion3AdaBoostReduction:
         return out
 
     def test_3_reduction(self, record_criterion):
-        params = TreeParams(max_depth=2)
         worst = 0.0
         for seed in range(5):
             ds = make_clusters(25, 55, d=3, sep=2.5, seed=100 + seed,
                                noise=1.4, flip_fraction=0.15)
             model = train_liuboost(ds, T=20, k=1, delta=1.0, rng=0,
-                                   undersample=False,
-                                   tree_params=params)
+                                   undersample=False, max_depth=2)
             assert model.trained_iterations == 20
-            oracle = self.textbook_adaboost(ds.features, ds.labels, 20,
-                                            params)
+            oracle = self.textbook_adaboost(ds.features, ds.labels, 20, 2)
             for rec, alpha, (eps_o, alpha_o, D_o) in zip(
                     model.history, model.alphas, oracle):
                 worst = max(worst,
@@ -320,8 +315,7 @@ class TestCriterion7Invariants:
         ok = True
         # boosting distribution invariants and positive stage coefficients
         ds = make_clusters(25, 55, d=3, sep=2.0, seed=700, noise=1.5)
-        model = train_liuboost(ds, T=10, rng=0,
-                               tree_params=TreeParams(max_depth=2))
+        model = train_liuboost(ds, T=10, rng=0, max_depth=2)
         ok = ok and all(abs(r.distribution.sum() - 1.0) <= 1e-9
                         and np.all(r.distribution >= 0)
                         for r in model.history)

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ class TestConfig:
             ExperimentConfig(dataset_paths=(), folds=1)
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_paths=(), target_majority_fraction=1.0)
+        for field, value in (("max_depth", 0), ("knn_k", 0), ("delta", 0.0),
+                             ("delta", 2.0)):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(dataset_paths=(), **{field: value})
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(dataset_paths=(), algorithms=("xgboost",))
         # one stem, one report entry and one seed stream: never two files
@@ -240,24 +245,58 @@ class TestCli:
         assert "--repeats" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_flags_reach_config_fields(self, small_suite, monkeypatch):
-        data_dir, paths = small_suite
+    @pytest.mark.parametrize("flags", [["--max-depth", "0"], ["--knn", "0"],
+                                       ["--delta", "2"]],
+                             ids=["max-depth", "knn", "delta"])
+    def test_out_of_range_rejected_before_reading(self, small_suite, tmp_path,
+                                                  monkeypatch, capsys, flags):
+        data_dir, _ = small_suite
+        read = []
+        monkeypatch.setattr(bench, "parse_keel",
+                            lambda *a, **k: read.append(a))
+        out = tmp_path / "report.json"
+        assert main(["run", "--data-dir", str(data_dir), "--out", str(out),
+                     "--algos", "rusboost", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert read == [] and not out.exists()
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Stop `main` at `_config_from_args`; record each parsed
+        namespace and the config built from it."""
         seen = []
         real = bench._config_from_args
 
-        def capture(*args):
-            seen.append(real(*args))
+        def capture(args, paths):
+            seen.append((set(vars(args)), real(args, paths)))
             raise ValueError("config captured")
 
         monkeypatch.setattr(bench, "_config_from_args", capture)
+        return seen
+
+    def test_flags_reach_config_fields(self, small_suite, parsed):
+        data_dir, paths = small_suite
         for command in (["run", "--data-dir", str(data_dir), "--out", "o"],
                         ["curves", "--dataset", str(paths[0]), "--out", "o"]):
-            seen.clear()
+            parsed.clear()
             assert main(command) == 1
             assert main(command + ["--knn", "3", "--maj-frac", "0.6",
                                    "--seed", "9"]) == 1
-            defaults, tuned = seen
+            (_, defaults), (_, tuned) = parsed
             assert defaults == ExperimentConfig(
                 dataset_paths=defaults.dataset_paths)
             assert (tuned.knn_k, tuned.target_majority_fraction,
                     tuned.master_seed) == (3, 0.6, 9)
+
+    def test_flags_match_config_fields(self, small_suite, parsed):
+        # one flag per ExperimentConfig field (curves has no --repeats),
+        # and no other flag but each subcommand's own
+        data_dir, paths = small_suite
+        assert main(["run", "--data-dir", str(data_dir), "--out", "o"]) == 1
+        assert main(["curves", "--dataset", str(paths[0]), "--out", "o"]) == 1
+        (run_keys, _), (curves_keys, _) = parsed
+        config = {f.name for f in fields(ExperimentConfig)} - {"dataset_paths"}
+        assert run_keys == config | {"data_dir", "out", "format", "jobs",
+                                     "timings", "command", "func"}
+        assert curves_keys == (config - {"repeats"}) | {"dataset", "out",
+                                                         "command", "func"}

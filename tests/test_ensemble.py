@@ -12,7 +12,7 @@ from liuboost.ensemble import (BoostModel, classify, compute_alpha,
                                decision_score, train_liuboost,
                                train_rusboost)
 from liuboost.locality import assign_weights
-from liuboost.tree import TreeParams, fit_tree
+from liuboost.tree import fit_tree
 
 
 class TestComputeAlpha:
@@ -38,11 +38,11 @@ class TestComputeAlpha:
             compute_alpha(-0.1, 0.5)
         with pytest.raises(ValueError):
             compute_alpha(0.5, -0.1)
-        # masses whose difference leaves [-1, 1] break cor_sum + mis_sum <= 1
-        with pytest.raises(ValueError, match="cor_sum \\+ mis_sum <= 1"):
-            compute_alpha(1.5, 0.1)
-        with pytest.raises(ValueError, match="cor_sum \\+ mis_sum <= 1"):
-            compute_alpha(0.1, 1.5)
+        # masses that sum to more than 1, whether or not their difference
+        # leaves [-1, 1]
+        for cor, mis in ((1.5, 0.1), (0.1, 1.5), (0.8, 0.8), (0.9, 0.95)):
+            with pytest.raises(ValueError, match="cor_sum \\+ mis_sum <= 1"):
+                compute_alpha(cor, mis)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_magnitude_bounded(self, a, b):
@@ -71,8 +71,7 @@ class TestTraining:
 
     def test_history_replays_weight_update(self, noisy_ds):
         ds = noisy_ds
-        model = train_liuboost(ds, T=6, k=5, delta=1.0, rng=7,
-                               tree_params=TreeParams(max_depth=2))
+        model = train_liuboost(ds, T=6, k=5, delta=1.0, rng=7, max_depth=2)
         assert model.trained_iterations == 6
         cv = assign_weights(ds, k=5, delta=1.0)
         m = ds.n_instances
@@ -97,8 +96,7 @@ class TestTraining:
     def test_round_one_update_ordering_follows_cost(self, noisy_ds):
         # with a uniform prior, misclassified instances end round 1 ordered
         # by weight_plus: higher cost => strictly larger posterior weight
-        model = train_liuboost(noisy_ds, T=1, k=5, rng=11,
-                               tree_params=TreeParams(max_depth=1))
+        model = train_liuboost(noisy_ds, T=1, k=5, rng=11, max_depth=1)
         cv = assign_weights(noisy_ds, k=5)
         pred = model.trees[0].predict_many(noisy_ds.features)
         mis = np.flatnonzero(pred != noisy_ds.labels)
@@ -110,8 +108,7 @@ class TestTraining:
         assert np.all(dd[1:][strict] > dd[:-1][strict])
 
     def test_distribution_invariants(self, noisy_ds):
-        model = train_rusboost(noisy_ds, T=10, rng=3,
-                               tree_params=TreeParams(max_depth=2))
+        model = train_rusboost(noisy_ds, T=10, rng=3, max_depth=2)
         for rec in model.history:
             assert rec.distribution.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(rec.distribution >= 0)
@@ -137,7 +134,7 @@ class TestTraining:
 
     def test_no_undersampling_path(self, noisy_ds):
         model = train_liuboost(noisy_ds, T=3, rng=0, undersample=False,
-                               tree_params=TreeParams(max_depth=2))
+                               max_depth=2)
         assert model.trained_iterations == 3
         assert model.config["undersample"] is False
 
@@ -175,8 +172,7 @@ class TestScoring:
         assert decision_score(model, np.array([5.0])) == pytest.approx(0.7)
 
     def test_score_is_alpha_weighted_vote(self, noisy_ds):
-        model = train_rusboost(noisy_ds, T=6, rng=1,
-                               tree_params=TreeParams(max_depth=2))
+        model = train_rusboost(noisy_ds, T=6, rng=1, max_depth=2)
         X = noisy_ds.features[:20]
         expected = sum(a * t.predict_many(X)
                        for a, t in zip(model.alphas, model.trees))
@@ -201,11 +197,15 @@ class TestSerialization:
             decision_score(back, noisy_ds.features),
             decision_score(model, noisy_ds.features))
         # files written before trees lost their unused "confidence" array
-        # and "params" copy still load, under the same schema version
+        # and "params" copy, and before the config held a flat max_depth,
+        # still load under the same schema version
         old = model.to_dict()
+        params = {"max_depth": 8, "min_leaf_weight": 0.01, "min_gain": 1e-7}
+        old["config"] = {k: v for k, v in old["config"].items()
+                         if k != "max_depth"} | {"tree_params": params}
         for tree in old["trees"]:
             tree["confidence"] = [1.0] * len(tree["label"])
-            tree["params"] = model.config["tree_params"]
+            tree["params"] = params
         back = BoostModel.from_json(json.dumps(old))
         np.testing.assert_array_equal(
             decision_score(back, noisy_ds.features),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liuboost.tree import DecisionTree, TreeParams, fit_tree
+from liuboost.tree import MIN_LEAF_WEIGHT, DecisionTree, fit_tree
 
 
 def walk_tree(tree, x):
@@ -55,9 +55,9 @@ class TestFitTree:
 
     def test_xor_needs_depth_two(self):
         X, y, w = xor_dataset()
-        deep = fit_tree(X, y, w, TreeParams(max_depth=2))
+        deep = fit_tree(X, y, w, max_depth=2)
         assert weighted_error(deep, X, y, w) == 0.0
-        stump = fit_tree(X, y, w, TreeParams(max_depth=1))
+        stump = fit_tree(X, y, w, max_depth=1)
         # oracle: best achievable stump error by exhaustive enumeration
         best = 1.0
         for j in range(2):
@@ -80,9 +80,8 @@ class TestFitTree:
                                     fit_tree(X, y, scale * w).to_dict())
         # an arbitrary scale perturbs last-ulp rounding; the fit must
         # still make the same decisions on this tie-free problem
-        params = TreeParams(max_depth=3)
-        a = fit_tree(X, y, w, params)
-        b = fit_tree(X, y, 3.7 * w, params)
+        a = fit_tree(X, y, w, max_depth=3)
+        b = fit_tree(X, y, 3.7 * w, max_depth=3)
         np.testing.assert_array_equal(a.predict_many(X), b.predict_many(X))
 
     def test_duplicate_instance_additivity(self):
@@ -117,20 +116,31 @@ class TestFitTree:
         X = rng.normal(size=(60, 3))
         y = np.where(X[:, 1] > 0.3, 1, -1)
         w = np.ones(60)
-        tree = fit_tree(X, y, w, TreeParams(max_depth=30))
+        tree = fit_tree(X, y, w, max_depth=30)
         assert weighted_error(tree, X, y, w) == 0.0
 
     def test_min_leaf_weight_stops_splitting(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([-1, -1, 1, 1])
-        tree = fit_tree(X, y, np.ones(4),
-                        TreeParams(min_leaf_weight=1.1))
+        # the rows at x = 2 and 3 hold 1/401 of the weight: their node is
+        # impure and separable, but below MIN_LEAF_WEIGHT it stays a leaf
+        X = np.arange(6, dtype=float)[:, None]
+        y = np.array([-1, -1, 1, -1, 1, 1])
+        w = np.array([100.0, 100.0, 0.5, 0.5, 100.0, 100.0])
+        assert w[2:4].sum() / w.sum() < MIN_LEAF_WEIGHT
+        tree = fit_tree(X, y, w, max_depth=30)
+        assert tree.n_nodes == 5
+        assert tree.predict_many(X[2:4]).tolist() == [-1, -1]
+
+    def test_zero_gain_root_is_leaf(self):
+        # symmetric XOR: every split has gain ratio 0, below MIN_GAIN
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        y = np.array([-1, 1, 1, -1])
+        tree = fit_tree(X, y, np.ones(4))
         assert tree.n_nodes == 1
 
     def test_max_depth_zero_majority_leaf(self):
         X = np.arange(6, dtype=float)[:, None]
         y = np.array([-1, -1, -1, -1, 1, 1])
-        tree = fit_tree(X, y, np.ones(6), TreeParams(max_depth=0))
+        tree = fit_tree(X, y, np.ones(6), max_depth=0)
         assert tree.n_nodes == 1 and tree.label[0] == -1
 
     def test_leaf_tie_breaks_to_majority_class(self):
@@ -141,7 +151,7 @@ class TestFitTree:
     def test_gain_tie_prefers_lower_feature_index(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([-1, -1, 1, 1])
-        tree = fit_tree(X, y, np.ones(4), TreeParams(max_depth=1))
+        tree = fit_tree(X, y, np.ones(4), max_depth=1)
         assert tree.feature[0] == 0
 
     def test_validation(self):
@@ -160,7 +170,7 @@ class TestPrediction:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
         y = np.where(X[:, 0] * X[:, 1] > 0, 1, -1)
-        tree = fit_tree(X, y, np.ones(80), TreeParams(max_depth=4))
+        tree = fit_tree(X, y, np.ones(80), max_depth=4)
         Xq = rng.normal(size=(100, 4))
         many = tree.predict_many(Xq)
         singles = np.array([walk_tree(tree, x) for x in Xq])
