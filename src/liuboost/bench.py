@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -41,7 +42,6 @@ class ExperimentConfig:
     rounds: int = 10
     knn_k: int = 5
     delta: float = 1.0
-    target_majority_fraction: float = 0.5
     max_depth: int = 8
     master_seed: int = 0
 
@@ -58,17 +58,20 @@ class ExperimentConfig:
             raise ValueError("delta must be in (0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not 0 < self.target_majority_fraction < 1:
-            raise ValueError("target_majority_fraction must be in (0, 1)")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        # a file's stem names its report entry and enters its seeds
-        stems = [Path(p).stem for p in self.dataset_paths]
-        repeated = sorted({s for s in stems if stems.count(s) > 1})
-        if repeated:
-            raise ValueError(f"dataset file stems must be unique; "
-                             f"repeated: {repeated}")
+        if not self.algorithms:
+            raise ValueError("algorithms must not be empty")
+        # an algorithm is trained once per fold, and a file's stem names
+        # its report entry and enters its seeds: neither may repeat
+        stems = tuple(Path(p).stem for p in self.dataset_paths)
+        for what, items in (("algorithms", self.algorithms),
+                            ("dataset file stems", stems)):
+            repeated = sorted({s for s in items if items.count(s) > 1})
+            if repeated:
+                raise ValueError(
+                    f"{what} must be unique; repeated: {repeated}")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -82,11 +85,24 @@ def _train(algo: str, ds: Dataset, cfg: ExperimentConfig, seed: int):
     if algo == "liuboost":
         return train_liuboost(
             ds, T=cfg.rounds, k=cfg.knn_k, delta=cfg.delta, rng=seed,
-            max_depth=cfg.max_depth,
-            target_majority_fraction=cfg.target_majority_fraction)
-    return train_rusboost(
-        ds, T=cfg.rounds, rng=seed, max_depth=cfg.max_depth,
-        target_majority_fraction=cfg.target_majority_fraction)
+            max_depth=cfg.max_depth)
+    return train_rusboost(ds, T=cfg.rounds, rng=seed, max_depth=cfg.max_depth)
+
+
+def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
+    """Why a parsed file is too small for the config, or None: it needs a
+    row per fold and, for LIUBoost, more than knn_k rows in every training
+    split; the smallest is beside fold 0, with ceil(n/folds) of each class."""
+    m = ds.n_instances
+    if cfg.folds > m:
+        return f"folds={cfg.folds} exceeds instance count m={m}"
+    if "liuboost" in cfg.algorithms:
+        smallest = (m - math.ceil(ds.minority_count / cfg.folds)
+                    - math.ceil(ds.majority_count / cfg.folds))
+        if cfg.knn_k >= smallest:
+            return (f"knn_k={cfg.knn_k} must be below the smallest training "
+                    f"split, {smallest} of m={m} rows at folds={cfg.folds}")
+    return None
 
 
 def _scaled_split(ds: Dataset, train_idx, test_idx):
@@ -167,10 +183,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     paths = []
     for p in cfg.dataset_paths:
         try:
-            parse_keel(Path(p).read_text(), name=Path(p).stem)
-            paths.append(p)
+            ds = parse_keel(Path(p).read_text(), name=Path(p).stem)
         except (OSError, KeelFormatError) as exc:
             skipped_datasets[str(p)] = str(exc)
+            continue
+        if reason := _too_small(ds, cfg):
+            skipped_datasets[str(p)] = reason
+        else:
+            paths.append(p)
 
     cells = [(p, r, cfg) for p in sorted(paths) for r in range(cfg.repeats)]
     if jobs > 1:
@@ -308,10 +328,6 @@ def _add_shared_options(p, repeats=True):
                    default=c.knn_k, help="neighborhood size k")
     p.add_argument("--delta", type=float, default=c.delta,
                    help="fallback cost for one-sided neighborhoods")
-    p.add_argument("--maj-frac", dest="target_majority_fraction",
-                   metavar="MAJ_FRAC", type=float,
-                   default=c.target_majority_fraction,
-                   help="majority fraction of each round's sample")
     p.add_argument("--max-depth", type=int, default=c.max_depth)
     p.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
                    default=c.master_seed, help="master seed")

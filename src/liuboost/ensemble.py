@@ -1,11 +1,13 @@
 """Boosting core: cost-sensitive undersampled boosting and the RUSBoost
 baseline, sharing one training loop.
 
-Per round: draw a balanced subsample, fit a tree on it using the current
-distribution D as sample weights, then account cost-weighted correct/
-incorrect mass over ALL training instances (not just the subsample) to
-set the stage coefficient alpha and the weight update.  Rounds whose
-alpha is non-positive are discarded and redrawn.
+Per round: draw a balanced (50:50) random undersample, fit a tree on it
+using the current distribution D as sample weights, then account
+cost-weighted correct/incorrect mass over ALL training instances (not
+just the subsample) to set the stage coefficient alpha and the weight
+update.  Rounds whose alpha is non-positive are discarded and redrawn.
+Undersampling is part of the algorithm, not a setting: every round of
+both boosters draws one.
 
 Every trained model carries its round trace in ``history``: one
 RoundRecord (mis_sum, cor_sum, epsilon and the updated D) per kept
@@ -70,7 +72,9 @@ class BoostModel:
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema: {d.get('schema_version')}")
         # the config is kept as written: in files written before, it holds
-        # a "tree_params" dict in place of "max_depth"
+        # a "tree_params" dict in place of "max_depth", and may hold the
+        # "target_majority_fraction" and "undersample" keys of the
+        # sampling settings the loop no longer takes
         return cls(
             alphas=tuple(d["alphas"]),
             trees=tuple(DecisionTree.from_dict(t) for t in d["trees"]),
@@ -103,14 +107,11 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
 
 
 def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
-                max_depth, target_majority_fraction, undersample,
-                **locality) -> BoostModel:
+                max_depth, **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
     rng = np.random.default_rng(rng)  # a Generator is passed through
     config = {"algorithm": algorithm, "T": T, **locality,
-              "target_majority_fraction": target_majority_fraction,
-              "undersample": undersample,
               "max_depth": max_depth}
     m = len(y)
     D = np.full(m, 1.0 / m)
@@ -122,10 +123,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
     t = 0
     retries = 0
     while t < T:
-        if undersample:
-            sample = random_undersample(y, target_majority_fraction, rng)
-        else:
-            sample = np.arange(m)
+        sample = random_undersample(y, rng)
         tree = fit_tree(X[sample], y[sample], D[sample], max_depth)
         pred = tree.predict_many(X)
         mis = pred != y
@@ -164,9 +162,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
 
 
 def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
-                   rng=0, max_depth: int = 8,
-                   target_majority_fraction: float = 0.5,
-                   undersample: bool = True) -> BoostModel:
+                   rng=0, max_depth: int = 8) -> BoostModel:
     """Train the cost-sensitive undersampled ensemble on a Dataset.
 
     Locality costs are computed once on the full training split before the
@@ -176,19 +172,16 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
         raise ValueError("T must be >= 1")
     cv = assign_weights(ds, k=k, delta=delta)
     return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
-                       cv.weight_minus, T, rng, max_depth,
-                       target_majority_fraction, undersample, k=k, delta=delta)
+                       cv.weight_minus, T, rng, max_depth, k=k, delta=delta)
 
 
-def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8,
-                   target_majority_fraction: float = 0.5,
-                   undersample: bool = True) -> BoostModel:
+def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8) -> BoostModel:
     """Classical undersampled AdaBoost: the shared loop with unit costs."""
     if T < 1:
         raise ValueError("T must be >= 1")
     ones = np.ones(ds.n_instances)
     return _boost_loop("rusboost", ds.features, ds.labels, ones, ones, T, rng,
-                       max_depth, target_majority_fraction, undersample)
+                       max_depth)
 
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:

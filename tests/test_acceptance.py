@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import make_clusters
 
+from liuboost import ensemble
 from liuboost.bench import ExperimentConfig, emit_report, run_experiment
 from liuboost.data import Dataset, parse_keel, stratified_folds
 from liuboost.ensemble import train_liuboost
@@ -67,8 +68,8 @@ def suite_dir(tmp_path_factory):
 def acceptance_config(suite_dir, **overrides):
     base = dict(
         dataset_paths=tuple(str(p) for p in sorted(suite_dir.glob("*.dat"))),
-        repeats=5, folds=10, rounds=10, knn_k=5, delta=1.0,
-        target_majority_fraction=0.5, max_depth=1, master_seed=0)
+        repeats=5, folds=10, rounds=10, knn_k=5, delta=1.0, max_depth=1,
+        master_seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -174,13 +175,16 @@ class TestCriterion3AdaBoostReduction:
             out.append((eps, alpha, D.copy()))
         return out
 
-    def test_3_reduction(self, record_criterion):
+    def test_3_reduction(self, record_criterion, monkeypatch):
+        # train on the full sample: every round keeps every row
+        monkeypatch.setattr(ensemble, "random_undersample",
+                            lambda labels, rng: np.arange(len(labels)))
         worst = 0.0
         for seed in range(5):
             ds = make_clusters(25, 55, d=3, sep=2.5, seed=100 + seed,
                                noise=1.4, flip_fraction=0.15)
             model = train_liuboost(ds, T=20, k=1, delta=1.0, rng=0,
-                                   undersample=False, max_depth=2)
+                                   max_depth=2)
             assert model.trained_iterations == 20
             oracle = self.textbook_adaboost(ds.features, ds.labels, 20, 2)
             for rec, alpha, (eps_o, alpha_o, D_o) in zip(
@@ -325,7 +329,7 @@ class TestCriterion7Invariants:
         labels = np.r_[np.ones(12, dtype=np.int64),
                        -np.ones(80, dtype=np.int64)]
         for _ in range(300):
-            idx = random_undersample(labels, 0.5, rng)
+            idx = random_undersample(labels, rng)
             ok = ok and len(set(idx.tolist())) == len(idx) == 24 \
                 and set(range(12)) <= set(idx.tolist())
         # fold partition and stratification

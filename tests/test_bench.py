@@ -10,6 +10,7 @@ from liuboost import bench
 from liuboost.bench import (ExperimentConfig, derive_seed, emit_report, main,
                             run_experiment)
 from liuboost.data import serialize_keel
+from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
 
 
 # a well-formed KEEL file but for one infinite feature value
@@ -55,14 +56,18 @@ class TestConfig:
             ExperimentConfig(dataset_paths=(), repeats=0)
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_paths=(), folds=1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(dataset_paths=(), target_majority_fraction=1.0)
         for field, value in (("max_depth", 0), ("knn_k", 0), ("delta", 0.0),
                              ("delta", 2.0)):
             with pytest.raises(ValueError, match=field):
                 ExperimentConfig(dataset_paths=(), **{field: value})
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(dataset_paths=(), algorithms=("xgboost",))
+        with pytest.raises(ValueError, match="algorithms must not be empty"):
+            ExperimentConfig(dataset_paths=(), algorithms=())
+        # one model per algorithm and fold: never two value lists in one
+        with pytest.raises(ValueError, match="repeated: \\['liuboost'\\]"):
+            ExperimentConfig(dataset_paths=(),
+                             algorithms=("liuboost", "liuboost", "rusboost"))
         # one stem, one report entry and one seed stream: never two files
         with pytest.raises(ValueError, match="repeated: \\['x'\\]"):
             ExperimentConfig(dataset_paths=("a/x.dat", "b/x.dat", "c/y.dat"))
@@ -233,6 +238,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rusboost" in err
 
+    @pytest.fixture
+    def glass5_and_pima(self, tmp_path):
+        """A 214-row and a 768-row stand-in, alone in one directory."""
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for entry in BENCHMARK_CATALOG:
+            if entry.name in ("glass5", "pima"):
+                write_dataset(data_dir, generate_catalog_dataset(entry))
+        return data_dir
+
+    # glass5 has 9 minority and 205 majority rows: at 2 folds its smallest
+    # training split is 214 - 5 - 103 = 106 rows
+    @pytest.mark.parametrize("flags, reason", [
+        (["--knn", "150", "--folds", "2"],
+         "knn_k=150 must be below the smallest training split, 106 of "
+         "m=214 rows at folds=2"),
+        (["--folds", "300", "--algos", "rusboost"],
+         "folds=300 exceeds instance count m=214"),
+    ], ids=["knn", "folds"])
+    def test_file_too_small_is_skipped(self, glass5_and_pima, tmp_path,
+                                       flags, reason):
+        out = tmp_path / "report.json"
+        assert main(["run", "--data-dir", str(glass5_and_pima),
+                     "--out", str(out), "--repeats", "1", "--rounds", "1",
+                     "--max-depth", "1", *flags]) == 0
+        report = json.loads(out.read_text())
+        assert list(report["datasets"]) == ["pima"]
+        assert report["skipped_datasets"] == {
+            str(glass5_and_pima / "glass5.dat"): reason}
+
     def test_curves_rejects_repeats(self, small_suite, tmp_path, capsys):
         # curves scores fold 0 of one plan, so a repeat count would be
         # ignored: the flag is refused instead
@@ -280,13 +315,13 @@ class TestCli:
                         ["curves", "--dataset", str(paths[0]), "--out", "o"]):
             parsed.clear()
             assert main(command) == 1
-            assert main(command + ["--knn", "3", "--maj-frac", "0.6",
+            assert main(command + ["--knn", "3", "--delta", "0.5",
                                    "--seed", "9"]) == 1
             (_, defaults), (_, tuned) = parsed
             assert defaults == ExperimentConfig(
                 dataset_paths=defaults.dataset_paths)
-            assert (tuned.knn_k, tuned.target_majority_fraction,
-                    tuned.master_seed) == (3, 0.6, 9)
+            assert (tuned.knn_k, tuned.delta,
+                    tuned.master_seed) == (3, 0.5, 9)
 
     def test_flags_match_config_fields(self, small_suite, parsed):
         # one flag per ExperimentConfig field (curves has no --repeats),

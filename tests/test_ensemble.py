@@ -7,12 +7,20 @@ from conftest import make_clusters
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liuboost import ensemble
 from liuboost.data import Dataset
 from liuboost.ensemble import (BoostModel, classify, compute_alpha,
                                decision_score, train_liuboost,
                                train_rusboost)
 from liuboost.locality import assign_weights
 from liuboost.tree import fit_tree
+
+
+@pytest.fixture
+def keep_all(monkeypatch):
+    """Train on the full sample: every round keeps every row."""
+    monkeypatch.setattr(ensemble, "random_undersample",
+                        lambda labels, rng: np.arange(len(labels)))
 
 
 class TestComputeAlpha:
@@ -132,15 +140,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="no trained stages"):
             decision_score(model, ds.features)
 
-    def test_no_undersampling_path(self, noisy_ds):
-        model = train_liuboost(noisy_ds, T=3, rng=0, undersample=False,
-                               max_depth=2)
+    def test_no_undersampling_path(self, noisy_ds, keep_all):
+        model = train_liuboost(noisy_ds, T=3, rng=0, max_depth=2)
         assert model.trained_iterations == 3
-        assert model.config["undersample"] is False
+        # the sampling rule is the algorithm's, not a recorded setting
+        assert set(model.config) == {"algorithm", "T", "k", "delta",
+                                     "max_depth"}
 
-    def test_alphas_finite_even_with_perfect_rounds(self, separable_ds):
-        model = train_liuboost(separable_ds, T=4, k=1, rng=0,
-                               undersample=False)
+    def test_alphas_finite_even_with_perfect_rounds(self, separable_ds,
+                                                    keep_all):
+        model = train_liuboost(separable_ds, T=4, k=1, rng=0)
         assert model.trained_iterations == 4
         assert all(np.isfinite(model.alphas))
 
@@ -197,16 +206,20 @@ class TestSerialization:
             decision_score(back, noisy_ds.features),
             decision_score(model, noisy_ds.features))
         # files written before trees lost their unused "confidence" array
-        # and "params" copy, and before the config held a flat max_depth,
-        # still load under the same schema version
+        # and "params" copy, before the config held a flat max_depth, and
+        # before it lost its sampling settings, still load under the same
+        # schema version
         old = model.to_dict()
         params = {"max_depth": 8, "min_leaf_weight": 0.01, "min_gain": 1e-7}
         old["config"] = {k: v for k, v in old["config"].items()
-                         if k != "max_depth"} | {"tree_params": params}
+                         if k != "max_depth"} | {
+            "tree_params": params, "target_majority_fraction": 0.5,
+            "undersample": True}
         for tree in old["trees"]:
             tree["confidence"] = [1.0] * len(tree["label"])
             tree["params"] = params
         back = BoostModel.from_json(json.dumps(old))
+        assert back.config == old["config"]  # kept as written
         np.testing.assert_array_equal(
             decision_score(back, noisy_ds.features),
             decision_score(model, noisy_ds.features))

@@ -16,7 +16,7 @@ def labels_of(n_min, n_maj):
 class TestRandomUndersample:
     def test_half_fraction_balances(self):
         y = labels_of(10, 100)
-        idx = random_undersample(y, 0.5, np.random.default_rng(0))
+        idx = random_undersample(y, np.random.default_rng(0))
         assert len(idx) == 20
         assert len(set(idx.tolist())) == 20
         assert set(range(10)) <= set(idx.tolist())  # all minority kept
@@ -24,20 +24,14 @@ class TestRandomUndersample:
 
     def test_already_balanced_is_identity(self):
         y = labels_of(8, 8)
-        idx = random_undersample(y, 0.5, np.random.default_rng(0))
+        idx = random_undersample(y, np.random.default_rng(0))
         np.testing.assert_array_equal(idx, np.arange(16))
-
-    def test_ceil_rounding(self):
-        # ceil(3 * 0.6 / 0.4) = 5 majority instances
-        y = labels_of(3, 20)
-        idx = random_undersample(y, 0.6, np.random.default_rng(1))
-        assert (y[idx] == -1).sum() == 5
 
     def test_successive_calls_draw_different_subsets(self):
         y = labels_of(10, 100)
         rng = np.random.default_rng(7)
-        a = random_undersample(y, 0.5, rng)
-        b = random_undersample(y, 0.5, rng)
+        a = random_undersample(y, rng)
+        b = random_undersample(y, rng)
         assert not np.array_equal(a, b)
 
     def test_all_subsets_reachable(self):
@@ -46,7 +40,7 @@ class TestRandomUndersample:
         rng = np.random.default_rng(2)
         seen = set()
         for _ in range(300):
-            idx = random_undersample(y, 0.5, rng)
+            idx = random_undersample(y, rng)
             seen.add(tuple(sorted(i for i in idx if y[i] == -1)))
         expected = {tuple(sorted(c))
                     for c in itertools.combinations(range(2, 6), 2)}
@@ -59,17 +53,10 @@ class TestRandomUndersample:
         n_trials = 10_000
         counts = np.zeros(7)
         for _ in range(n_trials):
-            for i in random_undersample(y, 0.5, rng):
+            for i in random_undersample(y, rng):
                 counts[i] += 1
         three_sigma = 3 * np.sqrt(n_trials * 0.4 * 0.6)
         assert np.all(np.abs(counts[2:] - 0.4 * n_trials) < three_sigma)
-
-    def test_keep_all_when_request_exceeds_majority(self):
-        # ceil(5 * 0.9 / 0.1) = 45 > 6 available majority instances
-        y = labels_of(5, 6)
-        with pytest.warns(UserWarning, match="keeping all"):
-            idx = random_undersample(y, 0.9, np.random.default_rng(0))
-        np.testing.assert_array_equal(idx, np.arange(11))
 
     def test_exact_availability_no_warning(self):
         import warnings
@@ -77,31 +64,31 @@ class TestRandomUndersample:
         y = labels_of(5, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            idx = random_undersample(y, 0.5, np.random.default_rng(0))
+            idx = random_undersample(y, np.random.default_rng(0))
         assert len(idx) == 10
 
     def test_validation(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="fraction"):
-            random_undersample(labels_of(2, 4), 0.0, rng)
-        with pytest.raises(ValueError, match="fraction"):
-            random_undersample(labels_of(2, 4), 1.0, rng)
         with pytest.raises(ValueError, match="both classes"):
-            random_undersample(np.ones(5, dtype=np.int64), 0.5, rng)
+            random_undersample(np.ones(5, dtype=np.int64), rng)
+        with pytest.raises(ValueError, match="both classes"):
+            random_undersample(-np.ones(5, dtype=np.int64), rng)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 60),
-           st.floats(0.1, 0.9), st.integers(0, 10 ** 6))
-    def test_properties(self, n_min, n_extra, f, seed):
+    @given(st.integers(1, 30), st.integers(0, 60), st.booleans(),
+           st.integers(0, 10 ** 6))
+    def test_properties(self, n_min, n_extra, swap, seed):
         import warnings
 
         n_maj = n_min + n_extra
-        y = labels_of(n_min, n_maj)
+        # swap: the minority carries label -1, as random_undersample allows
+        y = labels_of(n_min, n_maj) * (-1 if swap else 1)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            idx = random_undersample(y, f, np.random.default_rng(seed))
+            warnings.simplefilter("error")
+            idx = random_undersample(y, np.random.default_rng(seed))
         assert len(set(idx.tolist())) == len(idx)        # no duplicates
         assert (np.diff(idx) > 0).all()                  # sorted
         assert set(range(n_min)) <= set(idx.tolist())    # minority intact
-        n_target = int(np.ceil(n_min * f / (1 - f)))
-        assert (y[idx] == -1).sum() == min(n_target, n_maj)
+        assert (y[idx] == y[-1]).sum() == n_min          # 50:50
+        if n_extra == 0:
+            np.testing.assert_array_equal(idx, np.arange(2 * n_min))
