@@ -81,14 +81,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _train(algo: str, ds: Dataset, cfg: ExperimentConfig, seed: int):
-    if algo == "liuboost":
-        return train_liuboost(
-            ds, T=cfg.rounds, k=cfg.knn_k, delta=cfg.delta, rng=seed,
-            max_depth=cfg.max_depth)
-    return train_rusboost(ds, T=cfg.rounds, rng=seed, max_depth=cfg.max_depth)
-
-
 def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
     """Why a parsed file is too small for the config, or None: it needs a
     row per fold and, for LIUBoost, more than knn_k rows in every training
@@ -105,58 +97,66 @@ def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
     return None
 
 
-def _scaled_split(ds: Dataset, train_idx, test_idx):
-    """(training Dataset, test features), both min-max scaled with the
-    statistics of the training rows only."""
+def _fold_plan(ds: Dataset, cfg: ExperimentConfig, repeat: int):
+    """The stratified fold plan of one repeat on one dataset."""
+    return stratified_folds(
+        ds, cfg.folds, derive_seed(cfg.master_seed, ds.name, "folds", repeat))
+
+
+def _fold_models(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int,
+                 fold: int):
+    """(models by algorithm, test features, test labels) of one fold, both
+    splits min-max scaled by the training rows, or None when a split lacks
+    a class or a model has no stage (cells stay paired across algorithms)."""
+    train_idx, test_idx = plan.split(fold)
+    y_train, y_test = ds.labels[train_idx], ds.labels[test_idx]
+    if len(set(y_test.tolist())) < 2 or len(set(y_train.tolist())) < 2:
+        return None
     mins, ranges = fit_min_max(ds.features[train_idx])
     train_ds = Dataset(
         features=apply_min_max(ds.features[train_idx], mins, ranges),
-        labels=ds.labels[train_idx], feature_names=ds.feature_names,
-        name=ds.name)
-    return train_ds, apply_min_max(ds.features[test_idx], mins, ranges)
+        labels=y_train, feature_names=ds.feature_names, name=ds.name)
+    X_test = apply_min_max(ds.features[test_idx], mins, ranges)
+    models = {}
+    for algo in cfg.algorithms:
+        seed = derive_seed(cfg.master_seed, ds.name, repeat, fold, algo)
+        if algo == "liuboost":
+            models[algo] = train_liuboost(
+                train_ds, T=cfg.rounds, k=cfg.knn_k, delta=cfg.delta,
+                rng=seed, max_depth=cfg.max_depth)
+        else:
+            models[algo] = train_rusboost(train_ds, T=cfg.rounds, rng=seed,
+                                          max_depth=cfg.max_depth)
+    if any(m.trained_iterations == 0 for m in models.values()):
+        return None
+    return models, X_test, y_test
 
 
-def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig) -> dict:
-    """All folds of one repeat on one dataset; returns raw fold metrics."""
+def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
+    """All folds of one repeat on one dataset: (name, entry, seconds), where
+    entry has the report's per-dataset shape and this repeat's results."""
     started = time.perf_counter()
     name = Path(path).stem
     ds = parse_keel(Path(path).read_text(), name=name)
-    fold_seed = derive_seed(cfg.master_seed, name, "folds", repeat)
+    entry = {"algorithms": {a: {"auroc_values": [], "aupr_values": []}
+                            for a in cfg.algorithms},
+             "skipped_folds": 0, "n_instances": ds.n_instances,
+             "n_features": ds.n_features, "imbalance_ratio": imbalance_ratio(ds)}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        plan = stratified_folds(ds, cfg.folds, fold_seed)
-
-    out = {algo: {"auroc": [], "aupr": []} for algo in cfg.algorithms}
-    skipped = 0
-    for fold in range(cfg.folds):
-        train_idx, test_idx = plan.split(fold)
-        y_train, y_test = ds.labels[train_idx], ds.labels[test_idx]
-        if len(set(y_test.tolist())) < 2 or len(set(y_train.tolist())) < 2:
-            skipped += 1
-            continue
-        train_ds, X_test = _scaled_split(ds, train_idx, test_idx)
-        models = {}
-        for algo in cfg.algorithms:
-            seed = derive_seed(cfg.master_seed, name, repeat, fold, algo)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                models[algo] = _train(algo, train_ds, cfg, seed)
-        if any(m.trained_iterations == 0 for m in models.values()):
-            skipped += 1  # keep cells paired across algorithms
-            continue
-        for algo, model in models.items():
-            scores = decision_score(model, X_test)
-            out[algo]["auroc"].append(metrics.auroc(scores, y_test))
-            out[algo]["aupr"].append(metrics.aupr(scores, y_test))
-    return {
-        "dataset": name,
-        "metrics": out,
-        "skipped_folds": skipped,
-        "seconds": time.perf_counter() - started,
-        "n_instances": ds.n_instances,
-        "n_features": ds.n_features,
-        "imbalance_ratio": imbalance_ratio(ds),
-    }
+        plan = _fold_plan(ds, cfg, repeat)
+        for fold in range(cfg.folds):
+            scored = _fold_models(ds, plan, cfg, repeat, fold)
+            if scored is None:
+                entry["skipped_folds"] += 1
+                continue
+            models, X_test, y_test = scored
+            for algo, model in models.items():
+                scores = decision_score(model, X_test)
+                values = entry["algorithms"][algo]
+                values["auroc_values"].append(metrics.auroc(scores, y_test))
+                values["aupr_values"].append(metrics.aupr(scores, y_test))
+    return name, entry, time.perf_counter() - started
 
 
 def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
@@ -178,6 +178,8 @@ def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Full protocol: repeats x stratified folds per dataset, both
     algorithms, aggregated metrics, win counts and signed-rank tests."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
     skipped_datasets = {}
     paths = []
@@ -201,23 +203,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
 
     datasets: dict[str, dict] = {}
     timings: dict[str, float] = {}
-    for cell in values:  # in (path, repeat) order, as cells were built
-        name = cell["dataset"]
-        entry = datasets.setdefault(name, {
-            "algorithms": {a: {"auroc_values": [], "aupr_values": []}
-                           for a in cfg.algorithms},
-            "skipped_folds": 0,
-            "n_instances": cell["n_instances"],
-            "n_features": cell["n_features"],
-            "imbalance_ratio": cell["imbalance_ratio"],
-        })
-        entry["skipped_folds"] += cell["skipped_folds"]
-        timings[name] = timings.get(name, 0.0) + cell["seconds"]
-        for algo in cfg.algorithms:
-            entry["algorithms"][algo]["auroc_values"].extend(
-                cell["metrics"][algo]["auroc"])
-            entry["algorithms"][algo]["aupr_values"].extend(
-                cell["metrics"][algo]["aupr"])
+    for name, entry, seconds in values:  # in (path, repeat) order
+        timings[name] = timings.get(name, 0.0) + seconds
+        first = datasets.setdefault(name, entry)  # repeat 0's entry
+        if first is not entry:
+            first["skipped_folds"] += entry["skipped_folds"]
+            for algo, stats in entry["algorithms"].items():
+                for key, vals in stats.items():
+                    first["algorithms"][algo][key].extend(vals)
 
     for entry in datasets.values():
         for algo_stats in entry["algorithms"].values():
@@ -341,6 +334,8 @@ def _cmd_run(args) -> int:
         return 1
     cfg = _config_from_args(args, paths)
     report = run_experiment(cfg, jobs=args.jobs)
+    for path, reason in report["skipped_datasets"].items():
+        print(f"skipped {path}: {reason}", file=sys.stderr)
     emit_report(report, args.format, args.out, include_timings=args.timings)
     for metric, w in report["summary"].get("wilcoxon", {}).items():
         if "error" not in w:
@@ -352,7 +347,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_wilcoxon(args) -> int:
     report = json.loads(Path(args.report).read_text())
-    pairs = _mean_pairs(report["datasets"], args.metric)
+    try:
+        pairs = _mean_pairs(report["datasets"], args.metric)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{args.report}: not a bench run report ({exc!r})")
     r = wilcoxon_signed_rank(pairs, zeros=args.zeros)
     print(f"n_pairs={len(pairs)} n_effective={r.n_effective} "
           f"w-={r.w_minus} w+={r.w_plus} p={r.p_two_sided:.6g} "
@@ -364,18 +362,20 @@ def _cmd_curves(args) -> int:
     path = Path(args.dataset)
     cfg = _config_from_args(args, [path])
     ds = parse_keel(path.read_text(), name=path.stem)
-    plan = stratified_folds(ds, cfg.folds,
-                            derive_seed(cfg.master_seed, ds.name, "curves"))
-    train_idx, test_idx = plan.split(0)
-    train_ds, X_test = _scaled_split(ds, train_idx, test_idx)
-    y_test = ds.labels[test_idx]
-
+    if reason := _too_small(ds, cfg):
+        raise ValueError(f"{path}: {reason}")
+    # the first fold that `bench run` scores in repeat 0, with its models
+    plan = _fold_plan(ds, cfg, 0)
+    for fold in range(cfg.folds):
+        if scored := _fold_models(ds, plan, cfg, 0, fold):
+            break
+    else:
+        raise ValueError(f"{path}: no fold of repeat 0 can be scored")
+    models, X_test, y_test = scored
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "metric", "x", "y"])
-        for algo in cfg.algorithms:
-            model = _train(algo, train_ds, cfg,
-                           derive_seed(cfg.master_seed, ds.name, 0, 0, algo))
+        for algo, model in models.items():
             scores = decision_score(model, X_test)
             roc = metrics.roc_curve(scores, y_test)
             pr = metrics.pr_curve(scores, y_test)
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
 
     p_c = sub.add_parser("curves", help="emit ROC/PR points for one dataset")
     p_c.add_argument("--dataset", required=True)
-    _add_shared_options(p_c, repeats=False)  # scores fold 0 of one plan
+    _add_shared_options(p_c, repeats=False)  # draws one fold of repeat 0
     p_c.add_argument("--out", required=True)
     p_c.set_defaults(func=_cmd_curves)
 

@@ -237,6 +237,16 @@ class TestCli:
         assert main(["wilcoxon", "--report", str(one_algo)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rusboost" in err
+        # JSON that is not a run report: no datasets, not an object, and an
+        # entry without the metric's mean
+        no_mean = {"datasets": {"d0": {"algorithms": {
+            "liuboost": {"aupr_mean": 0.8}, "rusboost": {"aupr_mean": 0.7}}}}}
+        for i, body in enumerate(({}, [], no_mean)):
+            bad = tmp_path / f"not_a_report{i}.json"
+            bad.write_text(json.dumps(body))
+            assert main(["wilcoxon", "--report", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(bad) in err
 
     @pytest.fixture
     def glass5_and_pima(self, tmp_path):
@@ -258,15 +268,64 @@ class TestCli:
          "folds=300 exceeds instance count m=214"),
     ], ids=["knn", "folds"])
     def test_file_too_small_is_skipped(self, glass5_and_pima, tmp_path,
-                                       flags, reason):
+                                       capsys, flags, reason):
         out = tmp_path / "report.json"
         assert main(["run", "--data-dir", str(glass5_and_pima),
                      "--out", str(out), "--repeats", "1", "--rounds", "1",
                      "--max-depth", "1", *flags]) == 0
         report = json.loads(out.read_text())
         assert list(report["datasets"]) == ["pima"]
-        assert report["skipped_datasets"] == {
-            str(glass5_and_pima / "glass5.dat"): reason}
+        glass5 = str(glass5_and_pima / "glass5.dat")
+        assert report["skipped_datasets"] == {glass5: reason}
+        assert capsys.readouterr().err == f"skipped {glass5}: {reason}\n"
+
+    def test_curves_draw_the_first_scored_fold(self, glass5_and_pima,
+                                               tmp_path, capsys):
+        # at these flags folds of pima are skipped for zero-stage models;
+        # curves draws the first fold that `bench run` scores in repeat 0
+        flags = ["--folds", "10", "--max-depth", "1"]
+        out = tmp_path / "report.json"
+        assert main(["run", "--data-dir", str(glass5_and_pima),
+                     "--out", str(out), "--repeats", "1", *flags]) == 0
+        entry = json.loads(out.read_text())["datasets"]["pima"]
+        curves = tmp_path / "curves.csv"
+        capsys.readouterr()
+        assert main(["curves", "--dataset",
+                     str(glass5_and_pima / "pima.dat"), "--out", str(curves),
+                     *flags]) == 0
+        rows = list(csv.reader(curves.open()))
+        assert {r[0] for r in rows[1:]} == {"liuboost", "rusboost"}
+        printed = capsys.readouterr().out.splitlines()
+        for algo in ("liuboost", "rusboost"):
+            s = entry["algorithms"][algo]
+            assert (f"{algo}: auroc={s['auroc_values'][0]:.4f} "
+                    f"aupr={s['aupr_values'][0]:.4f}") in printed
+
+    def test_curves_without_a_scored_fold_fail(self, tmp_path, capsys):
+        # identical features: no stump beats chance, so every model of
+        # either fold has zero stages
+        dat = tmp_path / "flat.dat"
+        dat.write_text("@relation flat\n@attribute a real [0.0, 1.0]\n"
+                       "@attribute Class {negative, positive}\n"
+                       "@outputs Class\n@data\n"
+                       + "0.5, negative\n0.5, positive\n" * 2)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--dataset", str(dat), "--out", str(out),
+                     "--folds", "2", "--knn", "1"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error:") and str(dat) in last
+        assert not out.exists()
+
+    def test_curves_rejects_file_too_small(self, glass5_and_pima, tmp_path,
+                                          capsys):
+        glass5 = glass5_and_pima / "glass5.dat"
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--dataset", str(glass5), "--out", str(out),
+                     "--folds", "2", "--knn", "150"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {glass5}: knn_k=150 must be below the smallest training "
+            "split, 106 of m=214 rows at folds=2\n")
+        assert not out.exists()
 
     def test_curves_rejects_repeats(self, small_suite, tmp_path, capsys):
         # curves scores fold 0 of one plan, so a repeat count would be
@@ -281,8 +340,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--max-depth", "0"], ["--knn", "0"],
-                                       ["--delta", "2"]],
-                             ids=["max-depth", "knn", "delta"])
+                                       ["--delta", "2"], ["--jobs", "0"]],
+                             ids=["max-depth", "knn", "delta", "jobs"])
     def test_out_of_range_rejected_before_reading(self, small_suite, tmp_path,
                                                   monkeypatch, capsys, flags):
         data_dir, _ = small_suite
