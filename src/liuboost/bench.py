@@ -346,12 +346,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_wilcoxon(args) -> int:
-    report = json.loads(Path(args.report).read_text())
+    # every error that comes from the file's content names the file
     try:
+        report = json.loads(Path(args.report).read_text())
         pairs = _mean_pairs(report["datasets"], args.metric)
+        r = wilcoxon_signed_rank(pairs, zeros=args.zeros)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{args.report}: not a bench run report ({exc!r})")
-    r = wilcoxon_signed_rank(pairs, zeros=args.zeros)
+    except ValueError as exc:
+        raise ValueError(f"{args.report}: {exc}") from exc
     print(f"n_pairs={len(pairs)} n_effective={r.n_effective} "
           f"w-={r.w_minus} w+={r.w_plus} p={r.p_two_sided:.6g} "
           f"method={r.method} zeros={r.zeros}")

@@ -5,6 +5,11 @@ learners and handles errors by reweighting).  Sample weights are
 normalized internally, so any positive rescaling yields the same tree.
 Depth is the tree's one parameter; the other two stopping rules are the
 constants MIN_LEAF_WEIGHT and MIN_GAIN.
+
+The split search scores every feature of a node in one pass: one stable
+column-wise argsort gives feature-major (d, n) sorted values and weight
+prefix sums, and one argmax over all valid cuts picks the lowest feature,
+then the lowest threshold, among equal gain ratios.
 """
 from __future__ import annotations
 
@@ -83,40 +88,37 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
 def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Best (gain_ratio, feature, threshold) over all midpoint candidates.
 
-    Ties among equal gain ratios resolve to the lower feature index, then
-    the lower threshold.  Returns (-inf, -1, nan) when no candidate exists.
+    All features are scored in one pass over feature-major (d, n) arrays:
+    row j holds the node's rows sorted (stably) by feature j, and position
+    c of a row is the cut between sorted rows c and c + 1.  A cut is valid
+    where those two values differ and both sides carry weight.  The flat
+    argmax over the valid cuts, in feature-major order, takes the first
+    maximum: ties among equal gain ratios resolve to the lower feature
+    index, then the lower threshold.  Returns (-inf, -1, nan) when no valid
+    cut exists.  With finite inputs (fit_tree checks them) every ratio is
+    finite, so no NaN reaches the argmax.
     """
     W = w.sum()
     Wp = w[y == 1].sum()
     h_parent = float(_binary_entropy(np.array([Wp / W]))[0])
-    best_ratio, best_feature, best_threshold = -np.inf, -1, np.nan
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ws = w[order]
-        cw = np.cumsum(ws)
-        cp = np.cumsum(ws * (y[order] == 1))
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        wl = cw[cut]
-        wr = W - wl
-        ok = (wl > 0) & (wr > 0)
-        if not ok.any():
-            continue
-        wl, wr, plc = wl[ok], wr[ok], cp[cut][ok]
-        fl, fr = wl / W, wr / W
-        gain = h_parent - fl * _binary_entropy(plc / wl) \
-            - fr * _binary_entropy((Wp - plc) / wr)
-        split_info = -(fl * np.log(fl) + fr * np.log(fr))
-        ratio = gain / split_info
-        i = int(np.argmax(ratio))  # first max = lowest threshold
-        if ratio[i] > best_ratio:
-            best_ratio = float(ratio[i])
-            best_feature = j
-            c = cut[ok][i]
-            best_threshold = (xs[c] + xs[c + 1]) / 2.0
-    return best_ratio, best_feature, best_threshold
+    order = np.argsort(X, axis=0, kind="stable").T
+    xs = np.take_along_axis(X.T, order, axis=1)
+    ws = w[order]
+    wl = np.cumsum(ws, axis=1)[:, :-1]
+    plc = np.cumsum(ws * (y[order] == 1), axis=1)[:, :-1]
+    wr = W - wl
+    ok = (xs[:, :-1] < xs[:, 1:]) & (wl > 0) & (wr > 0)
+    if not ok.any():
+        return -np.inf, -1, np.nan
+    wl, wr, plc = wl[ok], wr[ok], plc[ok]
+    fl, fr = wl / W, wr / W
+    gain = h_parent - fl * _binary_entropy(plc / wl) \
+        - fr * _binary_entropy((Wp - plc) / wr)
+    split_info = -(fl * np.log(fl) + fr * np.log(fr))
+    ratio = gain / split_info
+    i = int(np.argmax(ratio))
+    j, c = np.argwhere(ok)[i]
+    return float(ratio[i]), int(j), (xs[j, c] + xs[j, c + 1]) / 2.0
 
 
 def fit_tree(features: np.ndarray, labels: np.ndarray,
@@ -127,7 +129,7 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     Recursion stops at max_depth, on a pure node, when node weight falls
     below MIN_LEAF_WEIGHT, or when the best gain ratio is below MIN_GAIN.
     Zero-weight instances are excluded from split statistics but still
-    routed to leaves.
+    routed to leaves.  NaN or infinite features or weights are rejected.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -136,9 +138,14 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         raise ValueError("features/labels/weights dimension mismatch")
     if X.shape[0] < 1:
         raise ValueError("at least one instance required")
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    w = w / w.sum()
+    for name, values in (("features", X), ("weights", w)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite (no NaN or inf)")
+    W = w.sum()
+    if (w < 0).any() or not 0 < W < np.inf:
+        raise ValueError(
+            "weights must be nonnegative with a positive, finite sum")
+    w = w / W
 
     feature, threshold, left, right, label = [], [], [], [], []
 

@@ -247,6 +247,20 @@ class TestCli:
             assert main(["wilcoxon", "--report", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and str(bad) in err
+        # errors from the file's content name the file too: text that is
+        # not JSON, and a mean that is a string
+        str_mean = {"datasets": {f"d{i}": {"algorithms": {
+            "liuboost": {"auroc_mean": "x"}, "rusboost": {"auroc_mean": 0.7}}}
+            for i in range(6)}}
+        for name, text, detail in (
+                ("not_json.json", "nope", "Expecting value"),
+                ("str_mean.json", json.dumps(str_mean),
+                 "could not convert string to float")):
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["wilcoxon", "--report", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and detail in err
 
     @pytest.fixture
     def glass5_and_pima(self, tmp_path):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from liuboost.tree import MIN_LEAF_WEIGHT, DecisionTree, fit_tree
+from liuboost import bench
+from liuboost.bench import ExperimentConfig
+from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
+from liuboost.tree import (MIN_LEAF_WEIGHT, DecisionTree, _best_split,
+                           _binary_entropy, fit_tree)
 
 
 def walk_tree(tree, x):
@@ -14,6 +21,45 @@ def walk_tree(tree, x):
         else:
             node = tree.right[node]
     return int(tree.label[node])
+
+
+def loop_best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Oracle: the split search as a loop over features, one sort each.
+
+    Ties among equal gain ratios resolve to the lower feature index, then
+    the lower threshold.  Returns (-inf, -1, nan) when no candidate exists.
+    """
+    W = w.sum()
+    Wp = w[y == 1].sum()
+    h_parent = float(_binary_entropy(np.array([Wp / W]))[0])
+    best_ratio, best_feature, best_threshold = -np.inf, -1, np.nan
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ws = w[order]
+        cw = np.cumsum(ws)
+        cp = np.cumsum(ws * (y[order] == 1))
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        if cut.size == 0:
+            continue
+        wl = cw[cut]
+        wr = W - wl
+        ok = (wl > 0) & (wr > 0)
+        if not ok.any():
+            continue
+        wl, wr, plc = wl[ok], wr[ok], cp[cut][ok]
+        fl, fr = wl / W, wr / W
+        gain = h_parent - fl * _binary_entropy(plc / wl) \
+            - fr * _binary_entropy((Wp - plc) / wr)
+        split_info = -(fl * np.log(fl) + fr * np.log(fr))
+        ratio = gain / split_info
+        i = int(np.argmax(ratio))  # first max = lowest threshold
+        if ratio[i] > best_ratio:
+            best_ratio = float(ratio[i])
+            best_feature = j
+            c = cut[ok][i]
+            best_threshold = (xs[c] + xs[c + 1]) / 2.0
+    return best_ratio, best_feature, best_threshold
 
 
 def weighted_error(tree, X, y, w):
@@ -163,6 +209,134 @@ class TestFitTree:
             fit_tree(X, y, np.array([1.0, -0.5, 1.0]))
         with pytest.raises(ValueError, match="weights"):
             fit_tree(X, y, np.zeros(3))
+        # finite weights whose sum overflows would normalize to zeros
+        with pytest.raises(ValueError, match="finite sum"), \
+                np.errstate(over="ignore"):
+            fit_tree(X, y, np.full(3, 1e308))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # the sign and sum checks alone let a NaN weight through, to a
+        # one-leaf tree after a divide warning
+        X = np.arange(4, dtype=float)[:, None]
+        with pytest.raises(ValueError, match="weights must be finite"):
+            fit_tree(X, np.array([-1, -1, 1, 1]), np.array([bad, 1, 1, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # every split would route a NaN feature right, silently
+        X = np.arange(4, dtype=float)[:, None]
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            fit_tree(X, np.array([-1, -1, 1, 1]), np.ones(4))
+
+
+@st.composite
+def nodes(draw):
+    """A node's (X, y, w): float or integer-grid features (tied values),
+    some zero weights, and maybe a constant and a duplicated column."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    values = (st.sampled_from([0.0, 1.0, 2.0, 3.0]) if draw(st.booleans())
+              else st.floats(-10, 10, allow_nan=False))
+    X = draw(arrays(np.float64, (n, d), elements=values))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = X[0, 0]
+    if draw(st.booleans()):
+        X = np.hstack([X, X[:, [draw(st.integers(0, d - 1))]]])
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    w = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 1.0])
+                    | st.floats(1e-3, 10)))
+    assume(w.sum() > 0)
+    return X, y, w
+
+
+NO_SPLIT = (-np.inf, -1, np.nan)
+
+
+class TestBestSplit:
+    # np.testing.assert_equal compares floats exactly, treats NaN as equal
+    # to NaN and tells 0.0 from -0.0
+    @settings(max_examples=300, deadline=None)
+    @given(nodes())
+    @example((np.array([[0.0], [0.0], [1.0], [1.0], [2.0]]),
+              np.array([-1, 1, 1, 1, -1]), np.ones(5)))  # tied x values
+    @example((np.array([[0.3, 2.0], [-1.2, 0.5], [0.7, 1.5], [2.2, 0.1]]),
+              np.array([1, -1, 1, -1]),
+              np.array([0.0, 1.0, 0.0, 2.0])))  # zero weights
+    @example((np.array([[5.0, 0.0], [5.0, 1.0], [5.0, 2.0]]),
+              np.array([1, -1, -1]), np.ones(3)))  # a constant column
+    @example((np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 2.0], [1.0, 3.0, 1.0]]),
+              np.array([-1, 1, 1]), np.ones(3)))  # a duplicated column
+    @example((np.array([[1.0, 2.0]]), np.array([1]), np.ones(1)))  # n = 1
+    def test_matches_loop_oracle(self, node):
+        X, y, w = node
+        np.testing.assert_equal(_best_split(X, y, w), loop_best_split(X, y, w))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_loop_oracle_on_large_tied_nodes(self, seed):
+        # a weight prefix sum over tied rows depends on their order in the
+        # last bit, so only a stable sort matches the oracle; nodes this
+        # large show it (numpy sorts small arrays stably whatever the kind)
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(300, 3)).astype(float)
+        y = rng.choice([-1, 1], size=300)
+        w = rng.uniform(size=300)
+        np.testing.assert_equal(_best_split(X, y, w), loop_best_split(X, y, w))
+
+    def test_duplicated_column_tie_goes_to_lower_feature(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=20)
+        X = np.column_stack([rng.normal(size=20), x, x])
+        y = np.where(x > 0, 1, -1)
+        ratio, f, thr = _best_split(X, y, np.ones(20))
+        assert (f, thr) == (1, (x[x <= 0].max() + x[x > 0].min()) / 2)
+        assert loop_best_split(X, y, np.ones(20)) == (ratio, f, thr)
+
+    def test_all_constant_features_give_no_split(self):
+        X = np.full((5, 3), 2.0)
+        y = np.array([1, -1, 1, -1, 1])
+        for search in (_best_split, loop_best_split):
+            np.testing.assert_equal(search(X, y, np.ones(5)), NO_SPLIT)
+
+    def test_cuts_with_an_empty_side_give_no_split(self):
+        # the weight sits on rows 2 and 3, which share their value in both
+        # columns: every cut has wl == 0 or wr == 0
+        X = np.array([[0.0, 5.0], [1.0, 6.0], [2.0, 4.0], [2.0, 4.0]])
+        y = np.array([1, -1, 1, -1])
+        w = np.array([0.0, 0.0, 1.0, 1.0])
+        for search in (_best_split, loop_best_split):
+            np.testing.assert_equal(search(X, y, w), NO_SPLIT)
+
+
+class TestOracleGuard:
+    @pytest.mark.parametrize("max_depth", [1, 8])
+    def test_fold_models_match_loop_oracle(self, monkeypatch, max_depth):
+        """One fold of two stand-ins trains byte-identical models with the
+        library's split search and with the loop oracle."""
+        cfg = ExperimentConfig(dataset_paths=(), max_depth=max_depth)
+        stand_ins = [generate_catalog_dataset(e) for e in BENCHMARK_CATALOG
+                     if e.name in ("glass0", "winequality-red-8_vs_6")]
+
+        def model_json():
+            out = []
+            for ds in stand_ins:
+                scored = bench._fold_models(ds, bench._fold_plan(ds, cfg, 0),
+                                            cfg, 0, 0)
+                assert scored is not None
+                out += [m.to_json() for m in scored[0].values()]
+            return out
+
+        library = model_json()
+        calls = []
+
+        def oracle(X, y, w):
+            calls.append(X.shape)
+            return loop_best_split(X, y, w)
+
+        monkeypatch.setattr("liuboost.tree._best_split", oracle)
+        assert model_json() == library
+        assert calls
 
 
 class TestPrediction:
