@@ -161,7 +161,8 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
 
 def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
     """(rusboost, liuboost) means of one metric per dataset, in name order;
-    datasets where either mean is missing are left out."""
+    datasets where either mean is missing are left out.  A mean that is
+    neither a number nor None raises TypeError."""
     pairs = []
     for name in sorted(datasets):
         algos = datasets[name]["algorithms"]
@@ -170,6 +171,11 @@ def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
                 raise ValueError(f"dataset {name!r} has no {algo} results")
         rus = algos["rusboost"][f"{metric}_mean"]
         liu = algos["liuboost"][f"{metric}_mean"]
+        for mean in (rus, liu):
+            if isinstance(mean, bool) or not isinstance(
+                    mean, (int, float, type(None))):
+                raise TypeError(f"dataset {name!r}: {metric} mean "
+                                f"{mean!r} is not a number")
         if rus is not None and liu is not None:
             pairs.append((rus, liu))
     return pairs
@@ -255,45 +261,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
 
 def emit_report(report: dict, format: str, path,
                 include_timings: bool = False) -> None:
-    """Write a report as JSON or CSV.
+    """Write a report as JSON, the one report format.
 
-    Timings are excluded by default so that emitted files are
-    byte-reproducible for identical configs and seeds.
+    ``format`` must be "json".  It remains a parameter because callers
+    written for the removed CSV writer, such as perfbench's report digest,
+    pass it positionally.  Timings are excluded by default so that emitted
+    files are byte-reproducible for identical configs and seeds.
     """
-    if format not in ("json", "csv"):
-        raise ValueError("format must be 'json' or 'csv'")
+    if format != "json":
+        raise ValueError("format must be 'json'")
     body = dict(report)
     if not include_timings:
         body.pop("timings", None)
-    path = Path(path)
-    if format == "json":
-        path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "algorithm", "auroc_mean", "auroc_std",
-                         "aupr_mean", "aupr_std", "n_values", "skipped_folds"])
-        if not body.get("datasets"):
-            return
-        for name in sorted(body["datasets"]):
-            entry = body["datasets"][name]
-            for algo in sorted(entry["algorithms"]):
-                s = entry["algorithms"][algo]
-                writer.writerow([
-                    name, algo, s["auroc_mean"], s["auroc_std"],
-                    s["aupr_mean"], s["aupr_std"],
-                    len(s["auroc_values"]), entry["skipped_folds"]])
-        writer.writerow([])
-        writer.writerow(["summary", "schema_version", body["schema_version"]])
-        for metric, wins in body.get("summary", {}).get("wins", {}).items():
-            writer.writerow(["wins", metric, wins["liuboost"],
-                             wins["rusboost"], wins["tie"]])
-        for metric, w in body.get("summary", {}).get("wilcoxon", {}).items():
-            if "error" in w:
-                writer.writerow(["wilcoxon", metric, "error", w["error"]])
-            else:
-                writer.writerow(["wilcoxon", metric, w["w_minus"], w["w_plus"],
-                                 w["p_two_sided"], w["method"], w["favors"]])
+    Path(path).write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
 
 
 def _config_from_args(args, paths) -> ExperimentConfig:
@@ -336,7 +316,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(cfg, jobs=args.jobs)
     for path, reason in report["skipped_datasets"].items():
         print(f"skipped {path}: {reason}", file=sys.stderr)
-    emit_report(report, args.format, args.out, include_timings=args.timings)
+    emit_report(report, "json", args.out, include_timings=args.timings)
     for metric, w in report["summary"].get("wilcoxon", {}).items():
         if "error" not in w:
             print(f"{metric}: w-={w['w_minus']} w+={w['w_plus']} "
@@ -408,7 +388,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--data-dir", required=True)
     _add_shared_options(p_run)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in the report")

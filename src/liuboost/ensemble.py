@@ -6,8 +6,11 @@ using the current distribution D as sample weights, then account
 cost-weighted correct/incorrect mass over ALL training instances (not
 just the subsample) to set the stage coefficient alpha and the weight
 update.  Rounds whose alpha is non-positive are discarded and redrawn.
-Undersampling is part of the algorithm, not a setting: every round of
-both boosters draws one.
+When MAX_CONSECUTIVE_RETRIES redraws in a row fail, training stops; the
+model records this in ``retries_exhausted``, and ``trained_iterations``
+is the stage count it stopped at.  No warning is issued.  Undersampling
+is part of the algorithm, not a setting: every round of both boosters
+draws one.
 
 Every trained model carries its round trace in ``history``: one
 RoundRecord (mis_sum, cor_sum, epsilon and the updated D) per kept
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +77,16 @@ class BoostModel:
         # a "tree_params" dict in place of "max_depth", and may hold the
         # "target_majority_fraction" and "undersample" keys of the
         # sampling settings the loop no longer takes
-        return cls(
-            alphas=tuple(d["alphas"]),
-            trees=tuple(DecisionTree.from_dict(t) for t in d["trees"]),
-            config=d["config"],
-            retries_exhausted=d["retries_exhausted"],
-        )
+        alphas = tuple(d["alphas"])
+        trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
+        if len(alphas) != len(trees):
+            raise ValueError(f"{len(alphas)} alphas for {len(trees)} trees")
+        if not np.isfinite(np.asarray(alphas, dtype=np.float64)).all():
+            raise ValueError("alphas must be finite")
+        if len({t.n_features for t in trees}) > 1:
+            raise ValueError("trees disagree on n_features")
+        return cls(alphas=alphas, trees=trees, config=d["config"],
+                   retries_exhausted=d["retries_exhausted"])
 
     @classmethod
     def from_json(cls, text: str) -> "BoostModel":
@@ -133,10 +139,6 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
         if alpha <= 0:
             retries += 1
             if retries > MAX_CONSECUTIVE_RETRIES:
-                warnings.warn(
-                    f"no positive-alpha weak learner found after "
-                    f"{MAX_CONSECUTIVE_RETRIES} retries in round {t + 1}; "
-                    f"stopping with {len(alphas)} stages", stacklevel=3)
                 retries_exhausted = True
                 break
             continue
@@ -185,24 +187,16 @@ def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8) -> BoostModel:
 
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    """Continuous vote margin g(x) = sum_t alpha_t * h_t(x).
-
-    Accepts a single feature vector or an (n, d) matrix; returns a scalar
-    array or an (n,) array respectively.
-    """
+    """Continuous vote margin g(x) = sum_t alpha_t * h_t(x) of each row of
+    an (n, d) matrix, as an (n,) array."""
     if model.trained_iterations == 0:
         raise ValueError("model has no trained stages")
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    g = np.zeros(X.shape[0])
+    g = np.zeros(len(X))
     for alpha, tree in zip(model.alphas, model.trees):
         g += alpha * tree.predict_many(X)
-    return g[0] if single else g
+    return g
 
 
 def classify(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """sign(g) with ties (g == 0) resolved to the majority class (-1)."""
-    g = decision_score(model, X)
-    return np.where(np.asarray(g) > 0, 1, -1)
+    return np.where(decision_score(model, X) > 0, 1, -1)

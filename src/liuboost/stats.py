@@ -74,6 +74,8 @@ def wilcoxon_signed_rank(pairs, zeros: str = "drop") -> RankTestResult:
     pairs = np.asarray(pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 5:
         raise ValueError("need at least 5 (a, b) pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError("pairs must be finite")
     d = pairs[:, 1] - pairs[:, 0]
     nonzero = d != 0
     n_nonzero = int(nonzero.sum())

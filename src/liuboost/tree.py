@@ -65,7 +65,7 @@ class DecisionTree:
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
         # files written before may also hold "params" and "confidence"
-        return cls(
+        tree = cls(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=np.float64),
             left=np.asarray(d["left"], dtype=np.int64),
@@ -73,6 +73,32 @@ class DecisionTree:
             label=np.asarray(d["label"], dtype=np.int64),
             n_features=int(d["n_features"]),
         )
+        tree._check()
+        return tree
+
+    def _check(self) -> None:
+        """Reject a tree that fit_tree cannot build.  fit_tree numbers nodes
+        in pre-order, so every child index is above its parent's: that is
+        what makes prediction on a loaded tree terminate."""
+        n = self.feature.size
+        arrays = (self.feature, self.threshold, self.left, self.right,
+                  self.label)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ValueError("tree node arrays must be nonempty and of "
+                             "equal length")
+        leaf = self.feature == -1
+        node = np.arange(n)
+        for child in (self.left, self.right):
+            if (np.where(leaf, child != -1,
+                         (child <= node) | (child >= n))).any():
+                raise ValueError("tree child index must be -1 at a leaf and "
+                                 "in (node, n_nodes) at an internal node")
+        if (~leaf & ((self.feature < 0) | (self.feature >= self.n_features)
+                     | ~np.isfinite(self.threshold))).any():
+            raise ValueError("internal tree node needs a feature in "
+                             "[0, n_features) and a finite threshold")
+        if (leaf & (np.abs(self.label) != 1)).any():
+            raise ValueError("tree leaf label must be -1 or +1")
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:

@@ -154,30 +154,25 @@ class TestEmitReport:
         emit_report(report, "json", out, include_timings=True)
         assert "timings" in json.loads(out.read_text())
 
-    def test_csv_row_count(self, small_suite, tmp_path):
-        _, paths = small_suite
-        report = run_experiment(small_config(paths, repeats=1))
-        out = tmp_path / "report.csv"
-        emit_report(report, "csv", out)
-        rows = list(csv.reader(out.open()))
-        assert rows[0][0] == "dataset"
-        data_rows = rows[1:1 + 2 * 2]  # datasets x algorithms
-        assert all(len(r) == 8 for r in data_rows)
-        assert rows[5] == []  # separator before the summary block
-        assert rows[6][:2] == ["summary", "schema_version"]
-
-    def test_empty_report_header_only_csv(self, tmp_path):
+    def test_empty_report_keeps_skip_reason(self, tmp_path):
+        # every file skipped: the report is still written, with no dataset
+        # and the reason
         bad = tmp_path / "bad.dat"
         bad.write_text("nope\n")
         report = run_experiment(ExperimentConfig(dataset_paths=(str(bad),)))
-        out = tmp_path / "empty.csv"
-        emit_report(report, "csv", out)
-        rows = list(csv.reader(out.open()))
-        assert len(rows) == 1 and rows[0][0] == "dataset"
+        out = tmp_path / "empty.json"
+        emit_report(report, "json", out)
+        loaded = json.loads(out.read_text())
+        assert loaded["datasets"] == {}
+        assert list(loaded["skipped_datasets"]) == [str(bad)]
+        assert loaded["skipped_datasets"][str(bad)]
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            emit_report({}, "xml", "out.xml")
+    def test_bad_format_rejected(self, tmp_path):
+        for format in ("csv", "xml"):
+            out = tmp_path / f"out.{format}"
+            with pytest.raises(ValueError, match="format"):
+                emit_report({}, format, out)
+            assert not out.exists()
 
 
 class TestCli:
@@ -248,14 +243,23 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error:") and str(bad) in err
         # errors from the file's content name the file too: text that is
-        # not JSON, and a mean that is a string
-        str_mean = {"datasets": {f"d{i}": {"algorithms": {
-            "liuboost": {"auroc_mean": "x"}, "rusboost": {"auroc_mean": 0.7}}}
-            for i in range(6)}}
+        # not JSON, a mean that is a string (even a numeric one) or a
+        # bool, and a mean that is not finite
+        def report_with_mean(mean):
+            return json.dumps({"datasets": {f"d{i}": {"algorithms": {
+                "liuboost": {"auroc_mean": mean if i == 3 else 0.9 - i / 10},
+                "rusboost": {"auroc_mean": 0.7}}} for i in range(6)}})
+
         for name, text, detail in (
                 ("not_json.json", "nope", "Expecting value"),
-                ("str_mean.json", json.dumps(str_mean),
-                 "could not convert string to float")):
+                ("str_mean.json", report_with_mean("x"),
+                 "not a bench run report"),
+                ("numeric_str_mean.json", report_with_mean("0.9"),
+                 "not a bench run report"),
+                ("bool_mean.json", report_with_mean(True),
+                 "not a bench run report"),
+                ("nan_mean.json", report_with_mean(float("nan")),
+                 "pairs must be finite")):
             bad = tmp_path / name
             bad.write_text(text)
             assert main(["wilcoxon", "--report", str(bad)]) == 1
@@ -353,6 +357,17 @@ class TestCli:
         assert "--repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_rejects_format(self, small_suite, tmp_path, capsys):
+        # reports are JSON only: the CSV writer and its flag are gone
+        data_dir, _ = small_suite
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--data-dir", str(data_dir), "--out", str(out),
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--max-depth", "0"], ["--knn", "0"],
                                        ["--delta", "2"], ["--jobs", "0"]],
                              ids=["max-depth", "knn", "delta", "jobs"])
@@ -404,7 +419,7 @@ class TestCli:
         assert main(["curves", "--dataset", str(paths[0]), "--out", "o"]) == 1
         (run_keys, _), (curves_keys, _) = parsed
         config = {f.name for f in fields(ExperimentConfig)} - {"dataset_paths"}
-        assert run_keys == config | {"data_dir", "out", "format", "jobs",
-                                     "timings", "command", "func"}
+        assert run_keys == config | {"data_dir", "out", "jobs", "timings",
+                                     "command", "func"}
         assert curves_keys == (config - {"repeats"}) | {"dataset", "out",
                                                          "command", "func"}

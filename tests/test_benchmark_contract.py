@@ -1,6 +1,7 @@
 """The benchmark in perfbench/ reaches the program through fixed names and
 call counts; these tests fail when a change to src/ breaks that contract,
 before a benchmark run would."""
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 from conftest import make_clusters
 
-from liuboost.bench import ExperimentConfig, run_experiment
+from liuboost.bench import ExperimentConfig, emit_report, run_experiment
 from liuboost.data import serialize_keel
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run  # noqa: E402
 import spans  # noqa: E402
 
 
@@ -38,3 +40,19 @@ def test_traced_run_matches_report(tmp_path, algorithms):
     wall = time.perf_counter() - started
     assert trace.unrestored() == []
     assert trace.problems(cfg, report, trace.layer_metrics(wall)) == []
+
+
+def test_report_digest_hashes_the_emitted_json(tmp_path):
+    # perfbench compares reports by this digest, made through emit_report
+    report = {"schema_version": 1, "datasets": {}, "summary": {},
+              "config": {"dataset_paths": ["/in/a.dat"], "repeats": 1},
+              "skipped_datasets": {"/in/b.dat": "unreadable"},
+              "timings": {"total": 1.5}}
+    digest = run.report_digest(report, tmp_path / "digest.json")
+    expected = tmp_path / "expected.json"
+    emit_report(dict(report, config={"dataset_paths": ["a.dat"],
+                                     "repeats": 1},
+                     skipped_datasets={"b.dat": "unreadable"}),
+                "json", expected)
+    assert digest == hashlib.sha256(expected.read_bytes()).hexdigest()
+    assert "timings" not in expected.read_text()

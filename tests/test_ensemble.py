@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,13 +131,17 @@ class TestTraining:
 
     def test_retry_budget_exhaustion(self):
         # two identical points with opposite labels: every weak learner is
-        # a coin flip, alpha is never positive, training must give up
+        # a coin flip, alpha is never positive, training must give up; the
+        # model says so, and no warning repeats it
         ds = Dataset(features=np.array([[1.0], [1.0]]),
                      labels=np.array([1, -1]), feature_names=("x",))
-        with pytest.warns(UserWarning, match="no positive-alpha"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             model = train_rusboost(ds, T=3, rng=0)
         assert model.trained_iterations == 0
         assert model.retries_exhausted
+        back = BoostModel.from_json(model.to_json())  # zero stages load
+        assert back.retries_exhausted and back.trained_iterations == 0
         with pytest.raises(ValueError, match="no trained stages"):
             decision_score(model, ds.features)
 
@@ -171,14 +176,15 @@ class TestScoring:
                            trees=(constant_leaf_tree(1),
                                   constant_leaf_tree(-1)),
                            config={})
-        x = np.array([0.0])
-        assert decision_score(model, x) == 0.0
-        assert classify(model, x) == -1
+        X = np.array([[0.0]])
+        assert decision_score(model, X).tolist() == [0.0]
+        assert classify(model, X).tolist() == [-1]
 
     def test_single_stage_score(self):
         model = BoostModel(alphas=(0.7,), trees=(constant_leaf_tree(1),),
                            config={})
-        assert decision_score(model, np.array([5.0])) == pytest.approx(0.7)
+        np.testing.assert_allclose(decision_score(model, np.array([[5.0]])),
+                                   [0.7])
 
     def test_score_is_alpha_weighted_vote(self, noisy_ds):
         model = train_rusboost(noisy_ds, T=6, rng=1, max_depth=2)
@@ -190,11 +196,13 @@ class TestScoring:
         np.testing.assert_array_equal(
             classify(model, X), np.where(expected > 0, 1, -1))
 
-    def test_vector_and_matrix_agree(self, noisy_ds):
+    def test_vector_rejected(self, noisy_ds):
+        # scoring takes an (n, d) matrix; a single row is a (1, d) matrix
         model = train_rusboost(noisy_ds, T=3, rng=2)
-        x = noisy_ds.features[0]
-        assert decision_score(model, x) == pytest.approx(
-            decision_score(model, x[None, :])[0])
+        with pytest.raises(ValueError, match="dimensionality"):
+            decision_score(model, noisy_ds.features[0])
+        with pytest.raises(ValueError, match="dimensionality"):
+            classify(model, noisy_ds.features[0])
 
 
 class TestSerialization:
@@ -229,3 +237,20 @@ class TestSerialization:
         d["schema_version"] = 999
         with pytest.raises(ValueError, match="schema"):
             BoostModel.from_dict(d)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d["alphas"].append(0.5), "2 alphas for 1 trees"),
+        (lambda d: d["alphas"].__setitem__(0, math.nan), "finite"),
+        (lambda d: d["alphas"].__setitem__(0, math.inf), "finite"),
+        (lambda d: (d["alphas"].append(0.5), d["trees"].append(
+            dict(d["trees"][0], n_features=3))), "n_features"),
+        (lambda d: d["trees"][0].update(label=[7]), "leaf label"),
+    ], ids=["alpha-count", "nan-alpha", "inf-alpha", "n-features-differ",
+            "bad-tree"])
+    def test_malformed_file_rejected(self, change, message):
+        tree = constant_leaf_tree(1).to_dict()
+        d = BoostModel(alphas=(0.7,), trees=(), config={}).to_dict()
+        d["trees"] = [tree]
+        change(d)
+        with pytest.raises(ValueError, match=message):
+            BoostModel.from_json(json.dumps(d))

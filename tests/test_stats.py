@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -40,6 +42,15 @@ class TestExamples:
             wilcoxon_signed_rank([(1.0, 1.0)] * 6)
         with pytest.raises(ValueError, match="zeros"):
             wilcoxon_signed_rank([(0, 1)] * 5, zeros="bogus")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pairs_rejected(self, bad):
+        pairs = pairs_from_diffs([1, -2, 3, 4, 5, 6])
+        pairs[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="pairs must be finite"):
+                wilcoxon_signed_rank(pairs)
 
 
 class TestOracles:

@@ -368,3 +368,35 @@ class TestSerialization:
         np.testing.assert_equal(back.to_dict(), tree.to_dict())
         np.testing.assert_array_equal(back.predict_many(X),
                                       tree.predict_many(X))
+
+    @staticmethod
+    def stump_dict() -> dict:
+        tree = fit_tree(np.array([[0.0], [1.0]]), np.array([-1, 1]),
+                        np.ones(2), max_depth=1)
+        d = tree.to_dict()
+        assert d["feature"] == [0, -1, -1] and d["label"][1:] == [-1, 1]
+        return d
+
+    @pytest.mark.parametrize("change, message", [
+        ({"threshold": [0.5, np.nan]}, "equal length"),
+        ({k: [] for k in ("feature", "threshold", "left", "right", "label")},
+         "nonempty"),
+        ({"left": [5, -1, -1]}, "child index"),
+        ({"right": [0, -1, -1]}, "child index"),
+        ({"left": [-1, -1, -1]}, "child index"),
+        ({"left": [1, 2, -1]}, "child index"),
+        ({"feature": [1, -1, -1]}, "feature in"),
+        ({"feature": [-2, -1, -1]}, "feature in"),
+        ({"threshold": [np.inf, np.nan, np.nan]}, "finite threshold"),
+        ({"label": [0, 7, 1]}, "leaf label"),
+        # a root that is its own child made prediction loop forever
+        ({"feature": [0], "threshold": [0.5], "left": [5], "right": [0],
+          "label": [0]}, "child index"),
+    ], ids=["ragged", "empty", "child-past-end", "child-before-node",
+            "internal-without-child", "leaf-with-child", "feature-past-end",
+            "feature-negative", "threshold-inf", "leaf-label-7",
+            "one-node-cycle"])
+    def test_malformed_file_rejected(self, change, message):
+        d = self.stump_dict() | change
+        with pytest.raises(ValueError, match=message):
+            DecisionTree.from_dict(d)
