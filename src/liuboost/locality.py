@@ -6,15 +6,18 @@ misclassified, weight_minus accelerates the decrease when it is correct.
 Instances in hostile neighborhoods (few same-class neighbors) get large
 weight_plus; instances in safe neighborhoods get large weight_minus.
 
-The k-NN search is exact and runs over blocks of query rows, so its
-working memory stays near a fixed _BLOCK_BYTES budget whatever m is,
-instead of growing with an m x m distance matrix.
+The k-NN search is exact.  Candidates come from a k-d tree (Friedman,
+Bentley & Finkel, ACM TOMS 1977), so it holds O(m k) memory, not an
+m x m distance matrix.  Rows whose k-th and (k+1)-th candidates are too
+close to rank safely (distance ties) are redone by a blocked brute-force
+search whose working memory stays near a fixed _BLOCK_BYTES budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 
@@ -30,8 +33,13 @@ class CostVector:
     delta: float
 
 
-# Byte budget of one block of query-row distances in _neighbor_matrix.
+# Byte budget of one block of query-row distances in _blocked_neighbors.
 _BLOCK_BYTES = 16 * 2**20
+
+# Relative gap the k-d tree's k-th and (k+1)-th distances must clear for
+# its k-set to stand.  Both searches round each distance within a few
+# ulps, far inside this gap, so a settled row has one k-set under either.
+_MARGIN = 1e-9
 
 
 def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
@@ -40,25 +48,52 @@ def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
     Euclidean distance, self excluded.  Each row is a set: its order is
     unspecified.  Ties at the k-th distance go to the smaller index.
 
-    Query rows are taken in blocks of at most _BLOCK_BYTES of float64
-    distances (one row at least), so besides the (m, k) result the
-    search holds about two blocks at once: one of distances and one of
-    int64 indices (or the next block's distances).  cdist computes every
-    pair on its own, so the result does not depend on the block height.
+    Candidates are the k+2 nearest points from a k-d tree, self dropped
+    by index (a duplicate point may come before it); when self is not
+    among them, the last candidate is dropped instead.  A row is settled
+    when its k-th distance is below (1 - _MARGIN) times its (k+1)-th;
+    the other rows are redone by _blocked_neighbors, which ranks exact
+    ties by index.  Memory is O(m k) for the tree and candidates, plus
+    the fallback's _BLOCK_BYTES block budget.
+    """
+    m = len(features)
+    dist, idx = cKDTree(features).query(features, k=k + 2)
+    drop = idx == np.arange(m)[:, None]
+    drop[~drop.any(axis=1), -1] = True
+    keep = ~drop
+    dist = dist[keep].reshape(m, k + 1)
+    nearest = idx[keep].reshape(m, k + 1)[:, :k].copy()
+    # with m = k + 1 the (k+1)-th candidate is padding at inf: settled
+    unsettled = np.flatnonzero(
+        ~(dist[:, k - 1] < (1 - _MARGIN) * dist[:, k]))
+    if unsettled.size:
+        nearest[unsettled] = _blocked_neighbors(features, unsettled, k)
+    return nearest
+
+
+def _blocked_neighbors(features: np.ndarray, rows: np.ndarray,
+                       k: int) -> np.ndarray:
+    """(len(rows), k) exact k nearest neighbours of the given query rows.
+
+    Same contract as _neighbor_matrix, by brute force.  Query rows are
+    taken in blocks of at most _BLOCK_BYTES of float64 distances (one
+    row at least), so besides the result the search holds about two
+    blocks at once: one of distances and one of int64 indices (or the
+    next block's distances).  cdist computes every pair on its own, so
+    the result does not depend on the block height.
     """
     m = len(features)
     height = max(1, _BLOCK_BYTES // (8 * m))
-    nearest = np.empty((m, k), dtype=np.intp)
-    for start in range(0, m, height):
-        stop = min(start + height, m)
-        d = cdist(features[start:stop], features, "sqeuclidean")
-        rows = np.arange(stop - start)
-        d[rows, rows + start] = np.inf  # never a neighbor of itself
+    nearest = np.empty((len(rows), k), dtype=np.intp)
+    for start in range(0, len(rows), height):
+        query = rows[start:start + height]
+        d = cdist(features[query], features, "sqeuclidean")
+        d[np.arange(len(query)), query] = np.inf  # never its own neighbor
         # argpartition is O(m) per row; it picks the right set only when
         # no tie straddles the k-th position, so such rows are redone
         # with a stable full sort (index order among equal distances).
-        nearest[start:stop] = np.argpartition(d, k - 1, axis=1)[:, :k]
-        block = nearest[start:stop]
+        block = nearest[start:start + len(query)]
+        block[:] = np.argpartition(d, k - 1, axis=1)[:, :k]
         kth = np.take_along_axis(d, block, axis=1).max(axis=1, keepdims=True)
         ambiguous = (d <= kth).sum(axis=1) > k
         for i in np.flatnonzero(ambiguous):

@@ -2,6 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from liuboost import locality
 from liuboost.data import Dataset
@@ -33,6 +37,46 @@ def neighbor_sets(X, k):
     return np.sort(_neighbor_matrix(X, k), axis=1)
 
 
+def assert_brute_force(X, k):
+    got = neighbor_sets(X, k)
+    for i in range(len(X)):
+        np.testing.assert_array_equal(
+            got[i], np.sort(brute_force_neighbors(X, i, k)))
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Query rows of every call to the blocked fallback, in call order."""
+    calls = []
+    blocked = locality._blocked_neighbors
+
+    def spy(features, rows, k):
+        calls.append(np.array(rows))
+        return blocked(features, rows, k)
+
+    monkeypatch.setattr(locality, "_blocked_neighbors", spy)
+    return calls
+
+
+@st.composite
+def point_sets(draw):
+    """(X, k): dyadic floats, small integers, or rows drawn with repeats.
+
+    Dyadic values keep every squared distance exact, so the reference
+    and the searches see the same ties.
+    """
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["float", "int", "dup"]))
+    grid = st.integers(0, 3) if kind == "int" else st.integers(-2**10, 2**10)
+    scale = 1 if kind == "int" else 2**-6
+    base = draw(arrays(np.int64, (draw(st.integers(2, 25)), d), elements=grid))
+    X = base * scale
+    if kind == "dup":
+        X = X[draw(st.lists(st.integers(0, len(X) - 1),
+                            min_size=2, max_size=30))]
+    return X, draw(st.integers(1, len(X) - 1))
+
+
 class TestKnnIndices:
     def test_three_collinear_points(self):
         X = np.array([[0.0], [1.0], [3.0]])
@@ -62,19 +106,71 @@ class TestKnnIndices:
             # that redoes ambiguous rows runs
             kth = np.sort(d, axis=1)[:, k - 1:k]
             assert ((d <= kth).sum(axis=1) > k).any()
-            got = neighbor_sets(X, k)
-            for i in range(50):
-                np.testing.assert_array_equal(
-                    got[i], np.sort(brute_force_neighbors(X, i, k)))
+            assert_brute_force(X, k)
+
+    def test_more_duplicates_than_candidates(self):
+        # eight copies of one point: the k-d tree may list k+2 of the
+        # copies before the row itself, so a row's own index can be
+        # missing from its candidates
+        rng = np.random.default_rng(13)
+        X = np.vstack([np.tile([0.5, 0.5], (8, 1)), rng.random((12, 2))])
+        for k in (1, 3, 5):
+            idx = cKDTree(X).query(X, k=k + 2)[1]
+            assert not (idx == np.arange(len(X))[:, None]).any(axis=1).all()
+            assert_brute_force(X, k)
+
+    def test_k_is_m_minus_one(self):
+        # the k-d tree pads the (k+2)-th candidate with inf and index m
+        rng = np.random.default_rng(14)
+        for X in (rng.random((6, 3)), np.zeros((4, 2)), tie_grid()[:9]):
+            m = len(X)
+            assert cKDTree(X).query(X, k=m + 1)[1].max() == m
+            assert_brute_force(X, m - 1)
+
+    def test_k_one(self):
+        rng = np.random.default_rng(15)
+        assert_brute_force(rng.random((40, 2)), 1)
+        assert_brute_force(tie_grid(), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_matches_brute_force_property(self, case):
+        assert_brute_force(*case)
 
 
 class TestBlockedSearch:
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_fallback_on_tie_grid(self, monkeypatch, fallback_rows, k):
+        X = tie_grid()
+        m = len(X)
+        d = np.sort(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+                    + np.diag(np.full(m, np.inf)), axis=1)
+        tied = np.flatnonzero(d[:, k - 1] == d[:, k])
+        assert 0 < len(tied) < m
+        # a zero margin sends exactly the rows tied at the k-th distance
+        monkeypatch.setattr(locality, "_MARGIN", 0.0)
+        assert_brute_force(X, k)
+        assert len(fallback_rows) == 1
+        np.testing.assert_array_equal(fallback_rows[0], tied)
+        # a full margin sends every row
+        monkeypatch.setattr(locality, "_MARGIN", 1.0)
+        assert_brute_force(X, k)
+        assert len(fallback_rows) == 2
+        np.testing.assert_array_equal(fallback_rows[1], np.arange(m))
+
+    def test_continuous_rows_settle(self, fallback_rows):
+        rng = np.random.default_rng(16)
+        assert_brute_force(rng.normal(size=(300, 4)), 5)
+        assert fallback_rows == []
+
     @pytest.mark.parametrize("height", [1, 3, 7])
-    def test_block_boundaries(self, monkeypatch, height):
-        # 50 rows in blocks of 1, 3 (uneven last block) and 7 (uneven)
+    def test_block_boundaries(self, monkeypatch, fallback_rows, height):
+        # 50 rows in blocks of 1, 3 (uneven last block) and 7 (uneven),
+        # every row sent to the fallback
         X = tie_grid()
         m = len(X)
         ks = (1, 3, 7)
+        monkeypatch.setattr(locality, "_MARGIN", 1.0)
         assert m * m * 8 <= locality._BLOCK_BYTES  # the default: one block
         whole = [_neighbor_matrix(X, k) for k in ks]
         # a budget a few bytes over height rows still gives height rows
@@ -85,8 +181,11 @@ class TestBlockedSearch:
                 np.testing.assert_array_equal(
                     np.sort(got[i]), np.sort(brute_force_neighbors(X, i, k)))
             np.testing.assert_array_equal(got, one_block)
+        assert len(fallback_rows) == 2 * len(ks)
+        for rows in fallback_rows:
+            np.testing.assert_array_equal(rows, np.arange(m))
 
-    def test_memory_bounded_by_block_budget(self):
+    def _traced_peak(self):
         rng = np.random.default_rng(12)
         m = 6000
         X = rng.normal(size=(m, 10))
@@ -102,6 +201,15 @@ class TestBlockedSearch:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
         np.testing.assert_array_equal(cv.n_same + cv.n_opposite, 5)
+
+    def test_memory_bounded_by_block_budget(self):
+        self._traced_peak()
+
+    def test_memory_bounded_on_fallback_path(self, monkeypatch,
+                                             fallback_rows):
+        monkeypatch.setattr(locality, "_MARGIN", 1.0)
+        self._traced_peak()
+        np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
 
 
 class TestAssignWeights:
