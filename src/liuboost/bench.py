@@ -98,9 +98,13 @@ def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
 
 
 def _fold_plan(ds: Dataset, cfg: ExperimentConfig, repeat: int):
-    """The stratified fold plan of one repeat on one dataset."""
-    return stratified_folds(
-        ds, cfg.folds, derive_seed(cfg.master_seed, ds.name, "folds", repeat))
+    """The stratified fold plan of one repeat on one dataset.  The warning
+    that a class has fewer rows than folds is silenced: the folds left
+    without it are counted as skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return stratified_folds(ds, cfg.folds, derive_seed(
+            cfg.master_seed, ds.name, "folds", repeat))
 
 
 def _fold_models(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int,
@@ -142,20 +146,18 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
                             for a in cfg.algorithms},
              "skipped_folds": 0, "n_instances": ds.n_instances,
              "n_features": ds.n_features, "imbalance_ratio": imbalance_ratio(ds)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plan = _fold_plan(ds, cfg, repeat)
-        for fold in range(cfg.folds):
-            scored = _fold_models(ds, plan, cfg, repeat, fold)
-            if scored is None:
-                entry["skipped_folds"] += 1
-                continue
-            models, X_test, y_test = scored
-            for algo, model in models.items():
-                scores = decision_score(model, X_test)
-                values = entry["algorithms"][algo]
-                values["auroc_values"].append(metrics.auroc(scores, y_test))
-                values["aupr_values"].append(metrics.aupr(scores, y_test))
+    plan = _fold_plan(ds, cfg, repeat)
+    for fold in range(cfg.folds):
+        scored = _fold_models(ds, plan, cfg, repeat, fold)
+        if scored is None:
+            entry["skipped_folds"] += 1
+            continue
+        models, X_test, y_test = scored
+        for algo, model in models.items():
+            scores = decision_score(model, X_test)
+            values = entry["algorithms"][algo]
+            values["auroc_values"].append(metrics.auroc(scores, y_test))
+            values["aupr_values"].append(metrics.aupr(scores, y_test))
     return name, entry, time.perf_counter() - started
 
 

@@ -11,9 +11,15 @@ Bentley & Finkel, ACM TOMS 1977), so it holds O(m k) memory, not an
 m x m distance matrix.  Rows whose k-th and (k+1)-th candidates are too
 close to rank safely (distance ties) are redone by a blocked brute-force
 search whose working memory stays near a fixed _BLOCK_BYTES budget.
+
+The tree query runs on one thread per _ROWS_PER_WORKER rows, up to the
+cores this process may run on, so small training splits stay on one
+thread.  Each query row is answered on its own, so the neighbour sets,
+and every cost, are the same at any worker count.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,20 @@ _BLOCK_BYTES = 16 * 2**20
 # ulps, far inside this gap, so a settled row has one k-set under either.
 _MARGIN = 1e-9
 
+# Query rows per k-d tree worker thread.  Below about twice this a second
+# thread costs more than it saves (timings in CHANGES.md).
+_ROWS_PER_WORKER = 2048
+
+
+def _query_workers(m: int) -> int:
+    """Threads for a k-d tree query over m rows: one per _ROWS_PER_WORKER
+    rows, at least one, at most the cores this process may run on."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, m // _ROWS_PER_WORKER))
+
 
 def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
     """(m, k) matrix whose row i holds the k nearest rows to row i.
@@ -55,9 +75,13 @@ def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
     the other rows are redone by _blocked_neighbors, which ranks exact
     ties by index.  Memory is O(m k) for the tree and candidates, plus
     the fallback's _BLOCK_BYTES block budget.
+
+    The query runs on _query_workers(m) threads.  Each thread answers
+    its own query rows, so the result does not depend on their number.
     """
     m = len(features)
-    dist, idx = cKDTree(features).query(features, k=k + 2)
+    dist, idx = cKDTree(features).query(features, k=k + 2,
+                                        workers=_query_workers(m))
     drop = idx == np.arange(m)[:, None]
     drop[~drop.any(axis=1), -1] = True
     keep = ~drop

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from liuboost.bench import (ExperimentConfig, derive_seed, emit_report, main,
 from liuboost.data import serialize_keel
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
 
+ROOT = Path(__file__).resolve().parent.parent
 
 # a well-formed KEEL file but for one infinite feature value
 SAMPLE_INF = """\
@@ -344,6 +349,22 @@ class TestCli:
             f"error: {glass5}: knn_k=150 must be below the smallest training "
             "split, 106 of m=214 rows at folds=2\n")
         assert not out.exists()
+
+    def test_curves_prints_no_fold_plan_warning(self, glass5_and_pima,
+                                                tmp_path):
+        # glass5 has 9 minority rows for 12 folds: the fold plan warns, and
+        # curves, like run, keeps that warning off stderr.  A fresh
+        # interpreter, since pytest itself captures warnings.
+        out = tmp_path / "curves.csv"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "liuboost.bench", "curves", "--dataset",
+             str(glass5_and_pima / "glass5.dat"), "--out", str(out),
+             "--folds", "12", "--rounds", "2", "--max-depth", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        assert out.exists()
 
     def test_curves_rejects_repeats(self, small_suite, tmp_path, capsys):
         # curves scores fold 0 of one plan, so a repeat count would be

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from scipy.spatial import cKDTree
 
 from liuboost import locality
 from liuboost.data import Dataset
-from liuboost.locality import _neighbor_matrix, assign_weights
+from liuboost.locality import _neighbor_matrix, _query_workers, assign_weights
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def one_d_dataset(positions, labels):
@@ -137,6 +144,58 @@ class TestKnnIndices:
     def test_matches_brute_force_property(self, case):
         assert_brute_force(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_matches_brute_force_property_parallel(self, case):
+        # one query thread per row, up to the cores: small inputs too
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locality, "_ROWS_PER_WORKER", 1)
+            assert_brute_force(*case)
+
+
+def usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class TestQueryWorkers:
+    def test_rule(self, monkeypatch):
+        per = locality._ROWS_PER_WORKER
+        sizes = (2, per - 1, per, 2 * per - 1, 2 * per, 3 * per, 50 * per)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert [_query_workers(m) for m in sizes] == [1, 1, 1, 1, 2, 3, 3]
+        # without sched_getaffinity: the CPU count, or one when unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _query_workers(50 * per) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _query_workers(50 * per) == 1
+
+    @pytest.mark.parametrize("name", ["random", "tie_grid"])
+    def test_result_does_not_depend_on_workers(self, monkeypatch, name):
+        X = (np.random.default_rng(17).random((300, 4)) if name == "random"
+             else tie_grid())
+        m = len(X)
+        workers = []
+
+        class SpyTree(cKDTree):
+            def query(self, *args, **kwargs):
+                workers.append(kwargs["workers"])
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(locality, "cKDTree", SpyTree)
+        for k in (1, 3, 7):
+            monkeypatch.setattr(locality, "_ROWS_PER_WORKER", m + 1)
+            serial = _neighbor_matrix(X, k)
+            monkeypatch.setattr(locality, "_ROWS_PER_WORKER", 1)
+            parallel = _neighbor_matrix(X, k)
+            np.testing.assert_array_equal(parallel, serial)
+            assert_brute_force(X, k)
+        parallel_workers = min(m, usable_cores())
+        assert workers == [1, parallel_workers, parallel_workers] * 3
+
 
 class TestBlockedSearch:
     @pytest.mark.parametrize("k", [1, 3, 7])
@@ -210,6 +269,22 @@ class TestBlockedSearch:
         monkeypatch.setattr(locality, "_MARGIN", 1.0)
         self._traced_peak()
         np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
+
+
+class TestRssBound:
+    def test_rss_growth_bounded_by_block_budget(self):
+        # the k-d tree's node buffer and its query threads live outside
+        # tracemalloc's view; the peak RSS of a fresh process sees them
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "locality_scale.py"),
+             "--m", "20000", "--d", "10", "--k", "5"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        line = json.loads(result.stdout.splitlines()[-1])
+        assert line["workers"] == _query_workers(20000)
+        bound = 4 * locality._BLOCK_BYTES / 2**20
+        assert 0 <= line["rss_growth_mib"] < bound, line
 
 
 class TestAssignWeights:
