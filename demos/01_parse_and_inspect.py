@@ -30,10 +30,7 @@ print(f"majority (-1):   {ds.majority_count}")
 print(f"imbalance ratio: {imbalance_ratio(ds):.2f}")
 
 print("\n--- stratified 5-fold plan (seed 0) ---")
-import warnings
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # tiny minority triggers a fold warning
-    plan = stratified_folds(ds, k=5, seed=0)
+plan = stratified_folds(ds, k=5, seed=0)
 for j, fold in enumerate(plan.folds):
     n_pos = int((ds.labels[fold] == 1).sum())
     print(f"fold {j}: {len(fold):3d} instances, {n_pos} minority")

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -98,13 +97,9 @@ def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
 
 
 def _fold_plan(ds: Dataset, cfg: ExperimentConfig, repeat: int):
-    """The stratified fold plan of one repeat on one dataset.  The warning
-    that a class has fewer rows than folds is silenced: the folds left
-    without it are counted as skipped."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return stratified_folds(ds, cfg.folds, derive_seed(
-            cfg.master_seed, ds.name, "folds", repeat))
+    """The stratified fold plan of one repeat on one dataset."""
+    return stratified_folds(ds, cfg.folds, derive_seed(
+        cfg.master_seed, ds.name, "folds", repeat))
 
 
 def _fold_models(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int,

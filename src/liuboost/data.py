@@ -5,7 +5,6 @@ that recall/precision downstream refer to the rare class.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,20 +224,15 @@ def serialize_keel(ds: Dataset) -> str:
 def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     """Deterministic stratified k-fold partition of instance indices.
 
-    When a class has fewer than k members the folds are still built (some
-    folds then lack that class in their test part) and a warning is issued.
+    A class with fewer than k members leaves some folds without it; the
+    returned plan shows which ones, and `bench` counts those folds as
+    skipped.
     """
     m = ds.n_instances
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > m:
         raise ValueError(f"k={k} exceeds instance count m={m}")
-    for cls in (1, -1):
-        n_cls = int((ds.labels == cls).sum())
-        if n_cls < k:
-            warnings.warn(
-                f"class {cls:+d} has only {n_cls} instances for {k} folds; "
-                "some folds will not contain it", stacklevel=2)
 
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(k)]

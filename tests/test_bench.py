@@ -201,7 +201,7 @@ class TestCli:
                    "--rounds", "2", "--folds", "3", "--knn", "3",
                    "--max-depth", "2"])
         assert rc == 0
-        rows = list(csv.reader(curves.open()))
+        rows = list(csv.reader(curves.read_text().splitlines()))
         assert rows[0] == ["algorithm", "metric", "x", "y"]
         assert {r[1] for r in rows[1:]} == {"roc", "pr"}
         assert {r[0] for r in rows[1:]} == {"liuboost", "rusboost"}
@@ -316,7 +316,7 @@ class TestCli:
         assert main(["curves", "--dataset",
                      str(glass5_and_pima / "pima.dat"), "--out", str(curves),
                      *flags]) == 0
-        rows = list(csv.reader(curves.open()))
+        rows = list(csv.reader(curves.read_text().splitlines()))
         assert {r[0] for r in rows[1:]} == {"liuboost", "rusboost"}
         printed = capsys.readouterr().out.splitlines()
         for algo in ("liuboost", "rusboost"):
@@ -350,20 +350,24 @@ class TestCli:
             "split, 106 of m=214 rows at folds=2\n")
         assert not out.exists()
 
-    def test_curves_prints_no_fold_plan_warning(self, glass5_and_pima,
-                                                tmp_path):
-        # glass5 has 9 minority rows for 12 folds: the fold plan warns, and
-        # curves, like run, keeps that warning off stderr.  A fresh
-        # interpreter, since pytest itself captures warnings.
-        out = tmp_path / "curves.csv"
+    @pytest.mark.parametrize("command", ["run", "curves"])
+    def test_prints_nothing_to_stderr_under_w_error(self, glass5_and_pima,
+                                                    tmp_path, command):
+        # glass5 has 9 minority rows for 12 folds, so some folds lack the
+        # minority class, which neither subcommand warns about.  A fresh
+        # interpreter under -W error, since pytest itself captures warnings.
+        out = tmp_path / "out"
+        source = (["--data-dir", str(glass5_and_pima), "--repeats", "1"]
+                  if command == "run" else
+                  ["--dataset", str(glass5_and_pima / "glass5.dat")])
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         result = subprocess.run(
-            [sys.executable, "-m", "liuboost.bench", "curves", "--dataset",
-             str(glass5_and_pima / "glass5.dat"), "--out", str(out),
-             "--folds", "12", "--rounds", "2", "--max-depth", "1"],
+            [sys.executable, "-W", "error", "-m", "liuboost.bench", command,
+             *source, "--out", str(out), "--folds", "12", "--rounds", "2",
+             "--max-depth", "1"],
             env=env, capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        assert "Warning" not in result.stderr
+        assert result.stderr == ""
         assert out.exists()
 
     def test_curves_rejects_repeats(self, small_suite, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import make_clusters
@@ -153,11 +155,13 @@ class TestStratifiedFolds:
         for fa, fb in zip(a.folds, b.folds):
             np.testing.assert_array_equal(fa, fb)
 
-    def test_small_class_warns(self):
+    def test_small_class_leaves_folds_without_it(self):
         ds = make_clusters(3, 27, seed=4)
-        with pytest.warns(UserWarning, match="only 3 instances"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             plan = stratified_folds(ds, 10, seed=0)
         assert plan.k == 10
+        assert sum(bool((ds.labels[f] == 1).any()) for f in plan.folds) == 3
 
     def test_k_bounds(self):
         ds = make_clusters(3, 3, seed=0)
@@ -169,14 +173,10 @@ class TestStratifiedFolds:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 60), st.integers(2, 6), st.integers(0, 10 ** 6))
     def test_partition_and_stratification_property(self, m, k, seed):
-        import warnings
-
         rng = np.random.default_rng(seed)
         n_pos = int(rng.integers(1, m // 2 + 1))
         ds = make_clusters(n_pos, m - n_pos, seed=seed % 997)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = stratified_folds(ds, min(k, m), seed)
+        plan = stratified_folds(ds, min(k, m), seed)
         all_idx = np.concatenate(plan.folds)
         np.testing.assert_array_equal(np.sort(all_idx), np.arange(m))
         for cls in (1, -1):

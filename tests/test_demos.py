@@ -1,6 +1,6 @@
 """Every demo script, and the README's library quickstart, runs to
-completion against this checkout's sources; every `bench` command the
-README shows parses."""
+completion against this checkout's sources under `python -W error`, with
+nothing on stderr; every `bench` command the README shows parses."""
 import os
 import re
 import shlex
@@ -20,14 +20,16 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def run_script(path: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error", str(path)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     result = run_script(demo, tmp_path)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_readme_quickstart_runs(tmp_path):
@@ -43,6 +45,7 @@ def test_readme_quickstart_runs(tmp_path):
     script.write_text(blocks[0])
     result = run_script(script, tmp_path)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
     auroc, aupr = map(float, result.stdout.split())
     assert 0 <= auroc <= 1 and 0 <= aupr <= 1
 
