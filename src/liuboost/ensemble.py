@@ -77,12 +77,17 @@ class BoostModel:
         # a "tree_params" dict in place of "max_depth", and may hold the
         # "target_majority_fraction" and "undersample" keys of the
         # sampling settings the loop no longer takes
+        for key in ("alphas", "trees", "config", "retries_exhausted"):
+            if key not in d:
+                raise ValueError(f"model lacks the key {key!r}")
         alphas = tuple(d["alphas"])
         trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
         if len(alphas) != len(trees):
             raise ValueError(f"{len(alphas)} alphas for {len(trees)} trees")
-        if not np.isfinite(np.asarray(alphas, dtype=np.float64)).all():
-            raise ValueError("alphas must be finite")
+        # training redraws every round whose alpha is not positive
+        values = np.asarray(alphas, dtype=np.float64)
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise ValueError("alphas must be finite and positive")
         if len({t.n_features for t in trees}) > 1:
             raise ValueError("trees disagree on n_features")
         return cls(alphas=alphas, trees=trees, config=d["config"],

@@ -6,11 +6,12 @@ misclassified, weight_minus accelerates the decrease when it is correct.
 Instances in hostile neighborhoods (few same-class neighbors) get large
 weight_plus; instances in safe neighborhoods get large weight_minus.
 
-The k-NN search is exact.  Candidates come from a k-d tree (Friedman,
+The k-NN search is exact and uses one index, a k-d tree (Friedman,
 Bentley & Finkel, ACM TOMS 1977), so it holds O(m k) memory, not an
 m x m distance matrix.  Rows whose k-th and (k+1)-th candidates are too
-close to rank safely (distance ties) are redone by a blocked brute-force
-search whose working memory stays near a fixed _BLOCK_BYTES budget.
+close to rank safely (distance ties) are settled from the same tree: a
+ball query just past the k-th distance collects every tied row, and
+those few candidates are ranked exactly.
 
 The tree query runs on one thread per _ROWS_PER_WORKER rows, up to the
 cores this process may run on, so small training splits stay on one
@@ -39,13 +40,15 @@ class CostVector:
     delta: float
 
 
-# Byte budget of one block of query-row distances in _blocked_neighbors.
-_BLOCK_BYTES = 16 * 2**20
-
 # Relative gap the k-d tree's k-th and (k+1)-th distances must clear for
-# its k-set to stand.  Both searches round each distance within a few
+# its k-set to stand.  The tree and cdist round each distance within a few
 # ulps, far inside this gap, so a settled row has one k-set under either.
 _MARGIN = 1e-9
+
+# Relative widening of the ball that collects an unsettled row's
+# candidates, so rounding cannot push out a row tied at the k-th distance.
+# Apart from _MARGIN, which the tests set anywhere in [0, 1].
+_SLACK = 1e-9
 
 # Query rows per k-d tree worker thread.  Below about twice this a second
 # thread costs more than it saves (timings in CHANGES.md).
@@ -72,56 +75,47 @@ def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
     by index (a duplicate point may come before it); when self is not
     among them, the last candidate is dropped instead.  A row is settled
     when its k-th distance is below (1 - _MARGIN) times its (k+1)-th;
-    the other rows are redone by _blocked_neighbors, which ranks exact
-    ties by index.  Memory is O(m k) for the tree and candidates, plus
-    the fallback's _BLOCK_BYTES block budget.
+    the other rows are resolved by _tied_neighbors from the same tree.
+    Memory is O(m k) for the tree and candidates.
 
     The query runs on _query_workers(m) threads.  Each thread answers
     its own query rows, so the result does not depend on their number.
     """
     m = len(features)
-    dist, idx = cKDTree(features).query(features, k=k + 2,
-                                        workers=_query_workers(m))
+    tree = cKDTree(features)
+    dist, idx = tree.query(features, k=k + 2, workers=_query_workers(m))
     drop = idx == np.arange(m)[:, None]
     drop[~drop.any(axis=1), -1] = True
     keep = ~drop
     dist = dist[keep].reshape(m, k + 1)
     nearest = idx[keep].reshape(m, k + 1)[:, :k].copy()
-    # with m = k + 1 the (k+1)-th candidate is padding at inf: settled
-    unsettled = np.flatnonzero(
-        ~(dist[:, k - 1] < (1 - _MARGIN) * dist[:, k]))
+    # with m = k + 1 the (k+1)-th candidate is padding at inf: settled.
+    # The cap keeps (1 - _MARGIN) times it defined at _MARGIN = 1.
+    bound = (1 - _MARGIN) * np.minimum(dist[:, k], np.finfo(float).max)
+    unsettled = np.flatnonzero(~(dist[:, k - 1] < bound))
     if unsettled.size:
-        nearest[unsettled] = _blocked_neighbors(features, unsettled, k)
+        nearest[unsettled] = _tied_neighbors(
+            tree, features, unsettled, dist[unsettled, k - 1], k)
     return nearest
 
 
-def _blocked_neighbors(features: np.ndarray, rows: np.ndarray,
-                       k: int) -> np.ndarray:
+def _tied_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
+                    kth: np.ndarray, k: int) -> np.ndarray:
     """(len(rows), k) exact k nearest neighbours of the given query rows.
 
-    Same contract as _neighbor_matrix, by brute force.  Query rows are
-    taken in blocks of at most _BLOCK_BYTES of float64 distances (one
-    row at least), so besides the result the search holds about two
-    blocks at once: one of distances and one of int64 indices (or the
-    next block's distances).  cdist computes every pair on its own, so
-    the result does not depend on the block height.
+    Same contract as _neighbor_matrix.  kth holds each row's k-th
+    distance from the tree.  The tree's ball of radius kth * (1 + _SLACK)
+    holds every row at or below the k-th distance, ties included; those
+    candidates are ranked by cdist distance, then index.  cdist computes
+    every pair on its own, so a pair's distance does not depend on which
+    other rows are ranked with it.
     """
-    m = len(features)
-    height = max(1, _BLOCK_BYTES // (8 * m))
     nearest = np.empty((len(rows), k), dtype=np.intp)
-    for start in range(0, len(rows), height):
-        query = rows[start:start + height]
-        d = cdist(features[query], features, "sqeuclidean")
-        d[np.arange(len(query)), query] = np.inf  # never its own neighbor
-        # argpartition is O(m) per row; it picks the right set only when
-        # no tie straddles the k-th position, so such rows are redone
-        # with a stable full sort (index order among equal distances).
-        block = nearest[start:start + len(query)]
-        block[:] = np.argpartition(d, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(d, block, axis=1).max(axis=1, keepdims=True)
-        ambiguous = (d <= kth).sum(axis=1) > k
-        for i in np.flatnonzero(ambiguous):
-            block[i] = np.argsort(d[i], kind="stable")[:k]
+    for out, i, radius in zip(nearest, rows, kth * (1 + _SLACK)):
+        near = np.array(tree.query_ball_point(features[i], radius))
+        near = near[near != i]
+        d = cdist(features[i:i + 1], features[near], "sqeuclidean")[0]
+        out[:] = near[np.lexsort((near, d))[:k]]
     return nearest
 
 

@@ -65,6 +65,10 @@ class DecisionTree:
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
         # files written before may also hold "params" and "confidence"
+        for key in ("feature", "threshold", "left", "right", "label",
+                    "n_features"):
+            if key not in d:
+                raise ValueError(f"tree lacks the key {key!r}")
         tree = cls(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=np.float64),

@@ -244,9 +244,17 @@ class TestSerialization:
         (lambda d: d["alphas"].__setitem__(0, math.inf), "finite"),
         (lambda d: (d["alphas"].append(0.5), d["trees"].append(
             dict(d["trees"][0], n_features=3))), "n_features"),
+        (lambda d: d["alphas"].__setitem__(0, -0.5), "positive"),
+        (lambda d: d["alphas"].__setitem__(0, 0.0), "positive"),
         (lambda d: d["trees"][0].update(label=[7]), "leaf label"),
+        (lambda d: d.pop("alphas"), "'alphas'"),
+        (lambda d: d.pop("trees"), "'trees'"),
+        (lambda d: d.pop("config"), "'config'"),
+        (lambda d: d.pop("retries_exhausted"), "'retries_exhausted'"),
+        (lambda d: d["trees"][0].pop("label"), "'label'"),
     ], ids=["alpha-count", "nan-alpha", "inf-alpha", "n-features-differ",
-            "bad-tree"])
+            "negative-alpha", "zero-alpha", "bad-tree", "no-alphas",
+            "no-trees", "no-config", "no-retries-exhausted", "no-tree-label"])
     def test_malformed_file_rejected(self, change, message):
         tree = constant_leaf_tree(1).to_dict()
         d = BoostModel(alphas=(0.7,), trees=(), config={}).to_dict()

@@ -53,15 +53,15 @@ def assert_brute_force(X, k):
 
 @pytest.fixture
 def fallback_rows(monkeypatch):
-    """Query rows of every call to the blocked fallback, in call order."""
+    """Query rows of every call to the tied-row fallback, in call order."""
     calls = []
-    blocked = locality._blocked_neighbors
+    tied = locality._tied_neighbors
 
-    def spy(features, rows, k):
+    def spy(tree, features, rows, kth, k):
         calls.append(np.array(rows))
-        return blocked(features, rows, k)
+        return tied(tree, features, rows, kth, k)
 
-    monkeypatch.setattr(locality, "_blocked_neighbors", spy)
+    monkeypatch.setattr(locality, "_tied_neighbors", spy)
     return calls
 
 
@@ -109,8 +109,8 @@ class TestKnnIndices:
         d = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d, np.inf)
         for k in (1, 3, 7):
-            # ties straddle the k-th distance on some rows, so the path
-            # that redoes ambiguous rows runs
+            # ties straddle the k-th distance on some rows, so the
+            # tied-row fallback runs
             kth = np.sort(d, axis=1)[:, k - 1:k]
             assert ((d <= kth).sum(axis=1) > k).any()
             assert_brute_force(X, k)
@@ -150,6 +150,15 @@ class TestKnnIndices:
         # one query thread per row, up to the cores: small inputs too
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(locality, "_ROWS_PER_WORKER", 1)
+            assert_brute_force(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_matches_brute_force_property_fallback(self, case):
+        # a full margin settles no row: all go through _tied_neighbors,
+        # k = m - 1 and its inf padding included
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locality, "_MARGIN", 1.0)
             assert_brute_force(*case)
 
 
@@ -197,7 +206,7 @@ class TestQueryWorkers:
         assert workers == [1, parallel_workers, parallel_workers] * 3
 
 
-class TestBlockedSearch:
+class TestTiedFallback:
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_fallback_on_tie_grid(self, monkeypatch, fallback_rows, k):
         X = tie_grid()
@@ -222,35 +231,10 @@ class TestBlockedSearch:
         assert_brute_force(rng.normal(size=(300, 4)), 5)
         assert fallback_rows == []
 
-    @pytest.mark.parametrize("height", [1, 3, 7])
-    def test_block_boundaries(self, monkeypatch, fallback_rows, height):
-        # 50 rows in blocks of 1, 3 (uneven last block) and 7 (uneven),
-        # every row sent to the fallback
-        X = tie_grid()
-        m = len(X)
-        ks = (1, 3, 7)
-        monkeypatch.setattr(locality, "_MARGIN", 1.0)
-        assert m * m * 8 <= locality._BLOCK_BYTES  # the default: one block
-        whole = [_neighbor_matrix(X, k) for k in ks]
-        # a budget a few bytes over height rows still gives height rows
-        monkeypatch.setattr(locality, "_BLOCK_BYTES", height * m * 8 + 5)
-        for k, one_block in zip(ks, whole):
-            got = _neighbor_matrix(X, k)
-            for i in range(m):
-                np.testing.assert_array_equal(
-                    np.sort(got[i]), np.sort(brute_force_neighbors(X, i, k)))
-            np.testing.assert_array_equal(got, one_block)
-        assert len(fallback_rows) == 2 * len(ks)
-        for rows in fallback_rows:
-            np.testing.assert_array_equal(rows, np.arange(m))
-
-    def _traced_peak(self):
-        rng = np.random.default_rng(12)
-        m = 6000
-        X = rng.normal(size=(m, 10))
-        y = np.where(rng.random(m) < 0.1, 1, -1)
-        ds = Dataset(features=X, labels=y, feature_names=tuple("abcdefghij"))
-        bound = 4 * locality._BLOCK_BYTES
+    def _traced_peak(self, X, y, bound):
+        m, d = X.shape
+        ds = Dataset(features=X, labels=y,
+                     feature_names=tuple(f"x{j}" for j in range(d)))
         assert m * m * 8 > 4 * bound  # one dense m x m matrix: 275 MiB
         tracemalloc.start()
         try:
@@ -261,20 +245,37 @@ class TestBlockedSearch:
         assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
         np.testing.assert_array_equal(cv.n_same + cv.n_opposite, 5)
 
-    def test_memory_bounded_by_block_budget(self):
-        self._traced_peak()
+    def _normal_rows(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(6000, 10))
+        return X, np.where(rng.random(6000) < 0.1, 1, -1)
+
+    def test_memory_bounded(self):
+        self._traced_peak(*self._normal_rows(), 64 * 2**20)
 
     def test_memory_bounded_on_fallback_path(self, monkeypatch,
                                              fallback_rows):
         monkeypatch.setattr(locality, "_MARGIN", 1.0)
-        self._traced_peak()
+        self._traced_peak(*self._normal_rows(), 64 * 2**20)
+        np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
+
+    def test_natural_ties_at_scale(self, fallback_rows):
+        # 6000 rows drawn from at most 40 distinct points, 150 copies each
+        # on average: every row's k-th and (k+1)-th distances are both 0,
+        # so every row is tied and resolved by the fallback
+        rng = np.random.default_rng(18)
+        points = rng.integers(0, 4, size=(40, 4)).astype(float)
+        X = points[rng.integers(0, len(points), size=6000)]
+        y = np.where(rng.random(6000) < 0.1, 1, -1)
+        self._traced_peak(X, y, 16 * 2**20)
         np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
 
 
 class TestRssBound:
-    def test_rss_growth_bounded_by_block_budget(self):
+    def test_rss_growth_bounded(self):
         # the k-d tree's node buffer and its query threads live outside
-        # tracemalloc's view; the peak RSS of a fresh process sees them
+        # tracemalloc's view; the peak RSS of a fresh process sees them.
+        # Uniform rows have no ties, so this measures the tree path alone.
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         result = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "locality_scale.py"),
@@ -283,8 +284,8 @@ class TestRssBound:
         assert result.returncode == 0, result.stderr
         line = json.loads(result.stdout.splitlines()[-1])
         assert line["workers"] == _query_workers(20000)
-        bound = 4 * locality._BLOCK_BYTES / 2**20
-        assert 0 <= line["rss_growth_mib"] < bound, line
+        assert line["tied_rows"] == 0, line
+        assert 0 <= line["rss_growth_mib"] < 64, line
 
 
 class TestAssignWeights:

@@ -7,6 +7,9 @@ minority labels, seed 0) and prints one JSON line:
 
 - ``seconds``: wall time of that call;
 - ``workers``: the k-d tree query threads it used;
+- ``tied_rows``: the rows of that call too close to a tie at the k-th
+  distance for the tree query alone, resolved by ``_tied_neighbors``
+  (counted by rebinding it for the call);
 - ``rss_growth_mib``: how far the call raised the process's peak resident
   set size (``ru_maxrss``), which counts native buffers, such as the k-d
   tree's nodes and its query threads' stacks, that tracemalloc misses;
@@ -45,11 +48,23 @@ def main(argv=None) -> int:
     ds = Dataset(features=rng.random((args.m, args.d)),
                  labels=np.where(rng.random(args.m) < 0.1, 1, -1),
                  feature_names=tuple(f"x{j}" for j in range(args.d)))
-    before = max_rss_bytes()
-    started = time.perf_counter()
-    locality.assign_weights(ds, k=args.k)
-    seconds = time.perf_counter() - started
-    rss_growth = max_rss_bytes() - before
+    tied_rows = 0
+    tied = locality._tied_neighbors
+
+    def counted(tree, features, rows, kth, k):
+        nonlocal tied_rows
+        tied_rows += len(rows)
+        return tied(tree, features, rows, kth, k)
+
+    locality._tied_neighbors = counted
+    try:
+        before = max_rss_bytes()
+        started = time.perf_counter()
+        locality.assign_weights(ds, k=args.k)
+        seconds = time.perf_counter() - started
+        rss_growth = max_rss_bytes() - before
+    finally:
+        locality._tied_neighbors = tied
 
     tracemalloc.start()
     try:
@@ -62,6 +77,7 @@ def main(argv=None) -> int:
         "m": args.m, "d": args.d, "k": args.k,
         "seconds": round(seconds, 3),
         "workers": locality._query_workers(args.m),
+        "tied_rows": tied_rows,
         "rss_growth_mib": round(rss_growth / 2**20, 2),
         "traced_peak_mib": round(traced_peak / 2**20, 2),
     }))
