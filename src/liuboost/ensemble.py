@@ -26,7 +26,7 @@ import numpy as np
 
 from .locality import assign_weights
 from .resample import random_undersample
-from .tree import DecisionTree, fit_tree
+from .tree import DecisionTree, _decoding, _json_array, fit_tree
 
 SCHEMA_VERSION = 1
 MAX_CONSECUTIVE_RETRIES = 10
@@ -70,27 +70,27 @@ class BoostModel:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
+    @_decoding()
     def from_dict(cls, d: dict) -> "BoostModel":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported model schema: {d.get('schema_version')}")
-        # the config is kept as written: in files written before, it holds
-        # a "tree_params" dict in place of "max_depth", and may hold the
-        # "target_majority_fraction" and "undersample" keys of the
-        # sampling settings the loop no longer takes
-        for key in ("alphas", "trees", "config", "retries_exhausted"):
-            if key not in d:
-                raise ValueError(f"model lacks the key {key!r}")
-        alphas = tuple(d["alphas"])
+        if type(v := d.get("schema_version")) is not int or v != SCHEMA_VERSION:
+            raise ValueError(f"unsupported model schema: {v!r}")
+        # the config is kept as written: files written before hold a
+        # "tree_params" dict for "max_depth", and may hold the sampling
+        # settings "target_majority_fraction" and "undersample"
+        for key, kind in (("trees", list), ("config", dict),
+                          ("retries_exhausted", bool)):
+            if type(d[key]) is not kind:
+                raise ValueError(f"model {key!r} is not a {kind.__name__}")
+        alphas = _json_array(d, "alphas", (int, float))
         trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
         if len(alphas) != len(trees):
             raise ValueError(f"{len(alphas)} alphas for {len(trees)} trees")
         # training redraws every round whose alpha is not positive
-        values = np.asarray(alphas, dtype=np.float64)
-        if not (np.isfinite(values) & (values > 0)).all():
+        if not (np.isfinite(alphas) & (alphas > 0)).all():
             raise ValueError("alphas must be finite and positive")
         if len({t.n_features for t in trees}) > 1:
             raise ValueError("trees disagree on n_features")
-        return cls(alphas=alphas, trees=trees, config=d["config"],
+        return cls(alphas=tuple(d["alphas"]), trees=trees, config=d["config"],
                    retries_exhausted=d["retries_exhausted"])
 
     @classmethod
@@ -121,19 +121,17 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
                 max_depth, **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
     rng = np.random.default_rng(rng)  # a Generator is passed through
     config = {"algorithm": algorithm, "T": T, **locality,
               "max_depth": max_depth}
-    m = len(y)
-    D = np.full(m, 1.0 / m)
+    D = np.full(len(y), 1.0 / len(y))
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     history: list[RoundRecord] = []
-    retries_exhausted = False
-
-    t = 0
     retries = 0
-    while t < T:
+    while len(alphas) < T and retries <= MAX_CONSECUTIVE_RETRIES:
         sample = random_undersample(y, rng)
         tree = fit_tree(X[sample], y[sample], D[sample], max_depth)
         pred = tree.predict_many(X)
@@ -143,9 +141,6 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
         alpha = compute_alpha(cor_sum, mis_sum)
         if alpha <= 0:
             retries += 1
-            if retries > MAX_CONSECUTIVE_RETRIES:
-                retries_exhausted = True
-                break
             continue
         retries = 0
         epsilon = float(D[mis].sum())  # cost-free weighted error under current D
@@ -157,13 +152,12 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
         trees.append(tree)
         history.append(RoundRecord(mis_sum=mis_sum, cor_sum=cor_sum,
                                    epsilon=epsilon, distribution=D))
-        t += 1
 
     return BoostModel(
         alphas=tuple(alphas),
         trees=tuple(trees),
         config=config,
-        retries_exhausted=retries_exhausted,
+        retries_exhausted=len(alphas) < T,
         history=tuple(history),
     )
 
@@ -175,8 +169,6 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
     Locality costs are computed once on the full training split before the
     boosting loop begins.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     cv = assign_weights(ds, k=k, delta=delta)
     return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
                        cv.weight_minus, T, rng, max_depth, k=k, delta=delta)
@@ -184,8 +176,6 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
 
 def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8) -> BoostModel:
     """Classical undersampled AdaBoost: the shared loop with unit costs."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
     ones = np.ones(ds.n_instances)
     return _boost_loop("rusboost", ds.features, ds.labels, ones, ones, T, rng,
                        max_depth)

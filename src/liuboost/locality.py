@@ -11,7 +11,8 @@ Bentley & Finkel, ACM TOMS 1977), so it holds O(m k) memory, not an
 m x m distance matrix.  Rows whose k-th and (k+1)-th candidates are too
 close to rank safely (distance ties) are settled from the same tree: a
 ball query just past the k-th distance collects every tied row, and
-those few candidates are ranked exactly.
+those few candidates are ranked exactly.  One relative tolerance,
+_MARGIN, decides both what is too close and how far past the ball goes.
 
 The tree query runs on one thread per _ROWS_PER_WORKER rows, up to the
 cores this process may run on, so small training splits stay on one
@@ -40,15 +41,12 @@ class CostVector:
     delta: float
 
 
-# Relative gap the k-d tree's k-th and (k+1)-th distances must clear for
-# its k-set to stand.  The tree and cdist round each distance within a few
-# ulps, far inside this gap, so a settled row has one k-set under either.
+# The one rounding tolerance of the search.  The tree and cdist round each
+# distance within a few ulps, far inside this relative gap.  A row whose
+# k-th and (k+1)-th tree distances clear it has one k-set under either;
+# an unsettled row's ball is widened by it, so rounding cannot push out a
+# row tied at the k-th distance.
 _MARGIN = 1e-9
-
-# Relative widening of the ball that collects an unsettled row's
-# candidates, so rounding cannot push out a row tied at the k-th distance.
-# Apart from _MARGIN, which the tests set anywhere in [0, 1].
-_SLACK = 1e-9
 
 # Query rows per k-d tree worker thread.  Below about twice this a second
 # thread costs more than it saves (timings in CHANGES.md).
@@ -89,10 +87,8 @@ def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
     keep = ~drop
     dist = dist[keep].reshape(m, k + 1)
     nearest = idx[keep].reshape(m, k + 1)[:, :k].copy()
-    # with m = k + 1 the (k+1)-th candidate is padding at inf: settled.
-    # The cap keeps (1 - _MARGIN) times it defined at _MARGIN = 1.
-    bound = (1 - _MARGIN) * np.minimum(dist[:, k], np.finfo(float).max)
-    unsettled = np.flatnonzero(~(dist[:, k - 1] < bound))
+    # with m = k + 1 the (k+1)-th candidate is padding at inf: settled
+    unsettled = np.flatnonzero(~(dist[:, k - 1] < (1 - _MARGIN) * dist[:, k]))
     if unsettled.size:
         nearest[unsettled] = _tied_neighbors(
             tree, features, unsettled, dist[unsettled, k - 1], k)
@@ -104,14 +100,14 @@ def _tied_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
     """(len(rows), k) exact k nearest neighbours of the given query rows.
 
     Same contract as _neighbor_matrix.  kth holds each row's k-th
-    distance from the tree.  The tree's ball of radius kth * (1 + _SLACK)
+    distance from the tree.  The tree's ball of radius kth * (1 + _MARGIN)
     holds every row at or below the k-th distance, ties included; those
     candidates are ranked by cdist distance, then index.  cdist computes
     every pair on its own, so a pair's distance does not depend on which
     other rows are ranked with it.
     """
     nearest = np.empty((len(rows), k), dtype=np.intp)
-    for out, i, radius in zip(nearest, rows, kth * (1 + _SLACK)):
+    for out, i, radius in zip(nearest, rows, kth * (1 + _MARGIN)):
         near = np.array(tree.query_ball_point(features[i], radius))
         near = near[near != i]
         d = cdist(features[i:i + 1], features[near], "sqeuclidean")[0]

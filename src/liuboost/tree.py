@@ -13,12 +13,32 @@ then the lowest threshold, among equal gain ratios.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
+
+
+@contextmanager
+def _decoding():
+    """As a decorator: what a decoder lets out on a malformed model is
+    raised as one ValueError naming the cause (a KeyError names the key)."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
+        raise ValueError(f"malformed model: {e!r}") from e
+
+
+def _json_array(d: dict, key: str, kinds: tuple) -> np.ndarray:
+    """d[key] as an array, if it is a JSON array of items of these exact
+    types: numpy would quietly coerce bools, strings and fractions."""
+    if type(d[key]) is not list or any(type(v) not in kinds for v in d[key]):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"model {key!r} is not a list of {names}")
+    return np.asarray(d[key], dtype=np.float64 if float in kinds else np.int64)
 
 
 @dataclass(frozen=True)
@@ -63,20 +83,15 @@ class DecisionTree:
         }
 
     @classmethod
+    @_decoding()
     def from_dict(cls, d: dict) -> "DecisionTree":
         # files written before may also hold "params" and "confidence"
-        for key in ("feature", "threshold", "left", "right", "label",
-                    "n_features"):
-            if key not in d:
-                raise ValueError(f"tree lacks the key {key!r}")
-        tree = cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            label=np.asarray(d["label"], dtype=np.int64),
-            n_features=int(d["n_features"]),
-        )
+        if type(d["n_features"]) is not int or d["n_features"] < 0:
+            raise ValueError("model 'n_features' is not an int >= 0")
+        tree = cls(**{key: _json_array(d, key, (int,)) for key in
+                      ("feature", "left", "right", "label")},
+                   threshold=_json_array(d, "threshold", (int, float)),
+                   n_features=d["n_features"])
         tree._check()
         return tree
 
@@ -166,8 +181,6 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     w = np.asarray(sample_weights, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or w.shape != y.shape:
         raise ValueError("features/labels/weights dimension mismatch")
-    if X.shape[0] < 1:
-        raise ValueError("at least one instance required")
     for name, values in (("features", X), ("weights", w)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite (no NaN or inf)")
@@ -196,14 +209,14 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     def build(idx, depth):
         node = new_node()
         active = idx[w[idx] > 0]
-        w_node = w[idx].sum()
-        pure = active.size > 0 and (y[active] == y[active[0]]).all()
-        if (depth >= max_depth or pure or active.size == 0
-                or w_node < MIN_LEAF_WEIGHT):
+        # weights sum to 1: a node with no weighted row is below
+        # MIN_LEAF_WEIGHT; with no valid cut, the ratio is -inf < MIN_GAIN
+        if (depth >= max_depth or w[idx].sum() < MIN_LEAF_WEIGHT
+                or (y[active] == y[active[0]]).all()):
             make_leaf(node, idx)
             return node
         ratio, f, thr = _best_split(X[active], y[active], w[active])
-        if f < 0 or ratio < MIN_GAIN:
+        if ratio < MIN_GAIN:
             make_leaf(node, idx)
             return node
         feature[node] = f

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_clusters
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liuboost import ensemble
@@ -22,6 +22,19 @@ def keep_all(monkeypatch):
     """Train on the full sample: every round keeps every row."""
     monkeypatch.setattr(ensemble, "random_undersample",
                         lambda labels, rng: np.arange(len(labels)))
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """One entry per tree the boosting loop fits, kept or thrown away."""
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(None)
+        return fit_tree(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "fit_tree", counting_fit)
+    return calls
 
 
 class TestComputeAlpha:
@@ -129,7 +142,7 @@ class TestTraining:
         c = train_liuboost(noisy_ds, T=5, rng=100)
         assert a.to_json() != c.to_json()
 
-    def test_retry_budget_exhaustion(self):
+    def test_retry_budget_exhaustion(self, fits):
         # two identical points with opposite labels: every weak learner is
         # a coin flip, alpha is never positive, training must give up; the
         # model says so, and no warning repeats it
@@ -138,6 +151,8 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = train_rusboost(ds, T=3, rng=0)
+        # the first draw and then MAX_CONSECUTIVE_RETRIES redraws
+        assert len(fits) == ensemble.MAX_CONSECUTIVE_RETRIES + 1
         assert model.trained_iterations == 0
         assert model.retries_exhausted
         back = BoostModel.from_json(model.to_json())  # zero stages load
@@ -153,21 +168,48 @@ class TestTraining:
                                      "max_depth"}
 
     def test_alphas_finite_even_with_perfect_rounds(self, separable_ds,
-                                                    keep_all):
+                                                    keep_all, fits):
         model = train_liuboost(separable_ds, T=4, k=1, rng=0)
         assert model.trained_iterations == 4
+        assert len(fits) == 4  # every round kept, none redrawn
+        assert not model.retries_exhausted
         assert all(np.isfinite(model.alphas))
 
-    def test_rounds_validation(self, separable_ds):
-        with pytest.raises(ValueError):
+    def test_rounds_validation(self, separable_ds, fits):
+        with pytest.raises(ValueError, match="T must be"):
             train_liuboost(separable_ds, T=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="T must be"):
             train_rusboost(separable_ds, T=0)
+        assert fits == []
 
 
 def constant_leaf_tree(label: int):
     X = np.zeros((2, 1))
     return fit_tree(X, np.array([label, label], dtype=np.int64), np.ones(2))
+
+
+def one_stage_dict() -> dict:
+    """A model file training can write, as a dict: one stage, one leaf."""
+    d = BoostModel(alphas=(0.7,), trees=(), config={}).to_dict()
+    d["trees"] = [constant_leaf_tree(1).to_dict()]
+    return d
+
+
+def subtree_paths(node, path=()):
+    """The key path of every subtree of a JSON document, the root's ()."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from subtree_paths(child, path + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.integers(-2**70, 2**70) | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=8)
 
 
 class TestScoring:
@@ -234,8 +276,13 @@ class TestSerialization:
 
     def test_schema_version_checked(self, noisy_ds):
         d = train_liuboost(noisy_ds, T=2, rng=5).to_dict()
-        d["schema_version"] = 999
-        with pytest.raises(ValueError, match="schema"):
+        # true and 1.0 equal 1 in Python, but training writes the int 1
+        for version in (999, True, 1.0, "1", None):
+            d["schema_version"] = version
+            with pytest.raises(ValueError, match="schema"):
+                BoostModel.from_dict(d)
+        del d["schema_version"]
+        with pytest.raises(ValueError, match="schema: None"):
             BoostModel.from_dict(d)
 
     @pytest.mark.parametrize("change, message", [
@@ -252,13 +299,61 @@ class TestSerialization:
         (lambda d: d.pop("config"), "'config'"),
         (lambda d: d.pop("retries_exhausted"), "'retries_exhausted'"),
         (lambda d: d["trees"][0].pop("label"), "'label'"),
+        (lambda d: d.update(trees=[1]), "malformed model: TypeError"),
+        (lambda d: d.update(alphas=5), "'alphas' is not a list"),
+        (lambda d: d.update(alphas={"1.5": 0}), "'alphas' is not a list"),
+        (lambda d: d.update(alphas=[True]), "'alphas' is not a list"),
+        (lambda d: d.update(alphas=["0.7"]), "'alphas' is not a list"),
+        (lambda d: d.update(trees={}, alphas=[]), "'trees' is not a list"),
+        (lambda d: d.update(config=5), "'config' is not a dict"),
+        (lambda d: d.update(retries_exhausted="no"),
+         "'retries_exhausted' is not a bool"),
+        (lambda d: d["trees"][0].update(label=[10**30]), "OverflowError"),
+        (lambda d: d["trees"][0].update(label=[1e300]), "'label' is not a"),
+        (lambda d: d["trees"][0].update(label=[1.5]), "'label' is not a"),
+        (lambda d: d["trees"][0].update(n_features="1"),
+         "'n_features' is not an int"),
     ], ids=["alpha-count", "nan-alpha", "inf-alpha", "n-features-differ",
             "negative-alpha", "zero-alpha", "bad-tree", "no-alphas",
-            "no-trees", "no-config", "no-retries-exhausted", "no-tree-label"])
+            "no-trees", "no-config", "no-retries-exhausted", "no-tree-label",
+            "tree-not-object", "alphas-number", "alphas-object",
+            "bool-alpha", "string-alpha", "trees-object", "config-number",
+            "retries-exhausted-string", "label-overflow", "float-label",
+            "fractional-label", "n-features-string"])
     def test_malformed_file_rejected(self, change, message):
-        tree = constant_leaf_tree(1).to_dict()
-        d = BoostModel(alphas=(0.7,), trees=(), config={}).to_dict()
-        d["trees"] = [tree]
+        d = one_stage_dict()
         change(d)
         with pytest.raises(ValueError, match=message):
             BoostModel.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"model"', "null"])
+    def test_file_not_an_object_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed model"):
+            BoostModel.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_subtree_replaced_loads_or_raises_value_error(self, data):
+        # a two-stage file whose second tree has a split, then one of its
+        # subtrees, the whole file included, replaced by any JSON value
+        d = one_stage_dict()
+        d["alphas"].append(0.3)
+        d["trees"].append(fit_tree(np.array([[0.0], [1.0]]),
+                                   np.array([-1, 1]), np.ones(2)).to_dict())
+        path = data.draw(st.sampled_from(list(subtree_paths(d))))
+        value = data.draw(json_values)
+        if path:
+            parent = d
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            d = value
+        try:
+            model = BoostModel.from_json(json.dumps(d))
+        except ValueError:
+            return
+        # what loads can score
+        n = model.trees[0].n_features if model.trees else 0
+        if 0 < n <= 8:
+            assert np.isfinite(decision_score(model, np.zeros((3, n)))).all()

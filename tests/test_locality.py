@@ -44,11 +44,23 @@ def neighbor_sets(X, k):
     return np.sort(_neighbor_matrix(X, k), axis=1)
 
 
+def brute_force_sets(X, k):
+    return np.array([np.sort(brute_force_neighbors(X, i, k))
+                     for i in range(len(X))])
+
+
 def assert_brute_force(X, k):
-    got = neighbor_sets(X, k)
-    for i in range(len(X)):
-        np.testing.assert_array_equal(
-            got[i], np.sort(brute_force_neighbors(X, i, k)))
+    np.testing.assert_array_equal(neighbor_sets(X, k), brute_force_sets(X, k))
+
+
+def tied_neighbors_everywhere(X, k):
+    """_tied_neighbors called on every row, sorted rows: the tied-row path
+    without the settle test, with each row's k-th distance from the tree
+    (self is one of the k + 1 nearest distances, at 0)."""
+    tree = cKDTree(X)
+    kth = tree.query(X, k=k + 1)[0][:, k]
+    return np.sort(locality._tied_neighbors(tree, X, np.arange(len(X)), kth,
+                                            k), axis=1)
 
 
 @pytest.fixture
@@ -142,24 +154,17 @@ class TestKnnIndices:
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
     def test_matches_brute_force_property(self, case):
-        assert_brute_force(*case)
-
-    @settings(max_examples=200, deadline=None)
-    @given(point_sets())
-    def test_matches_brute_force_property_parallel(self, case):
-        # one query thread per row, up to the cores: small inputs too
+        # one brute-force answer for the serial search, for one query
+        # thread per row (up to the cores; small inputs too), and for the
+        # tied-row path on every row
+        X, k = case
+        expected = brute_force_sets(X, k)
+        np.testing.assert_array_equal(neighbor_sets(X, k), expected)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(locality, "_ROWS_PER_WORKER", 1)
-            assert_brute_force(*case)
-
-    @settings(max_examples=200, deadline=None)
-    @given(point_sets())
-    def test_matches_brute_force_property_fallback(self, case):
-        # a full margin settles no row: all go through _tied_neighbors,
-        # k = m - 1 and its inf padding included
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(locality, "_MARGIN", 1.0)
-            assert_brute_force(*case)
+            np.testing.assert_array_equal(neighbor_sets(X, k), expected)
+        np.testing.assert_array_equal(tied_neighbors_everywhere(X, k),
+                                      expected)
 
 
 def usable_cores():
@@ -208,41 +213,45 @@ class TestQueryWorkers:
 
 class TestTiedFallback:
     @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_fallback_on_tie_grid(self, monkeypatch, fallback_rows, k):
+    def test_fallback_on_tie_grid(self, fallback_rows, k):
         X = tie_grid()
         m = len(X)
         d = np.sort(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
                     + np.diag(np.full(m, np.inf)), axis=1)
         tied = np.flatnonzero(d[:, k - 1] == d[:, k])
         assert 0 < len(tied) < m
-        # a zero margin sends exactly the rows tied at the k-th distance
-        monkeypatch.setattr(locality, "_MARGIN", 0.0)
+        # distinct integer squared distances are at least 1 apart, so
+        # distinct distances differ far beyond the margin, which sends
+        # exactly the rows tied at the k-th distance
         assert_brute_force(X, k)
         assert len(fallback_rows) == 1
         np.testing.assert_array_equal(fallback_rows[0], tied)
-        # a full margin sends every row
-        monkeypatch.setattr(locality, "_MARGIN", 1.0)
-        assert_brute_force(X, k)
-        assert len(fallback_rows) == 2
-        np.testing.assert_array_equal(fallback_rows[1], np.arange(m))
+        # the tied-row path alone, on every row, gives the same sets
+        np.testing.assert_array_equal(tied_neighbors_everywhere(X, k),
+                                      brute_force_sets(X, k))
 
     def test_continuous_rows_settle(self, fallback_rows):
         rng = np.random.default_rng(16)
         assert_brute_force(rng.normal(size=(300, 4)), 5)
         assert fallback_rows == []
 
-    def _traced_peak(self, X, y, bound):
-        m, d = X.shape
-        ds = Dataset(features=X, labels=y,
-                     feature_names=tuple(f"x{j}" for j in range(d)))
-        assert m * m * 8 > 4 * bound  # one dense m x m matrix: 275 MiB
+    def _traced_peak(self, call, m, bound):
+        """call()'s result; its tracemalloc peak must stay below bound,
+        far below one dense m x m matrix (275 MiB at m = 6000)."""
+        assert m * m * 8 > 4 * bound
         tracemalloc.start()
         try:
-            cv = assign_weights(ds, k=5)
+            result = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
+        return result
+
+    def _traced_costs(self, X, y, bound):
+        ds = Dataset(features=X, labels=y,
+                     feature_names=tuple(f"x{j}" for j in range(X.shape[1])))
+        cv = self._traced_peak(lambda: assign_weights(ds, k=5), len(X), bound)
         np.testing.assert_array_equal(cv.n_same + cv.n_opposite, 5)
 
     def _normal_rows(self):
@@ -251,13 +260,15 @@ class TestTiedFallback:
         return X, np.where(rng.random(6000) < 0.1, 1, -1)
 
     def test_memory_bounded(self):
-        self._traced_peak(*self._normal_rows(), 64 * 2**20)
+        self._traced_costs(*self._normal_rows(), 64 * 2**20)
 
-    def test_memory_bounded_on_fallback_path(self, monkeypatch,
-                                             fallback_rows):
-        monkeypatch.setattr(locality, "_MARGIN", 1.0)
-        self._traced_peak(*self._normal_rows(), 64 * 2**20)
-        np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
+    def test_memory_bounded_on_fallback_path(self):
+        # all 6000 rows through _tied_neighbors; the tree is built and
+        # queried inside the trace too
+        X = self._normal_rows()[0]
+        got = self._traced_peak(lambda: tied_neighbors_everywhere(X, 5),
+                                len(X), 64 * 2**20)
+        np.testing.assert_array_equal(got, neighbor_sets(X, 5))
 
     def test_natural_ties_at_scale(self, fallback_rows):
         # 6000 rows drawn from at most 40 distinct points, 150 copies each
@@ -267,7 +278,7 @@ class TestTiedFallback:
         points = rng.integers(0, 4, size=(40, 4)).astype(float)
         X = points[rng.integers(0, len(points), size=6000)]
         y = np.where(rng.random(6000) < 0.1, 1, -1)
-        self._traced_peak(X, y, 16 * 2**20)
+        self._traced_costs(X, y, 16 * 2**20)
         np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
 
 

@@ -200,6 +200,19 @@ class TestFitTree:
         tree = fit_tree(X, y, np.ones(4), max_depth=1)
         assert tree.feature[0] == 0
 
+    def test_child_without_rows_is_a_leaf(self):
+        # between adjacent floats a < b the midpoint can round to b: the
+        # cut then sends both rows left and the right child holds no row.
+        # The node-weight test makes it a leaf before the purity test
+        # looks for its first weighted row.
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2 == b
+        X = np.array([[a], [b]])
+        tree = fit_tree(X, np.array([-1, 1]), np.ones(2), max_depth=2)
+        assert tree.feature[0] == 0 and tree.threshold[0] == b
+        assert tree.predict_many(X).shape == (2,)
+
     def test_validation(self):
         X = np.zeros((3, 1))
         y = np.array([1, -1, 1])
@@ -209,6 +222,9 @@ class TestFitTree:
             fit_tree(X, y, np.array([1.0, -0.5, 1.0]))
         with pytest.raises(ValueError, match="weights"):
             fit_tree(X, y, np.zeros(3))
+        # no rows: the weights have no positive sum
+        with pytest.raises(ValueError, match="positive, finite sum"):
+            fit_tree(X[:0], y[:0], np.ones(0))
         # finite weights whose sum overflows would normalize to zeros
         with pytest.raises(ValueError, match="finite sum"), \
                 np.errstate(over="ignore"):
@@ -392,11 +408,28 @@ class TestSerialization:
         # a root that is its own child made prediction loop forever
         ({"feature": [0], "threshold": [0.5], "left": [5], "right": [0],
           "label": [0]}, "child index"),
+        # numpy would coerce these quietly
+        ({"feature": [True, -1, -1]}, "'feature' is not a list of int"),
+        ({"left": [1.0, -1, -1]}, "'left' is not a list of int"),
+        ({"threshold": ["0.5", np.nan, np.nan]},
+         "'threshold' is not a list of int or float"),
+        ({"right": "2"}, "'right' is not a list"),
+        ({"n_features": 1.0}, "'n_features' is not an int"),
+        ({"n_features": -1}, "'n_features' is not an int >= 0"),
+        ({"label": [0, -1, 2**63]}, "OverflowError"),
     ], ids=["ragged", "empty", "child-past-end", "child-before-node",
             "internal-without-child", "leaf-with-child", "feature-past-end",
             "feature-negative", "threshold-inf", "leaf-label-7",
-            "one-node-cycle"])
+            "one-node-cycle", "bool-feature", "float-child",
+            "string-threshold", "string-children", "float-n-features",
+            "negative-n-features", "label-overflow"])
     def test_malformed_file_rejected(self, change, message):
         d = self.stump_dict() | change
         with pytest.raises(ValueError, match=message):
+            DecisionTree.from_dict(d)
+
+    @pytest.mark.parametrize("d", [[], 5, None, {}])
+    def test_not_a_tree_object_rejected(self, d):
+        # a KeyError, TypeError or AttributeError surfaces as ValueError
+        with pytest.raises(ValueError, match="malformed model"):
             DecisionTree.from_dict(d)
