@@ -154,17 +154,23 @@ class TestKnnIndices:
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
     def test_matches_brute_force_property(self, case):
-        # one brute-force answer for the serial search, for one query
-        # thread per row (up to the cores; small inputs too), and for the
-        # tied-row path on every row
-        X, k = case
-        expected = brute_force_sets(X, k)
-        np.testing.assert_array_equal(neighbor_sets(X, k), expected)
+        assert_brute_force(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_matches_brute_force_property_parallel(self, case):
+        # one query thread per row, up to the cores: small inputs too
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(locality, "_ROWS_PER_WORKER", 1)
-            np.testing.assert_array_equal(neighbor_sets(X, k), expected)
+            assert_brute_force(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_matches_brute_force_property_fallback(self, case):
+        # the tied-row path on every row, k = m - 1 included
+        X, k = case
         np.testing.assert_array_equal(tied_neighbors_everywhere(X, k),
-                                      expected)
+                                      brute_force_sets(X, k))
 
 
 def usable_cores():
