@@ -67,29 +67,26 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Disjoint stratified index folds covering every instance."""
+    """Disjoint stratified folds covering every instance: row i is held out
+    in fold fold_of[i]."""
 
-    folds: tuple[np.ndarray, ...]
+    fold_of: np.ndarray  # (m,) int in [0, k)
+    k: int
 
     @property
-    def k(self) -> int:
-        return len(self.folds)
+    def folds(self) -> tuple[np.ndarray, ...]:
+        """The sorted held-out indices of each fold."""
+        return tuple(np.flatnonzero(self.fold_of == f) for f in range(self.k))
 
     def split(self, fold: int):
-        """(train_indices, test_indices) for one held-out fold."""
-        test = self.folds[fold]
-        train = np.concatenate([f for j, f in enumerate(self.folds) if j != fold])
-        return np.sort(train), test
+        """(train_indices, test_indices) for one held-out fold, both sorted."""
+        held_out = self.fold_of == fold
+        return np.flatnonzero(~held_out), np.flatnonzero(held_out)
 
 
 def imbalance_ratio(ds: Dataset) -> float:
     """Majority cardinality over minority cardinality (>= 1)."""
     return ds.majority_count / ds.minority_count
-
-
-def _parse_header_line(line: str):
-    keyword, _, rest = line.partition(" ")
-    return keyword.lower(), rest.strip()
 
 
 def parse_keel(text: str, name: str | None = None) -> Dataset:
@@ -103,48 +100,42 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     attr_nominal: list[bool] = []
     relation = None
     outputs: list[str] = []
-    rows: list[list[str]] = []
-    in_data = False
 
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if not in_data and line.startswith("@"):
-            keyword, rest = _parse_header_line(line.replace("\t", " "))
-            if keyword == "@relation":
-                relation = rest or "unnamed"
-            elif keyword == "@attribute":
-                if not rest:
-                    raise KeelFormatError(f"malformed attribute line: {line!r}")
-                attr_name, _, spec = rest.partition(" ")
-                spec = spec.strip()
-                attr_names.append(attr_name.strip())
-                if spec.startswith("{"):
-                    attr_nominal.append(True)
-                else:
-                    base = spec.split("[")[0].strip().lower()
-                    if base not in NUMERIC_TYPES:
-                        raise KeelFormatError(
-                            f"unsupported attribute type {spec!r} for {attr_name!r}")
-                    attr_nominal.append(False)
-            elif keyword == "@inputs":
-                pass  # input list is implied by @outputs
-            elif keyword == "@outputs":
-                outputs = [s.strip() for s in rest.split(",") if s.strip()]
-            elif keyword == "@data":
-                in_data = True
-            else:
-                raise KeelFormatError(f"unknown header keyword: {keyword!r}")
-        elif in_data:
-            rows.append([f.strip() for f in line.split(",")])
-        else:
+    lines = [line for line in (raw.strip() for raw in text.splitlines())
+             if line]
+    for n, line in enumerate(lines):
+        if not line.startswith("@"):
             raise KeelFormatError(f"data line before @data section: {line!r}")
+        keyword, _, rest = line.replace("\t", " ").partition(" ")
+        keyword, rest = keyword.lower(), rest.strip()
+        if keyword == "@relation":
+            relation = rest or "unnamed"
+        elif keyword == "@attribute":
+            if not rest:
+                raise KeelFormatError(f"malformed attribute line: {line!r}")
+            attr_name, _, spec = rest.partition(" ")
+            spec = spec.strip()
+            attr_names.append(attr_name.strip())
+            if spec.startswith("{"):
+                attr_nominal.append(True)
+            else:
+                base = spec.split("[")[0].strip().lower()
+                if base not in NUMERIC_TYPES:
+                    raise KeelFormatError(
+                        f"unsupported attribute type {spec!r} for {attr_name!r}")
+                attr_nominal.append(False)
+        elif keyword == "@outputs":
+            outputs = [s.strip() for s in rest.split(",") if s.strip()]
+        elif keyword == "@data":
+            break
+        elif keyword != "@inputs":  # the input list is implied by @outputs
+            raise KeelFormatError(f"unknown header keyword: {keyword!r}")
+    else:
+        raise KeelFormatError("missing @data section")
+    rows = [[f.strip() for f in line.split(",")] for line in lines[n + 1:]]
 
     if relation is None:
         raise KeelFormatError("missing @relation line")
-    if not in_data:
-        raise KeelFormatError("missing @data section")
     if not rows:
         raise KeelFormatError("empty @data section")
     if not attr_names:
@@ -189,17 +180,15 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
             f"non-finite value {rows[i][feat_cols[jj]]!r} in row {i}, "
             f"attribute {attr_names[feat_cols[jj]]!r}")
 
-    uniq, counts = np.unique(classes, return_counts=True)
+    uniq, class_of, counts = np.unique(classes, return_inverse=True,
+                                       return_counts=True)
     if len(uniq) != 2:
         raise KeelFormatError(f"expected 2 classes, found {len(uniq)}: {list(uniq)}")
     # argmin picks the first of equal counts: the smaller name, as uniq
     # is sorted
-    positive = uniq[np.argmin(counts)]
-
-    labels = np.where(np.asarray(classes) == positive, 1, -1)
     return Dataset(
         features=features,
-        labels=labels,
+        labels=np.where(class_of == np.argmin(counts), 1, -1),
         feature_names=tuple(attr_names[j] for j in feat_cols),
         name=name or relation,
     )
@@ -235,14 +224,13 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
         raise ValueError(f"k={k} exceeds instance count m={m}")
 
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(m, dtype=np.int64)
     for cls in (1, -1):
         idx = np.flatnonzero(ds.labels == cls)
         rng.shuffle(idx)
-        for j in range(k):
-            buckets[j].extend(idx[j::k])
-    folds = tuple(np.sort(np.asarray(b, dtype=np.int64)) for b in buckets)
-    return FoldPlan(folds=folds)
+        # the shuffled class is dealt round-robin: fold j gets idx[j::k]
+        fold_of[idx] = np.arange(len(idx)) % k
+    return FoldPlan(fold_of=fold_of, k=k)
 
 
 def fit_min_max(features: np.ndarray):

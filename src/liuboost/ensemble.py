@@ -183,9 +183,13 @@ def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8) -> BoostModel:
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """Continuous vote margin g(x) = sum_t alpha_t * h_t(x) of each row of
-    an (n, d) matrix, as an (n,) array."""
+    an (n, d) matrix, as an (n,) array.  NaN or infinite features are
+    rejected: a tree routes NaN right at every node."""
     if model.trained_iterations == 0:
         raise ValueError("model has no trained stages")
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite (no NaN or inf)")
     g = np.zeros(len(X))
     for alpha, tree in zip(model.alphas, model.trees):
         g += alpha * tree.predict_many(X)

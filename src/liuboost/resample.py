@@ -11,8 +11,8 @@ def random_undersample(labels: np.ndarray,
     without-replacement draw of as many majority instances.
 
     The generator is advanced on every call, so successive boosting rounds
-    see different subsets.  When the two classes are the same size, every
-    instance is kept.
+    see different subsets.  When the two classes are the same size, the
+    draw is every majority instance, so every instance is kept.
     """
     labels = np.asarray(labels)
     pos = np.flatnonzero(labels == 1)
@@ -20,8 +20,5 @@ def random_undersample(labels: np.ndarray,
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both classes must be present")
     minority, majority = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
-    if len(minority) == len(majority):
-        chosen = majority
-    else:
-        chosen = rng.choice(majority, size=len(minority), replace=False)
+    chosen = rng.choice(majority, size=len(minority), replace=False)
     return np.sort(np.concatenate([minority, chosen]))

@@ -5,7 +5,9 @@ original: discard zero differences before ranking) and "pratt" (rank all
 differences including zeros, then exclude the zero ranks from both sums).
 The exact null distribution is enumerated when the effective sample is
 small; otherwise a normal approximation with tie and continuity
-corrections is used.
+corrections is used.  Tied |differences| share their midrank; one
+grouping of |d| (``np.unique``) gives both the midranks and the tie
+sizes, so the module needs numpy only.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 EXACT_LIMIT = 20
 
@@ -83,8 +84,11 @@ def wilcoxon_signed_rank(pairs, zeros: str = "drop") -> RankTestResult:
         raise ValueError("all differences are zero; no test possible")
 
     ranked = d[nonzero] if zeros == "drop" else d
-    abs_ranked = np.abs(ranked)
-    ranks = rankdata(abs_ranked)[ranked != 0]
+    # one grouping of |d| gives the tie sizes and the midranks: group g
+    # holds ranks cumsum(c)[g] - c[g] + 1 .. cumsum(c)[g]
+    _, group, tie_counts = np.unique(np.abs(ranked), return_inverse=True,
+                                     return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2)[group][ranked != 0]
     dd = d[nonzero]
     n_ranked = len(ranked)
     n_zero_ranked = n_ranked - n_nonzero
@@ -93,7 +97,6 @@ def wilcoxon_signed_rank(pairs, zeros: str = "drop") -> RankTestResult:
     w_minus = float(ranks[dd < 0].sum())
     w_min = min(w_plus, w_minus)
 
-    _, tie_counts = np.unique(abs_ranked, return_counts=True)
     p_normal = _normal_one_sided(w_min, n_ranked, n_zero_ranked,
                                  tie_counts.astype(np.float64))
     if n_nonzero <= EXACT_LIMIT:

@@ -139,7 +139,10 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     where those two values differ and both sides carry weight.  The flat
     argmax over the valid cuts, in feature-major order, takes the first
     maximum: ties among equal gain ratios resolve to the lower feature
-    index, then the lower threshold.  Returns (-inf, -1, nan) when no valid
+    index, then the lower threshold.  The threshold is the midpoint
+    lo / 2 + hi / 2 of the two values, which cannot overflow; between
+    adjacent floats that rounds to hi, so lo is taken instead and the cut
+    still separates them.  Returns (-inf, -1, nan) when no valid
     cut exists.  With finite inputs (fit_tree checks them) every ratio is
     finite, so no NaN reaches the argmax.
     """
@@ -163,7 +166,9 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     ratio = gain / split_info
     i = int(np.argmax(ratio))
     j, c = np.argwhere(ok)[i]
-    return float(ratio[i]), int(j), (xs[j, c] + xs[j, c + 1]) / 2.0
+    lo, hi = xs[j, c], xs[j, c + 1]
+    mid = lo / 2 + hi / 2
+    return float(ratio[i]), int(j), mid if mid < hi else lo
 
 
 def fit_tree(features: np.ndarray, labels: np.ndarray,

@@ -78,10 +78,26 @@ class TestParseKeel:
          "non-finite value '1e999' in row 3, attribute 'b'"),
         (lambda t: "@relation toy\n@attribute Class {n, p}\n@data\nn\nn\np\n",
          "no input attribute"),
+        (lambda t: "", "missing @data section"),
     ])
     def test_format_errors(self, mutate, message):
         with pytest.raises(KeelFormatError, match=message):
             parse_keel(mutate(SAMPLE))
+
+    def test_header_keywords_ignore_case_and_tabs(self):
+        text = (SAMPLE.replace("@data", "@DATA")
+                .replace("@attribute a", "@attribute\ta")
+                .replace("@relation toy", "@RELATION\ttoy"))
+        ds = parse_keel(text)
+        assert ds.name == "toy" and ds.feature_names == ("a", "b")
+        assert ds.labels.tolist() == [-1, -1, -1, 1]
+
+    def test_at_line_after_data_is_a_row(self):
+        # only the header reads keywords: past @data every line is a row
+        text = SAMPLE.replace("@data\n", "@data\n@relation, 1.0, x\n")
+        with pytest.raises(KeelFormatError,
+                           match="non-numeric value '@relation' in attribute 'a'"):
+            parse_keel(text)
 
     def test_empty_data_section(self):
         text = SAMPLE.split("@data")[0] + "@data\n"
@@ -154,6 +170,30 @@ class TestStratifiedFolds:
         b = stratified_folds(ds, 3, seed=7)
         for fa, fb in zip(a.folds, b.folds):
             np.testing.assert_array_equal(fa, fb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 60), st.integers(2, 6), st.integers(0, 10 ** 6))
+    def test_matches_bucket_construction(self, m, k, seed):
+        # oracle: each shuffled class dealt into per-fold buckets, idx[j::k]
+        # to fold j, with the same generator draws
+        n_pos = int(np.random.default_rng(seed).integers(1, m // 2 + 1))
+        ds = make_clusters(n_pos, m - n_pos, seed=seed % 997)
+        k = min(k, m)
+        rng = np.random.default_rng(seed)
+        buckets = [[] for _ in range(k)]
+        for cls in (1, -1):
+            idx = np.flatnonzero(ds.labels == cls)
+            rng.shuffle(idx)
+            for j in range(k):
+                buckets[j].extend(idx[j::k])
+        plan = stratified_folds(ds, k, seed)
+        for j, bucket in enumerate(buckets):
+            test = np.sort(bucket)
+            train = np.sort(np.concatenate(buckets[:j] + buckets[j + 1:]))
+            np.testing.assert_array_equal(plan.folds[j], test)
+            got_train, got_test = plan.split(j)
+            np.testing.assert_array_equal(got_test, test)
+            np.testing.assert_array_equal(got_train, train)
 
     def test_small_class_leaves_folds_without_it(self):
         ds = make_clusters(3, 27, seed=4)

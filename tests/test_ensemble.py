@@ -246,6 +246,17 @@ class TestScoring:
         with pytest.raises(ValueError, match="dimensionality"):
             classify(model, noisy_ds.features[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, noisy_ds, bad):
+        # a tree routes NaN right at every node, which would give the row
+        # a confident score
+        model = train_rusboost(noisy_ds, T=3, rng=2)
+        X = noisy_ds.features[:5].copy()
+        X[2, 0] = bad
+        for score in (decision_score, classify):
+            with pytest.raises(ValueError, match="finite"):
+                score(model, X)
+
 
 class TestSerialization:
     def test_json_round_trip(self, noisy_ds):

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from liuboost.stats import (EXACT_LIMIT, _exact_two_sided,
                             wilcoxon_signed_rank)
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def pairs_from_diffs(diffs):
@@ -136,3 +145,27 @@ class TestProperties:
                 continue
             r = wilcoxon_signed_rank(pairs_from_diffs(d), zeros="pratt")
             assert 0 < r.p_two_sided <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=5, max_size=30),
+           st.sampled_from(["drop", "pratt"]))
+    def test_rank_sums_match_rankdata_oracle(self, steps, zeros):
+        # halves of small integers: many tied |d| and zeros
+        d = np.asarray(steps, dtype=float) / 2
+        assume((d != 0).any())
+        ranked = d[d != 0] if zeros == "drop" else d
+        ranks = sps.rankdata(np.abs(ranked))
+        r = wilcoxon_signed_rank(pairs_from_diffs(d), zeros=zeros)
+        assert r.w_plus == ranks[ranked > 0].sum()
+        assert r.w_minus == ranks[ranked < 0].sum()
+
+
+def test_package_import_leaves_out_scipy_stats():
+    # scipy.stats costs about as much to import as the rest of the package
+    code = ("import sys, liuboost, liuboost.bench; "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

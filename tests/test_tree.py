@@ -58,7 +58,8 @@ def loop_best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
             best_ratio = float(ratio[i])
             best_feature = j
             c = cut[ok][i]
-            best_threshold = (xs[c] + xs[c + 1]) / 2.0
+            mid = xs[c] / 2 + xs[c + 1] / 2
+            best_threshold = mid if mid < xs[c + 1] else xs[c]
     return best_ratio, best_feature, best_threshold
 
 
@@ -200,18 +201,21 @@ class TestFitTree:
         tree = fit_tree(X, y, np.ones(4), max_depth=1)
         assert tree.feature[0] == 0
 
-    def test_child_without_rows_is_a_leaf(self):
-        # between adjacent floats a < b the midpoint can round to b: the
-        # cut then sends both rows left and the right child holds no row.
-        # The node-weight test makes it a leaf before the purity test
-        # looks for its first weighted row.
-        a = np.nextafter(1.0, 2.0)
-        b = np.nextafter(a, 2.0)
-        assert (a + b) / 2 == b
+    @pytest.mark.parametrize("a, b", [
+        # adjacent floats: (a + b) / 2 rounds to b
+        (1 + 2.0 ** -52, 1 + 2.0 ** -51),
+        # near the float max: a + b overflows to inf
+        (1e308, 1.5e308),
+    ], ids=["adjacent-floats", "near-float-max"])
+    def test_cut_separates_its_rows(self, a, b):
         X = np.array([[a], [b]])
-        tree = fit_tree(X, np.array([-1, 1]), np.ones(2), max_depth=2)
-        assert tree.feature[0] == 0 and tree.threshold[0] == b
-        assert tree.predict_many(X).shape == (2,)
+        y = np.array([-1, 1])
+        tree = fit_tree(X, y, np.ones(2), max_depth=2)
+        assert tree.feature[0] == 0 and a <= tree.threshold[0] < b
+        assert tree.n_nodes == 3
+        np.testing.assert_array_equal(tree.predict_many(X), y)
+        # a finite threshold, so the model file loads again
+        DecisionTree.from_dict(tree.to_dict())
 
     def test_validation(self):
         X = np.zeros((3, 1))
