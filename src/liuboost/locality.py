@@ -14,6 +14,11 @@ ball query just past the k-th distance collects every tied row, and
 those few candidates are ranked exactly.  One relative tolerance,
 _MARGIN, decides both what is too close and how far past the ball goes.
 
+The tree has leaves of up to _LEAF_ROWS = 64 rows.  Leaf size cannot
+change a neighbour set: a settled row has a strict gap at its k-th
+distance, so any exact search returns the same k rows, and a tied row
+is ranked from an exact ball query.
+
 The tree query runs on one thread per _ROWS_PER_WORKER rows, up to the
 cores this process may run on, so small training splits stay on one
 thread.  Each query row is answered on its own, so the neighbour sets,
@@ -52,6 +57,12 @@ _MARGIN = 1e-9
 # thread costs more than it saves (timings in CHANGES.md).
 _ROWS_PER_WORKER = 2048
 
+# Rows per k-d tree leaf.  A leaf is scanned by brute force; leaves of 64
+# rows rather than cKDTree's 16 build a shallower tree that answers the
+# benchmark's training splits (hundreds to thousands of rows) faster
+# (timings in CHANGES.md).
+_LEAF_ROWS = 64
+
 
 def _query_workers(m: int) -> int:
     """Threads for a k-d tree query over m rows: one per _ROWS_PER_WORKER
@@ -80,7 +91,7 @@ def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
     its own query rows, so the result does not depend on their number.
     """
     m = len(features)
-    tree = cKDTree(features)
+    tree = cKDTree(features, leafsize=_LEAF_ROWS)
     dist, idx = tree.query(features, k=k + 2, workers=_query_workers(m))
     drop = idx == np.arange(m)[:, None]
     drop[~drop.any(axis=1), -1] = True

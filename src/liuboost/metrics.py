@@ -25,6 +25,10 @@ def _check_scored(scores, labels):
         raise ValueError("scores and labels must be equal-length vectors")
     if not np.all(np.isin(labels, (-1, 1))):
         raise ValueError("labels must be -1 or +1")
+    # NaN has no place in the order (it would sort as the lowest score and
+    # never tie with itself); +-inf orders and is allowed
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     return scores, labels
 
 

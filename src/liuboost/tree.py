@@ -8,8 +8,11 @@ constants MIN_LEAF_WEIGHT and MIN_GAIN.
 
 The split search scores every feature of a node in one pass: one stable
 column-wise argsort gives feature-major (d, n) sorted values and weight
-prefix sums, and one argmax over all valid cuts picks the lowest feature,
-then the lowest threshold, among equal gain ratios.
+prefix sums, one entropy call covers the parent and both sides of every
+valid cut, and one argmax over those cuts picks the lowest feature, then
+the lowest threshold, among equal gain ratios.  A node of a boosting
+round holds tens of rows, so the search costs numpy calls, not
+arithmetic: it makes a fixed number of them per node, whatever d is.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import numpy as np
 
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
+_TINY = 5e-324  # the smallest positive float: its log is finite
 
 
 @contextmanager
@@ -121,13 +125,15 @@ class DecisionTree:
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy (natural log) of a two-class distribution given P(+1)."""
-    p = np.clip(p, 0.0, 1.0)
-    out = np.zeros_like(p)
-    for q in (p, 1.0 - p):
-        nz = q > 0
-        out[nz] -= q[nz] * np.log(q[nz])
-    return out
+    """Entropy (natural log) of a two-class distribution given P(+1).
+
+    A zero probability adds 0 * log(_TINY) = -0.0, so no mask is needed
+    and no warning is raised.
+    """
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    q = 1.0 - p
+    return 0.0 - p * np.log(np.maximum(p, _TINY)) \
+        - q * np.log(np.maximum(q, _TINY))
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -139,36 +145,40 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     where those two values differ and both sides carry weight.  The flat
     argmax over the valid cuts, in feature-major order, takes the first
     maximum: ties among equal gain ratios resolve to the lower feature
-    index, then the lower threshold.  The threshold is the midpoint
+    index, then the lower threshold.  The valid cuts are kept as flat
+    indices j * (n - 1) + c into the (d, n - 1) cut grid, so the winner's
+    feature and position are one divmod.  One _binary_entropy call scores
+    the parent and the left and right side of every valid cut.  The threshold is the midpoint
     lo / 2 + hi / 2 of the two values, which cannot overflow; between
     adjacent floats that rounds to hi, so lo is taken instead and the cut
     still separates them.  Returns (-inf, -1, nan) when no valid
     cut exists.  With finite inputs (fit_tree checks them) every ratio is
     finite, so no NaN reaches the argmax.
     """
+    n, d = X.shape
+    pos = y == 1
     W = w.sum()
-    Wp = w[y == 1].sum()
-    h_parent = float(_binary_entropy(np.array([Wp / W]))[0])
-    order = np.argsort(X, axis=0, kind="stable").T
-    xs = np.take_along_axis(X.T, order, axis=1)
-    ws = w[order]
-    wl = np.cumsum(ws, axis=1)[:, :-1]
-    plc = np.cumsum(ws * (y[order] == 1), axis=1)[:, :-1]
+    Wp = w[pos].sum()
+    order = X.argsort(axis=0, kind="stable").T
+    xs = X[order, np.arange(d)[:, None]]
+    wl = w[order].cumsum(axis=1)[:, :-1]
+    plc = (w * pos)[order].cumsum(axis=1)[:, :-1]
     wr = W - wl
-    ok = (xs[:, :-1] < xs[:, 1:]) & (wl > 0) & (wr > 0)
-    if not ok.any():
+    flat = np.flatnonzero((xs[:, :-1] < xs[:, 1:]) & (wl > 0) & (wr > 0))
+    if not flat.size:
         return -np.inf, -1, np.nan
-    wl, wr, plc = wl[ok], wr[ok], plc[ok]
+    wl, wr, plc = wl.take(flat), wr.take(flat), plc.take(flat)
+    h = _binary_entropy(np.concatenate(([Wp / W], plc / wl,
+                                        (Wp - plc) / wr)))
     fl, fr = wl / W, wr / W
-    gain = h_parent - fl * _binary_entropy(plc / wl) \
-        - fr * _binary_entropy((Wp - plc) / wr)
+    gain = h[0] - fl * h[1:flat.size + 1] - fr * h[flat.size + 1:]
     split_info = -(fl * np.log(fl) + fr * np.log(fr))
     ratio = gain / split_info
-    i = int(np.argmax(ratio))
-    j, c = np.argwhere(ok)[i]
+    i = int(ratio.argmax())
+    j, c = divmod(int(flat[i]), n - 1)
     lo, hi = xs[j, c], xs[j, c + 1]
     mid = lo / 2 + hi / 2
-    return float(ratio[i]), int(j), mid if mid < hi else lo
+    return float(ratio[i]), j, mid if mid < hi else lo
 
 
 def fit_tree(features: np.ndarray, labels: np.ndarray,
@@ -205,24 +215,26 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         label.append(0)
         return len(feature) - 1
 
-    def make_leaf(node, idx):
-        wpos = w[idx][y[idx] == 1].sum()
-        wneg = w[idx].sum() - wpos
+    def make_leaf(node, wn, yn, Wn):
+        wpos = wn[yn == 1].sum()
         # ties, and leaves holding only zero-weight instances, go to -1
-        label[node] = 1 if wpos > wneg else -1
+        label[node] = 1 if wpos > Wn - wpos else -1
 
     def build(idx, depth):
         node = new_node()
-        active = idx[w[idx] > 0]
+        wn, yn = w[idx], y[idx]
+        Wn = wn.sum()
+        live = wn > 0
+        ya = yn[live]
         # weights sum to 1: a node with no weighted row is below
         # MIN_LEAF_WEIGHT; with no valid cut, the ratio is -inf < MIN_GAIN
-        if (depth >= max_depth or w[idx].sum() < MIN_LEAF_WEIGHT
-                or (y[active] == y[active[0]]).all()):
-            make_leaf(node, idx)
+        if (depth >= max_depth or Wn < MIN_LEAF_WEIGHT
+                or (ya == ya[0]).all()):
+            make_leaf(node, wn, yn, Wn)
             return node
-        ratio, f, thr = _best_split(X[active], y[active], w[active])
+        ratio, f, thr = _best_split(X[idx[live]], ya, wn[live])
         if ratio < MIN_GAIN:
-            make_leaf(node, idx)
+            make_leaf(node, wn, yn, Wn)
             return node
         feature[node] = f
         threshold[node] = thr

@@ -166,6 +166,25 @@ class TestKnnIndices:
 
     @settings(max_examples=200, deadline=None)
     @given(point_sets())
+    def test_matches_brute_force_property_small_leaves(self, case):
+        # point_sets() fits in one 64-row leaf: one-row leaves make the
+        # search descend and prune the tree
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locality, "_LEAF_ROWS", 1)
+            assert_brute_force(*case)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 129])
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_matches_brute_force_around_leaf_size(self, m, kind):
+        # one leaf, one leaf plus one row, and two full leaves plus one
+        rng = np.random.default_rng(m)
+        X = (rng.integers(0, 4, size=(m, 3)).astype(float) if kind == "int"
+             else rng.random((m, 3)))
+        for k in (1, 5):
+            assert_brute_force(X, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
     def test_matches_brute_force_property_fallback(self, case):
         # the tied-row path on every row, k = m - 1 included
         X, k = case

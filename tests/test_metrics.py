@@ -39,6 +39,28 @@ def test_validation(curve):
         curve(np.zeros(2), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("score", [auroc, aupr, roc_curve, pr_curve],
+                         ids=["auroc", "aupr", "roc", "pr"])
+@pytest.mark.parametrize("scores", [[np.nan, 0.5, 0.1],
+                                    [np.nan, np.nan, 0.1]],
+                         ids=["one-nan", "two-nan"])
+def test_nan_scores_rejected(score, scores):
+    # a NaN used to sort as the lowest score (auroc 0.0 for one NaN), and
+    # two NaNs did not tie with each other (0.5 where a tie gives 0.75)
+    with pytest.raises(ValueError, match="NaN"):
+        score(np.array(scores), np.array([1, -1, -1]))
+
+
+def test_infinite_scores_order():
+    y = np.array([1, -1, 1, -1])
+    s = np.array([np.inf, 0.5, 0.7, -np.inf])
+    assert auroc(s, y) == pairwise_auroc(s, y) == 1.0
+    assert aupr(s, y) == 1.0
+    # tied infinities group like any tied score
+    s = np.array([np.inf, np.inf, 0.1, -np.inf])
+    assert auroc(s, y) == pairwise_auroc(s, y) == 0.625
+
+
 class TestRoc:
     def test_perfect_and_reversed(self):
         s = np.array([0.9, 0.8, 0.2, 0.1])

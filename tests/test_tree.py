@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +25,17 @@ def walk_tree(tree, x):
     return int(tree.label[node])
 
 
+def masked_binary_entropy(p: np.ndarray) -> np.ndarray:
+    """Oracle: entropy (natural log) given P(+1), with each log taken only
+    where its probability is positive."""
+    p = np.clip(p, 0.0, 1.0)
+    out = np.zeros_like(p)
+    for q in (p, 1.0 - p):
+        nz = q > 0
+        out[nz] -= q[nz] * np.log(q[nz])
+    return out
+
+
 def loop_best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Oracle: the split search as a loop over features, one sort each.
 
@@ -31,7 +44,7 @@ def loop_best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """
     W = w.sum()
     Wp = w[y == 1].sum()
-    h_parent = float(_binary_entropy(np.array([Wp / W]))[0])
+    h_parent = float(masked_binary_entropy(np.array([Wp / W]))[0])
     best_ratio, best_feature, best_threshold = -np.inf, -1, np.nan
     for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")
@@ -49,8 +62,8 @@ def loop_best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
             continue
         wl, wr, plc = wl[ok], wr[ok], cp[cut][ok]
         fl, fr = wl / W, wr / W
-        gain = h_parent - fl * _binary_entropy(plc / wl) \
-            - fr * _binary_entropy((Wp - plc) / wr)
+        gain = h_parent - fl * masked_binary_entropy(plc / wl) \
+            - fr * masked_binary_entropy((Wp - plc) / wr)
         split_info = -(fl * np.log(fl) + fr * np.log(fr))
         ratio = gain / split_info
         i = int(np.argmax(ratio))  # first max = lowest threshold
@@ -273,6 +286,11 @@ def nodes(draw):
 
 NO_SPLIT = (-np.inf, -1, np.nan)
 
+# The ends of [0, 1], one ulp either side of each, and the smallest
+# positive float: where a mask-free entropy could differ from the oracle.
+ENTROPY_EDGES = (0.0, 1.0, 5e-324, -5e-324, np.nextafter(1.0, 2.0),
+                 np.nextafter(1.0, 0.0))
+
 
 class TestBestSplit:
     # np.testing.assert_equal compares floats exactly, treats NaN as equal
@@ -327,6 +345,20 @@ class TestBestSplit:
         w = np.array([0.0, 0.0, 1.0, 1.0])
         for search in (_best_split, loop_best_split):
             np.testing.assert_equal(search(X, y, w), NO_SPLIT)
+
+
+class TestBinaryEntropy:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 300),
+                  elements=st.sampled_from(ENTROPY_EDGES)
+                  | st.floats(0.0, 1.0)))
+    def test_matches_masked_oracle_bit_for_bit(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = _binary_entropy(p)
+        # equal bit patterns: 0.0 and -0.0 differ, and so would any NaN
+        np.testing.assert_array_equal(h.view(np.uint64),
+                                      masked_binary_entropy(p).view(np.uint64))
 
 
 class TestOracleGuard:
