@@ -148,12 +148,13 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     index, then the lower threshold.  The valid cuts are kept as flat
     indices j * (n - 1) + c into the (d, n - 1) cut grid, so the winner's
     feature and position are one divmod.  One _binary_entropy call scores
-    the parent and the left and right side of every valid cut.  The threshold is the midpoint
-    lo / 2 + hi / 2 of the two values, which cannot overflow; between
-    adjacent floats that rounds to hi, so lo is taken instead and the cut
-    still separates them.  Returns (-inf, -1, nan) when no valid
-    cut exists.  With finite inputs (fit_tree checks them) every ratio is
-    finite, so no NaN reaches the argmax.
+    the parent and the left and right side of every valid cut.  The
+    threshold is the midpoint lo / 2 + hi / 2 of the two values, which
+    cannot overflow; between adjacent floats that rounds to hi, so lo is
+    taken instead and the cut still separates them.  Returns
+    (-inf, -1, nan) when no valid cut exists.  With finite inputs
+    (fit_tree checks them) every ratio is finite, so no NaN reaches the
+    argmax.
     """
     n, d = X.shape
     pos = y == 1

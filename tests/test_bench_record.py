@@ -90,3 +90,31 @@ class TestSummarize:
                                    [0.8], [0.7])
         assert s["parent_iqr"] == s["change_iqr"] == 0.0
         assert s["change_wins"] == 1
+
+
+def _run(rate):
+    """A parsed run.py run: None when it gave no result."""
+    if rate is None:
+        return bench_record.parse_run_output("")
+    return {"result": {"failed": 0, "metrics": {
+        "models_per_s": {"value": rate, "unit": "1/s"}}}}
+
+
+class TestPairUp:
+    BENCH = {"end_to_end": [{"name": "models_per_s", "unit": "1/s",
+                             "better": "higher"}]}
+
+    def test_a_pair_without_a_result_is_dropped_and_named(self):
+        runs = {"parent": [_run(30.0), _run(31.0), _run(None)],
+                "change": [_run(None), _run(44.0), _run(45.0)]}
+        paired = bench_record.pair_up(self.BENCH, runs)
+        assert paired["seeds"] == [2]
+        assert paired["dropped_seeds"] == [1, 3]
+        rate = paired["end_to_end"]["models_per_s"]
+        assert (rate["parent"], rate["change"]) == ([31.0], [44.0])
+
+    def test_every_pair_dropped_leaves_no_metrics(self):
+        runs = {"parent": [_run(None)], "change": [_run(30.0)]}
+        paired = bench_record.pair_up(self.BENCH, runs)
+        assert paired == {"seeds": [], "dropped_seeds": [1],
+                          "end_to_end": {}}

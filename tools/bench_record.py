@@ -1,16 +1,17 @@
 """Record the benchmark of one commit against another as BENCH_<n>.json.
 
     python3 tools/bench_record.py --parent HEAD~1 --change HEAD \
-        --pairs 10 --out BENCH_18.json
+        --out BENCH_18.json
 
 Both commits are extracted with ``git archive <rev> | tar -x`` into a
 temporary directory, so only committed files are measured and both sides
 run the benchmark code of their own commit. For each workload of
 ``BENCHMARK.json`` it runs:
 
-1. ``--pairs`` untraced pairs of ``perfbench/run.py --trace 0``, pair i
-   at seed i (1, 2, ...) on both sides, alternating which side runs first,
-   each run as long as ``run_seconds`` of the change's ``BENCHMARK.json``;
+1. ``PAIRS`` untraced pairs of ``perfbench/run.py --trace 0``, pair i
+   at seed i (1, 2, ..., 10) on both sides, alternating which side runs
+   first, each run as long as ``run_seconds`` of the change's
+   ``BENCHMARK.json``;
 2. one traced run per side at seed 0, ``--trace 1``, for the per-layer
    metrics and the report and counts sha256 values.
 
@@ -18,7 +19,9 @@ The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
 won (ties count for neither), the traced per-layer metrics, both sha256
 values and ``failed``: the failed checks that run.py reported, plus one
-for every run that exited non-zero or printed no result.
+for every run that exited non-zero or printed no result.  A pair counts
+only when both of its runs gave a result; the seeds of the other pairs
+are listed as ``dropped_seeds``.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+# ten pairs: the fewest on which a gain can win nine of ten
+PAIRS = 10
 SIDES = ("parent", "change")
 
 
@@ -126,11 +131,32 @@ def metrics(parsed: dict) -> dict:
             for name, m in parsed["result"]["metrics"].items()}
 
 
+def pair_up(bench: dict, runs: dict) -> dict:
+    """The seeds of the pairs whose two runs both gave a result, the seeds
+    of the other pairs, and every end-to-end metric over the kept pairs.
+    runs[side][i] is the parsed run of seed i + 1."""
+    kept, dropped = [], []
+    for seed, p, c in zip(range(1, PAIRS + 1), runs["parent"],
+                          runs["change"]):
+        if p["result"] and c["result"]:
+            kept.append((seed, metrics(p), metrics(c)))
+        else:
+            dropped.append(seed)
+    return {
+        "seeds": [seed for seed, _, _ in kept],
+        "dropped_seeds": dropped,
+        "end_to_end": {
+            m["name"]: summarize(m, [p[m["name"]] for _, p, _ in kept],
+                                 [c[m["name"]] for _, _, c in kept])
+            for m in bench["end_to_end"]} if kept else {},
+    }
+
+
 def record_workload(checkouts: dict, bench: dict, workload: str,
-                    pairs: int, seconds: float) -> dict:
+                    seconds: float) -> dict:
     """The workload's entry of the file."""
     runs = {side: [] for side in SIDES}
-    for seed in range(1, pairs + 1):
+    for seed in range(1, PAIRS + 1):
         for side in SIDES if seed % 2 else SIDES[::-1]:
             parsed = run(checkouts[side], workload, seed, seconds, 0)
             runs[side].append(parsed)
@@ -138,18 +164,10 @@ def record_workload(checkouts: dict, bench: dict, workload: str,
                   f"{parsed['result'] and metrics(parsed)}", flush=True)
     traced = {side: run(checkouts[side], workload, 0, seconds, 1)
               for side in SIDES}
-    # a pair counts only when both of its runs gave a result
-    done = [(seed, metrics(p), metrics(c)) for seed, p, c in
-            zip(range(1, pairs + 1), runs["parent"], runs["change"])
-            if p["result"] and c["result"]]
     return {
         "machine": next((p["machine"] for side in SIDES
                          for p in runs[side] if p["machine"]), None),
-        "seeds": [seed for seed, _, _ in done],
-        "end_to_end": {
-            m["name"]: summarize(m, [p[m["name"]] for _, p, _ in done],
-                                 [c[m["name"]] for _, _, c in done])
-            for m in bench["end_to_end"]} if done else {},
+        **pair_up(bench, runs),
         "per_layer": {side: traced[side]["result"] and metrics(traced[side])
                       for side in SIDES},
         "sha256": {side: {"report": traced[side]["report_sha256"],
@@ -164,13 +182,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="parent commit")
     parser.add_argument("--change", default="HEAD", help="changed commit")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="untraced parent/change pairs per workload")
     parser.add_argument("--out", type=Path, required=True,
                         help="the BENCH_<n>.json file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
@@ -179,14 +193,13 @@ def main(argv=None) -> int:
         bench = json.loads((checkouts["change"] / "BENCHMARK.json")
                            .read_text())
         workloads = {w["name"]: record_workload(checkouts, bench, w["name"],
-                                                args.pairs,
                                                 bench["run_seconds"])
                      for w in bench["workloads"]}
     record = {
         "commits": commits,
         "machine": next(filter(None, [e.pop("machine")
                                       for e in workloads.values()]), None),
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "seconds": bench["run_seconds"],
         "traced_seed": 0,
         "workloads": workloads,
