@@ -314,7 +314,7 @@ def _cmd_run(args) -> int:
     for path, reason in report["skipped_datasets"].items():
         print(f"skipped {path}: {reason}", file=sys.stderr)
     emit_report(report, "json", args.out, include_timings=args.timings)
-    for metric, w in report["summary"].get("wilcoxon", {}).items():
+    for metric, w in report["summary"]["wilcoxon"].items():
         if "error" not in w:
             print(f"{metric}: w-={w['w_minus']} w+={w['w_plus']} "
                   f"p={w['p_two_sided']:.5g} favors {w['favors']}")
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeelFormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -218,7 +218,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     skipped.
     """
     m = ds.n_instances
-    if k < 2:
+    if type(k) is bool or not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError("k must be >= 2")
     if k > m:
         raise ValueError(f"k={k} exceeds instance count m={m}")

@@ -104,7 +104,7 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
     Positive iff cor_sum > mis_sum.  With unit costs (cor_sum = 1 - eps,
     mis_sum = eps) this reduces to the classical 0.5 * ln((1-eps)/eps).
     """
-    if cor_sum < 0 or mis_sum < 0:
+    if not (cor_sum >= 0 and mis_sum >= 0):  # NaN fails it too
         raise ValueError("cor_sum and mis_sum must be nonnegative")
     # nonnegative masses with a sum of at most 1 keep num and den >= 0
     if cor_sum + mis_sum > 1 + 1e-12:
@@ -121,7 +121,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
                 max_depth, **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
-    if T < 1:
+    if type(T) is bool or not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError("T must be >= 1")
     rng = np.random.default_rng(rng)  # a Generator is passed through
     config = {"algorithm": algorithm, "T": T, **locality,

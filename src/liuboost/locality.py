@@ -134,7 +134,8 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
     weight_minus = 1/n_o (delta when n_o = 0).
     """
     m = ds.n_instances
-    if not 1 <= k <= m - 1:
+    if (type(k) is bool or not isinstance(k, (int, np.integer))
+            or not 1 <= k <= m - 1):
         raise ValueError(f"k={k} must be in [1, m-1] with m={m}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")

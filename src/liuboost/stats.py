@@ -30,7 +30,7 @@ class RankTestResult:
     # one-sided normal-approximation p (tie + continuity corrections),
     # always reported: published comparisons in this domain commonly quote
     # this quantity rather than the exact two-sided p
-    p_one_sided_normal: float = 1.0
+    p_one_sided_normal: float
 
 
 def _exact_two_sided(ranks: np.ndarray, w_min: float) -> float:
@@ -108,6 +108,6 @@ def wilcoxon_signed_rank(pairs, zeros: str = "drop") -> RankTestResult:
 
     return RankTestResult(
         w_minus=w_minus, w_plus=w_plus, n_effective=n_nonzero,
-        p_two_sided=max(p, 0.0), method=method, zeros=zeros,
+        p_two_sided=p, method=method, zeros=zeros,
         p_one_sided_normal=p_normal,
     )

@@ -8,6 +8,7 @@ imbalance/overlap regime the boosters target is actually present.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,16 +108,11 @@ def generate_dataset(name: str, m: int, d: int, n_min: int,
 
 def generate_catalog_dataset(entry: CatalogEntry) -> Dataset:
     """Deterministic stand-in for one catalog row."""
-    rng_seed = np.random.SeedSequence([SUITE_SEED, hash_name(entry.name)])
+    rng_seed = np.random.SeedSequence([SUITE_SEED,
+                                       zlib.crc32(entry.name.encode())])
     return generate_dataset(entry.name, entry.n_instances, entry.n_features,
                             entry.minority_count,
                             seed=rng_seed.generate_state(1)[0])
-
-
-def hash_name(name: str) -> int:
-    """Stable small integer hash of a dataset name (process-independent)."""
-    import zlib
-    return zlib.crc32(name.encode())
 
 
 def write_benchmark_suite(out_dir) -> list[Path]:

@@ -191,12 +191,16 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     below MIN_LEAF_WEIGHT, or when the best gain ratio is below MIN_GAIN.
     Zero-weight instances are excluded from split statistics but still
     routed to leaves.  NaN or infinite features or weights are rejected.
+    Nodes are numbered in pre-order, each before its left, then its right
+    subtree, as DecisionTree._check requires.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     w = np.asarray(sample_weights, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or w.shape != y.shape:
         raise ValueError("features/labels/weights dimension mismatch")
+    if (np.abs(y) != 1).any():
+        raise ValueError("labels must be -1 or +1")
     for name, values in (("features", X), ("weights", w)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite (no NaN or inf)")
@@ -206,45 +210,32 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
             "weights must be nonnegative with a positive, finite sum")
     w = w / W
 
-    feature, threshold, left, right, label = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(np.nan)
-        left.append(-1)
-        right.append(-1)
-        label.append(0)
-        return len(feature) - 1
-
-    def make_leaf(node, wn, yn, Wn):
-        wpos = wn[yn == 1].sum()
-        # ties, and leaves holding only zero-weight instances, go to -1
-        label[node] = 1 if wpos > Wn - wpos else -1
+    nodes = []  # [feature, threshold, left, right, label] rows
 
     def build(idx, depth):
-        node = new_node()
+        node, row = len(nodes), [-1, np.nan, -1, -1, 0]
+        nodes.append(row)
         wn, yn = w[idx], y[idx]
         Wn = wn.sum()
         live = wn > 0
         ya = yn[live]
         # weights sum to 1: a node with no weighted row is below
         # MIN_LEAF_WEIGHT; with no valid cut, the ratio is -inf < MIN_GAIN
-        if (depth >= max_depth or Wn < MIN_LEAF_WEIGHT
+        if not (depth >= max_depth or Wn < MIN_LEAF_WEIGHT
                 or (ya == ya[0]).all()):
-            make_leaf(node, wn, yn, Wn)
-            return node
-        ratio, f, thr = _best_split(X[idx[live]], ya, wn[live])
-        if ratio < MIN_GAIN:
-            make_leaf(node, wn, yn, Wn)
-            return node
-        feature[node] = f
-        threshold[node] = thr
-        go_left = X[idx, f] <= thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
+            ratio, f, thr = _best_split(X[idx[live]], ya, wn[live])
+            if ratio >= MIN_GAIN:
+                go_left = X[idx, f] <= thr
+                row[:4] = (f, thr, build(idx[go_left], depth + 1),
+                           build(idx[~go_left], depth + 1))
+                return node
+        wpos = wn[yn == 1].sum()
+        # ties, and leaves holding only zero-weight instances, go to -1
+        row[4] = 1 if wpos > Wn - wpos else -1
         return node
 
     build(np.arange(X.shape[0]), 0)
+    feature, threshold, left, right, label = zip(*nodes)
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),

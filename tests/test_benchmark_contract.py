@@ -40,6 +40,8 @@ def test_traced_run_matches_report(tmp_path, algorithms):
     wall = time.perf_counter() - started
     assert trace.unrestored() == []
     assert trace.problems(cfg, report, trace.layer_metrics(wall)) == []
+    # the check that sets `failed` on every untraced benchmark run
+    assert run.output_problems(cfg, report, len(trace.models)) == []
 
 
 def test_report_digest_hashes_the_emitted_json(tmp_path):

@@ -210,6 +210,13 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError):
             stratified_folds(ds, 7, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        ds = make_clusters(3, 3, seed=0)
+        with pytest.raises(ValueError, match="k must be"):
+            stratified_folds(ds, k, seed=0)
+        assert stratified_folds(ds, np.int64(3), seed=0).k == 3
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(6, 60), st.integers(2, 6), st.integers(0, 10 ** 6))
     def test_partition_and_stratification_property(self, m, k, seed):

@@ -66,6 +66,14 @@ class TestComputeAlpha:
             with pytest.raises(ValueError, match="cor_sum \\+ mis_sum <= 1"):
                 compute_alpha(cor, mis)
 
+    @pytest.mark.parametrize("nan_at", [0, 1], ids=["cor", "mis"])
+    def test_nan_inputs_rejected(self, nan_at):
+        # NaN would give a NaN alpha, which `alpha <= 0` does not redraw
+        args = [0.2, 0.2]
+        args[nan_at] = math.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            compute_alpha(*args)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_magnitude_bounded(self, a, b):
         # the clamp on num and den bounds |alpha|, so the weight update's
@@ -181,6 +189,15 @@ class TestTraining:
         with pytest.raises(ValueError, match="T must be"):
             train_rusboost(separable_ds, T=0)
         assert fits == []
+
+    @pytest.mark.parametrize("T", [2.5, 3.0, True, "3"])
+    def test_rounds_must_be_an_integer(self, separable_ds, fits, T):
+        for train in (train_liuboost, train_rusboost):
+            with pytest.raises(ValueError, match="T must be"):
+                train(separable_ds, T=T)
+        assert fits == []
+        model = train_rusboost(separable_ds, T=np.int64(2), rng=0)
+        assert model.trained_iterations == 2
 
 
 def constant_leaf_tree(label: int):

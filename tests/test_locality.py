@@ -116,6 +116,13 @@ class TestKnnIndices:
             assign_weights(ds, k=4)
         assert assign_weights(ds, k=3).n_same.tolist() == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_k_must_be_an_integer(self, k):
+        ds = one_d_dataset([0, 1, 2, 3], [1, 1, -1, -1])
+        with pytest.raises(ValueError, match="k="):
+            assign_weights(ds, k=k)
+        assert assign_weights(ds, k=np.int64(3)).n_same.tolist() == [1] * 4
+
     def test_matches_brute_force_with_ties(self):
         X = tie_grid()
         d = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)

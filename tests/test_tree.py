@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from liuboost import bench
 from liuboost.bench import ExperimentConfig
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
-from liuboost.tree import (MIN_LEAF_WEIGHT, DecisionTree, _best_split,
-                           _binary_entropy, fit_tree)
+from liuboost.tree import (MIN_GAIN, MIN_LEAF_WEIGHT, DecisionTree,
+                           _best_split, _binary_entropy, fit_tree)
 
 
 def walk_tree(tree, x):
@@ -74,6 +75,61 @@ def loop_best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
             mid = xs[c] / 2 + xs[c + 1] / 2
             best_threshold = mid if mid < xs[c + 1] else xs[c]
     return best_ratio, best_feature, best_threshold
+
+
+def closure_fit_tree(X, y, w, max_depth):
+    """Oracle: tree growth with five parallel node lists, a closure that
+    appends placeholders to all five and two leaf exits, splitting by
+    loop_best_split; X, y and w are valid fit_tree inputs."""
+    w = w / w.sum()
+
+    feature, threshold, left, right, label = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        label.append(0)
+        return len(feature) - 1
+
+    def make_leaf(node, wn, yn, Wn):
+        wpos = wn[yn == 1].sum()
+        # ties, and leaves holding only zero-weight instances, go to -1
+        label[node] = 1 if wpos > Wn - wpos else -1
+
+    def build(idx, depth):
+        node = new_node()
+        wn, yn = w[idx], y[idx]
+        Wn = wn.sum()
+        live = wn > 0
+        ya = yn[live]
+        # weights sum to 1: a node with no weighted row is below
+        # MIN_LEAF_WEIGHT; with no valid cut, the ratio is -inf < MIN_GAIN
+        if (depth >= max_depth or Wn < MIN_LEAF_WEIGHT
+                or (ya == ya[0]).all()):
+            make_leaf(node, wn, yn, Wn)
+            return node
+        ratio, f, thr = loop_best_split(X[idx[live]], ya, wn[live])
+        if ratio < MIN_GAIN:
+            make_leaf(node, wn, yn, Wn)
+            return node
+        feature[node] = f
+        threshold[node] = thr
+        go_left = X[idx, f] <= thr
+        left[node] = build(idx[go_left], depth + 1)
+        right[node] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        label=np.asarray(label, dtype=np.int64),
+        n_features=X.shape[1],
+    )
 
 
 def weighted_error(tree, X, y, w):
@@ -247,6 +303,14 @@ class TestFitTree:
                 np.errstate(over="ignore"):
             fit_tree(X, y, np.full(3, 1e308))
 
+    @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [-1, -1, 2, 2],
+                                        [-1, 1, 1, -2]])
+    def test_labels_other_than_plus_minus_one_rejected(self, labels):
+        # a 0 label used to train, and was then predicted as -1 or +1
+        X = np.arange(4, dtype=float)[:, None]
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            fit_tree(X, np.array(labels), np.ones(4), max_depth=2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         # the sign and sum checks alone let a NaN weight through, to a
@@ -282,6 +346,37 @@ def nodes(draw):
                     | st.floats(1e-3, 10)))
     assume(w.sum() > 0)
     return X, y, w
+
+
+@st.composite
+def training_sets(draw):
+    """fit_tree's (X, y, w, max_depth): integer-grid (tied) or float
+    features, zero weights on a third of the sets, depth 0-8."""
+    max_depth = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 8) | st.integers(9, 80))
+    d = draw(st.integers(1, 6))
+    values = (st.integers(0, 4).map(float) if draw(st.booleans())
+              else st.floats(-100, 100, allow_nan=False))
+    # no fill value: each element is drawn, so rows are not mostly equal
+    X = draw(arrays(np.float64, (n, d), elements=values, fill=st.nothing()))
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1]),
+                    fill=st.nothing()))
+    w = draw(arrays(np.float64, n, elements=st.floats(1e-3, 10),
+                    fill=st.nothing()))
+    if draw(st.integers(0, 2)) == 0:
+        w[draw(arrays(np.bool_, n, fill=st.nothing()))] = 0.0
+    assume(w.sum() > 0)
+    return X, y, w, max_depth
+
+
+class TestGrowthOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(training_sets())
+    def test_matches_closure_grower(self, training_set):
+        # JSON text compares every float exactly and NaN equal to NaN
+        X, y, w, max_depth = training_set
+        assert (json.dumps(fit_tree(X, y, w, max_depth).to_dict())
+                == json.dumps(closure_fit_tree(X, y, w, max_depth).to_dict()))
 
 
 NO_SPLIT = (-np.inf, -1, np.nan)
