@@ -210,6 +210,11 @@ def serialize_keel(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def is_count(value) -> bool:
+    """Whether value may be a count (of folds, rounds or neighbours)."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
 def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     """Deterministic stratified k-fold partition of instance indices.
 
@@ -218,7 +223,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     skipped.
     """
     m = ds.n_instances
-    if type(k) is bool or not isinstance(k, (int, np.integer)) or k < 2:
+    if not is_count(k) or k < 2:
         raise ValueError("k must be >= 2")
     if k > m:
         raise ValueError(f"k={k} exceeds instance count m={m}")

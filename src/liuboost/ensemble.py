@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_count
 from .locality import assign_weights
 from .resample import random_undersample
 from .tree import DecisionTree, _decoding, _json_array, fit_tree
@@ -121,7 +122,7 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
                 max_depth, **locality) -> BoostModel:
     """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
     the config snapshot."""
-    if type(T) is bool or not isinstance(T, (int, np.integer)) or T < 1:
+    if not is_count(T) or T < 1:
         raise ValueError("T must be >= 1")
     rng = np.random.default_rng(rng)  # a Generator is passed through
     config = {"algorithm": algorithm, "T": T, **locality,

@@ -33,6 +33,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from .data import is_count
+
 
 @dataclass(frozen=True)
 class CostVector:
@@ -134,8 +136,7 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
     weight_minus = 1/n_o (delta when n_o = 0).
     """
     m = ds.n_instances
-    if (type(k) is bool or not isinstance(k, (int, np.integer))
-            or not 1 <= k <= m - 1):
+    if not is_count(k) or not 1 <= k <= m - 1:
         raise ValueError(f"k={k} must be in [1, m-1] with m={m}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
