@@ -235,6 +235,7 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         return node
 
     build(np.arange(X.shape[0]), 0)
+    del build  # it refers to itself: a cycle would hold X, y, w until gc
     feature, threshold, left, right, label = zip(*nodes)
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
