@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics
 from .data import (Dataset, KeelFormatError, apply_min_max, fit_min_max,
-                   imbalance_ratio, parse_keel, stratified_folds)
+                   imbalance_ratio, is_count, parse_keel, stratified_folds)
 from .ensemble import decision_score, train_liuboost, train_rusboost
 from .stats import wilcoxon_signed_rank
 from .synth import write_benchmark_suite
@@ -45,18 +45,15 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
+        for name, least in (("repeats", 1), ("folds", 2), ("rounds", 1),
+                            ("knn_k", 1), ("max_depth", 1)):
+            value = getattr(self, name)
+            if not is_count(value) or value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            # int(): the report would not serialize a NumPy integer
+            object.__setattr__(self, name, int(value))
         if not 0 < self.delta <= 1:
             raise ValueError("delta must be in (0, 1]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

@@ -28,15 +28,13 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = as_labels(self.labels)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
             raise ValueError("features must be an (m>=2, d>=1) matrix")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must match the number of rows")
-        if not np.all(np.isin(y, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
         n_pos = int((y == 1).sum())
         n_neg = int((y == -1).sum())
         if n_pos == 0 or n_neg == 0:
@@ -213,6 +211,16 @@ def serialize_keel(ds: Dataset) -> str:
 def is_count(value) -> bool:
     """Whether value may be a count (of folds, rounds or neighbours)."""
     return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
+def as_labels(labels) -> np.ndarray:
+    """labels as an int64 array, with no copy of one; a ValueError unless
+    every value is exactly -1 or +1 (booleans are not labels), checked
+    before the cast so that a fraction is never truncated to a label."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iuf" or not (np.abs(y) == 1).all():
+        raise ValueError("labels must be -1 or +1")
+    return y.astype(np.int64, copy=False)
 
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:

@@ -124,6 +124,11 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
     the config snapshot."""
     if not is_count(T) or T < 1:
         raise ValueError("T must be >= 1")
+    if not is_count(max_depth) or max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    # a NumPy integer would reach the config and retries_exhausted, which
+    # would not serialize to JSON
+    T, max_depth = int(T), int(max_depth)
     rng = np.random.default_rng(rng)  # a Generator is passed through
     config = {"algorithm": algorithm, "T": T, **locality,
               "max_depth": max_depth}
@@ -172,7 +177,8 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
     """
     cv = assign_weights(ds, k=k, delta=delta)
     return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
-                       cv.weight_minus, T, rng, max_depth, k=k, delta=delta)
+                       cv.weight_minus, T, rng, max_depth, k=int(k),
+                       delta=float(delta))
 
 
 def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8) -> BoostModel:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_labels
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -20,11 +22,9 @@ class Curve:
 
 def _check_scored(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
-    if not np.all(np.isin(labels, (-1, 1))):
-        raise ValueError("labels must be -1 or +1")
     # NaN has no place in the order (it would sort as the lowest score and
     # never tie with itself); +-inf orders and is allowed
     if np.isnan(scores).any():

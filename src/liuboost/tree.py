@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_labels
+
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
 _TINY = 5e-324  # the smallest positive float: its log is finite
@@ -195,12 +197,10 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     subtree, as DecisionTree._check requires.
     """
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = as_labels(labels)
     w = np.asarray(sample_weights, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or w.shape != y.shape:
         raise ValueError("features/labels/weights dimension mismatch")
-    if (np.abs(y) != 1).any():
-        raise ValueError("labels must be -1 or +1")
     for name, values in (("features", X), ("weights", w)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite (no NaN or inf)")

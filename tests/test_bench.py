@@ -56,15 +56,23 @@ def small_config(paths, **overrides):
 
 
 class TestConfig:
+    # a fraction, a float or a bool used to pass the range checks, and to
+    # fail later: repeats=1.5 in range(), folds=2.5 as "k must be >= 2"
+    @pytest.mark.parametrize("field, value", [
+        ("repeats", 0), ("folds", 1), ("max_depth", 0), ("knn_k", 0),
+        ("delta", 0.0), ("delta", 2.0), ("repeats", 1.5), ("folds", 2.5),
+        ("rounds", 2.0), ("knn_k", True), ("max_depth", "8")])
+    def test_field_validation(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentConfig(dataset_paths=(), **{field: value})
+
+    def test_numpy_counts_stored_as_int(self):
+        cfg = ExperimentConfig(dataset_paths=(), repeats=np.int64(2),
+                               folds=np.int32(3))
+        assert (cfg.repeats, cfg.folds) == (2, 3)
+        assert type(cfg.repeats) is int and type(cfg.folds) is int
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(dataset_paths=(), repeats=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(dataset_paths=(), folds=1)
-        for field, value in (("max_depth", 0), ("knn_k", 0), ("delta", 0.0),
-                             ("delta", 2.0)):
-            with pytest.raises(ValueError, match=field):
-                ExperimentConfig(dataset_paths=(), **{field: value})
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(dataset_paths=(), algorithms=("xgboost",))
         with pytest.raises(ValueError, match="algorithms must not be empty"):

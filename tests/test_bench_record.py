@@ -102,7 +102,7 @@ def _run(rate):
 
 class TestPairUp:
     BENCH = {"end_to_end": [{"name": "models_per_s", "unit": "1/s",
-                             "better": "higher"}]}
+                             "better": "higher", "bound": 0.24}]}
 
     def test_a_pair_without_a_result_is_dropped_and_named(self):
         runs = {"parent": [_run(30.0), _run(31.0), _run(None)],
@@ -112,9 +112,50 @@ class TestPairUp:
         assert paired["dropped_seeds"] == [1, 3]
         rate = paired["end_to_end"]["models_per_s"]
         assert (rate["parent"], rate["change"]) == ([31.0], [44.0])
+        assert rate["verdict"] == "gain"
 
     def test_every_pair_dropped_leaves_no_metrics(self):
         runs = {"parent": [_run(None)], "change": [_run(30.0)]}
         paired = bench_record.pair_up(self.BENCH, runs)
         assert paired == {"seeds": [], "dropped_seeds": [1],
                           "end_to_end": {}}
+
+
+def _summary(better, parent, change):
+    return bench_record.summarize({"unit": "s", "better": better},
+                                  parent, change)
+
+
+# ten pairs each; every parent below has median 1.0 and IQR 0.1, except
+# the noisy one (IQR 0.65), and the bound is 0.25
+STEADY = [0.9, 0.95, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.05, 1.1]
+NOISY = [0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.3, 1.4, 1.5]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("better, parent, change, expected", [
+        # a wide parent spread and overlapping runs: nothing can be told
+        ("lower", NOISY, [v - 0.1 for v in NOISY], "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ("lower", NOISY, [0.3] * 10, "gain"),
+        # 30% slower against a bound of 25%
+        ("lower", STEADY, [v + 0.3 for v in STEADY], "worse"),
+        ("higher", STEADY, [v - 0.3 for v in STEADY], "worse"),
+        # wins all ten pairs, by more than the IQR
+        ("lower", STEADY, [v * 0.5 for v in STEADY], "gain"),
+        ("higher", STEADY, [v + 0.2 for v in STEADY], "gain"),
+        # wins only eight pairs
+        ("lower", STEADY, [v - 0.2 for v in STEADY[:8]] + STEADY[8:],
+         "within_bound"),
+        # wins every pair, by less than the IQR
+        ("lower", STEADY, [v - 0.05 for v in STEADY], "within_bound"),
+        # identical in every pair
+        ("higher", STEADY, STEADY, "within_bound"),
+    ])
+    def test_first_rule_that_fits(self, better, parent, change, expected):
+        s = _summary(better, parent, change)
+        assert bench_record.verdict(s, 0.25) == expected
+
+    def test_a_worse_median_within_the_bound(self):
+        s = _summary("lower", STEADY, [v + 0.2 for v in STEADY])
+        assert bench_record.verdict(s, 0.25) == "within_bound"

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liuboost.data import (Dataset, KeelFormatError, apply_min_max,
-                           fit_min_max, imbalance_ratio, parse_keel,
-                           serialize_keel, stratified_folds)
+                           as_labels, fit_min_max, imbalance_ratio,
+                           parse_keel, serialize_keel, stratified_folds)
 
 SAMPLE = """\
 @relation toy
@@ -134,12 +134,23 @@ class TestDataset:
         with pytest.raises(ValueError, match="-1 or \\+1"):
             Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]),
                     feature_names=("a",))
+        # a fraction used to be truncated toward zero: [1, -1, -1, -1]
+        for labels in ([1.5, -1.9, -1, -1], [True, False, False, False]):
+            with pytest.raises(ValueError, match="-1 or \\+1"):
+                Dataset(features=np.zeros((4, 1)), labels=labels,
+                        feature_names=("a",))
         with pytest.raises(ValueError, match="both classes"):
             Dataset(features=np.zeros((2, 1)), labels=np.array([-1, -1]),
                     feature_names=("a",))
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(features=np.array([[np.nan], [0.0]]),
                     labels=np.array([1, -1]), feature_names=("a",))
+
+    def test_int64_labels_are_not_copied(self):
+        # fit_tree checks the labels of every tree it grows
+        y = np.array([1, -1, -1], dtype=np.int64)
+        assert as_labels(y) is y
+        assert as_labels([1.0, -1.0]).dtype == np.int64
 
     def test_imbalance_ratio(self):
         ds = make_clusters(5, 15, seed=0)

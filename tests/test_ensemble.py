@@ -199,6 +199,15 @@ class TestTraining:
         model = train_rusboost(separable_ds, T=np.int64(2), rng=0)
         assert model.trained_iterations == 2
 
+    @pytest.mark.parametrize("max_depth", [2.5, True, None, -1, "2"])
+    def test_max_depth_must_be_a_count(self, separable_ds, fits, max_depth):
+        # 2.5 used to be recorded as given, -1 trained, and None failed
+        # inside fit_tree with a TypeError
+        for train in (train_liuboost, train_rusboost):
+            with pytest.raises(ValueError, match="max_depth must be"):
+                train(separable_ds, T=2, max_depth=max_depth)
+        assert fits == []
+
 
 def constant_leaf_tree(label: int):
     X = np.zeros((2, 1))
@@ -301,6 +310,23 @@ class TestSerialization:
         np.testing.assert_array_equal(
             decision_score(back, noisy_ds.features),
             decision_score(model, noisy_ds.features))
+
+    def test_numpy_settings_round_trip(self, noisy_ds):
+        # a NumPy count or delta used to be recorded as given, and to_json
+        # raised "Object of type int64 is not JSON serializable"
+        for model in (
+                train_rusboost(noisy_ds, T=np.int64(2), rng=0,
+                               max_depth=np.int32(3)),
+                train_liuboost(noisy_ds, T=2, k=np.int64(3),
+                               delta=np.float32(0.5), rng=0,
+                               max_depth=np.uint8(3))):
+            back = BoostModel.from_json(model.to_json())
+            assert back.config == model.config
+            assert back.retries_exhausted is model.retries_exhausted is False
+            assert all(type(v) in (str, int, float)
+                       for v in model.config.values())
+        assert model.config == {"algorithm": "liuboost", "T": 2, "k": 3,
+                                "delta": 0.5, "max_depth": 3}
 
     def test_schema_version_checked(self, noisy_ds):
         d = train_liuboost(noisy_ds, T=2, rng=5).to_dict()

@@ -37,6 +37,9 @@ def test_validation(curve):
         curve(np.zeros(3), np.array([1, -1]))
     with pytest.raises(ValueError, match="-1 or \\+1"):
         curve(np.zeros(2), np.array([0, 1]))
+    # 1.9 used to be truncated to 1, for an AUROC of 1.0
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        curve([0.9, 0.1, 0.2, 0.3], [1.9, -1, -1, -1])
 
 
 @pytest.mark.parametrize("score", [auroc, aupr, roc_curve, pr_curve],

@@ -317,9 +317,11 @@ class TestFitTree:
             gc.enable()
 
     @pytest.mark.parametrize("labels", [[0, 0, 1, 1], [-1, -1, 2, 2],
-                                        [-1, 1, 1, -2]])
+                                        [-1, 1, 1, -2],
+                                        [1.5, 1.2, -1.7, -1]])
     def test_labels_other_than_plus_minus_one_rejected(self, labels):
-        # a 0 label used to train, and was then predicted as -1 or +1
+        # a 0 label used to train, and was then predicted as -1 or +1; a
+        # fraction was truncated toward zero and trained
         X = np.arange(4, dtype=float)[:, None]
         with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
             fit_tree(X, np.array(labels), np.ones(4), max_depth=2)

@@ -17,7 +17,9 @@ run the benchmark code of their own commit. For each workload of
 
 The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
-won (ties count for neither), the traced per-layer metrics, both sha256
+won (ties count for neither) and its ``verdict`` against the bound of the
+change's ``BENCHMARK.json`` (see ``verdict``), the traced per-layer
+metrics, both sha256
 values and ``failed``: the failed checks that run.py reported, plus one
 for every run that exited non-zero or printed no result.  A pair counts
 only when both of its runs gave a result; the seeds of the other pairs
@@ -126,6 +128,34 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def verdict(s: dict, bound: float) -> str:
+    """The verdict on one summarized metric, by the first rule that fits,
+    with the parent's IQR and the metric's bound as a share of the
+    parent's median:
+
+    - unresolved: the parent's IQR exceeds the bound, and not every change
+      run beats every parent run;
+    - worse: the change's median is worse by more than the bound;
+    - gain: the change wins at least 9 of 10 pairs, and the medians differ
+      by more than the parent's IQR;
+    - within_bound: none of these.
+    """
+    sign = 1 if s["better"] == "higher" else -1
+    allowed = bound * abs(s["parent_median"])
+    # whether the change's worst run beats the parent's best
+    separated = (min(sign * c for c in s["change"])
+                 > max(sign * p for p in s["parent"]))
+    moved = sign * (s["change_median"] - s["parent_median"])
+    if s["parent_iqr"] > allowed and not separated:
+        return "unresolved"
+    if moved < -allowed:
+        return "worse"
+    if 10 * s["change_wins"] >= 9 * len(s["parent"]) \
+            and moved > s["parent_iqr"]:
+        return "gain"
+    return "within_bound"
+
+
 def metrics(parsed: dict) -> dict:
     return {name: m["value"]
             for name, m in parsed["result"]["metrics"].items()}
@@ -145,11 +175,15 @@ def pair_up(bench: dict, runs: dict) -> dict:
     return {
         "seeds": [seed for seed, _, _ in kept],
         "dropped_seeds": dropped,
-        "end_to_end": {
-            m["name"]: summarize(m, [p[m["name"]] for _, p, _ in kept],
-                                 [c[m["name"]] for _, _, c in kept])
-            for m in bench["end_to_end"]} if kept else {},
+        "end_to_end": {m["name"]: summarize_with_verdict(m, kept)
+                       for m in bench["end_to_end"]} if kept else {},
     }
+
+
+def summarize_with_verdict(spec: dict, kept: list) -> dict:
+    s = summarize(spec, [p[spec["name"]] for _, p, _ in kept],
+                  [c[spec["name"]] for _, _, c in kept])
+    return s | {"verdict": verdict(s, spec["bound"])}
 
 
 def record_workload(checkouts: dict, bench: dict, workload: str,
