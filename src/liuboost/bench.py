@@ -54,6 +54,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if not 0 < self.delta <= 1:
             raise ValueError("delta must be in (0, 1]")
+        object.__setattr__(self, "delta", float(self.delta))
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

@@ -66,11 +66,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             ExperimentConfig(dataset_paths=(), **{field: value})
 
-    def test_numpy_counts_stored_as_int(self):
+    def test_numpy_settings_stored_as_python_numbers(self):
+        # the report's config would not serialize them
         cfg = ExperimentConfig(dataset_paths=(), repeats=np.int64(2),
-                               folds=np.int32(3))
-        assert (cfg.repeats, cfg.folds) == (2, 3)
-        assert type(cfg.repeats) is int and type(cfg.folds) is int
+                               folds=np.int32(3), delta=np.float32(0.5))
+        assert (cfg.repeats, cfg.folds, cfg.delta) == (2, 3, 0.5)
+        assert [type(v) for v in (cfg.repeats, cfg.folds, cfg.delta)] \
+            == [int, int, float]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown algorithms"):

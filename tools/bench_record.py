@@ -19,11 +19,10 @@ The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
 won (ties count for neither) and its ``verdict`` against the bound of the
 change's ``BENCHMARK.json`` (see ``verdict``), the traced per-layer
-metrics, both sha256
-values and ``failed``: the failed checks that run.py reported, plus one
-for every run that exited non-zero or printed no result.  A pair counts
-only when both of its runs gave a result; the seeds of the other pairs
-are listed as ``dropped_seeds``.
+metrics, both sha256 values and ``failed``: the failed checks that run.py
+reported, plus one for every run that exited non-zero or printed no
+result.  A pair counts only when both of its runs gave a result; the
+seeds of the other pairs are listed as ``dropped_seeds``.
 """
 from __future__ import annotations
 
