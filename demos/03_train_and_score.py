@@ -47,6 +47,9 @@ for name, m in (("cost-sensitive", model), ("baseline", baseline)):
           f"AUPR={aupr(scores, y_test):.3f}  "
           f"minority recall={recall:.2f}")
 
-blob = model.to_json()
-print(f"\nserialized model: {len(blob)} bytes of JSON "
-      f"({model.trained_iterations} stages)")
+# a round whose alpha is not positive is redrawn, and training stops after
+# 10 failed redraws in a row, so a model may keep fewer than T=10 stages
+print("\nstages kept:")
+for name, m in (("cost-sensitive", model), ("baseline", baseline)):
+    print(f"  {name:15s} {m.trained_iterations} of 10  "
+          f"retries_exhausted={m.retries_exhausted}")

@@ -14,11 +14,10 @@ draws one.
 
 Every trained model carries its round trace in ``history``: one
 RoundRecord (mis_sum, cor_sum, epsilon and the updated D) per kept
-stage.  The trace is not serialized.
+stage.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,9 +26,8 @@ import numpy as np
 from .data import is_count
 from .locality import assign_weights
 from .resample import random_undersample
-from .tree import DecisionTree, _decoding, _json_array, fit_tree
+from .tree import DecisionTree, fit_tree
 
-SCHEMA_VERSION = 1
 MAX_CONSECUTIVE_RETRIES = 10
 
 
@@ -46,57 +44,16 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class BoostModel:
-    """Ordered stages (alpha_t, tree_t) with a config snapshot."""
+    """Ordered stages (alpha_t, tree_t) and how training ended."""
 
     alphas: tuple[float, ...]
     trees: tuple[DecisionTree, ...]
-    config: dict
     retries_exhausted: bool = False
-    history: tuple[RoundRecord, ...] = ()  # empty once loaded from JSON
+    history: tuple[RoundRecord, ...] = ()
 
     @property
     def trained_iterations(self) -> int:
         return len(self.alphas)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "alphas": list(self.alphas),
-            "trees": [t.to_dict() for t in self.trees],
-            "config": self.config,
-            "retries_exhausted": self.retries_exhausted,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    @_decoding()
-    def from_dict(cls, d: dict) -> "BoostModel":
-        if type(v := d.get("schema_version")) is not int or v != SCHEMA_VERSION:
-            raise ValueError(f"unsupported model schema: {v!r}")
-        # the config is kept as written: files written before hold a
-        # "tree_params" dict for "max_depth", and may hold the sampling
-        # settings "target_majority_fraction" and "undersample"
-        for key, kind in (("trees", list), ("config", dict),
-                          ("retries_exhausted", bool)):
-            if type(d[key]) is not kind:
-                raise ValueError(f"model {key!r} is not a {kind.__name__}")
-        alphas = _json_array(d, "alphas", (int, float))
-        trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
-        if len(alphas) != len(trees):
-            raise ValueError(f"{len(alphas)} alphas for {len(trees)} trees")
-        # training redraws every round whose alpha is not positive
-        if not (np.isfinite(alphas) & (alphas > 0)).all():
-            raise ValueError("alphas must be finite and positive")
-        if len({t.n_features for t in trees}) > 1:
-            raise ValueError("trees disagree on n_features")
-        return cls(alphas=tuple(d["alphas"]), trees=trees, config=d["config"],
-                   retries_exhausted=d["retries_exhausted"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoostModel":
-        return cls.from_dict(json.loads(text))
 
 
 def compute_alpha(cor_sum: float, mis_sum: float) -> float:
@@ -118,20 +75,21 @@ def compute_alpha(cor_sum: float, mis_sum: float) -> float:
     return 0.5 * math.log(max(num, 1e-12) / max(den, 1e-12))
 
 
-def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
-                max_depth, **locality) -> BoostModel:
-    """The shared loop; ``locality`` is LIUBoost's (k, delta), recorded in
-    the config snapshot."""
+def _check_counts(T, max_depth) -> None:
+    """The trainers' checks of their counts, made before any work."""
     if not is_count(T) or T < 1:
         raise ValueError("T must be >= 1")
     if not is_count(max_depth) or max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    # a NumPy integer would reach the config and retries_exhausted, which
-    # would not serialize to JSON
-    T, max_depth = int(T), int(max_depth)
+
+
+def _boost_loop(X, y, weight_plus, weight_minus, T, rng,
+                max_depth) -> BoostModel:
+    """The shared loop, on counts that _check_counts accepted."""
+    # retries_exhausted must be a Python bool, since the benchmark sums it
+    # into a JSON digest: with a NumPy T, `len(alphas) < T` is a NumPy bool
+    T = int(T)
     rng = np.random.default_rng(rng)  # a Generator is passed through
-    config = {"algorithm": algorithm, "T": T, **locality,
-              "max_depth": max_depth}
     D = np.full(len(y), 1.0 / len(y))
     alphas: list[float] = []
     trees: list[DecisionTree] = []
@@ -162,7 +120,6 @@ def _boost_loop(algorithm, X, y, weight_plus, weight_minus, T, rng,
     return BoostModel(
         alphas=tuple(alphas),
         trees=tuple(trees),
-        config=config,
         retries_exhausted=len(alphas) < T,
         history=tuple(history),
     )
@@ -175,17 +132,17 @@ def train_liuboost(ds, T: int = 10, k: int = 5, delta: float = 1.0,
     Locality costs are computed once on the full training split before the
     boosting loop begins.
     """
+    _check_counts(T, max_depth)
     cv = assign_weights(ds, k=k, delta=delta)
-    return _boost_loop("liuboost", ds.features, ds.labels, cv.weight_plus,
-                       cv.weight_minus, T, rng, max_depth, k=int(k),
-                       delta=float(delta))
+    return _boost_loop(ds.features, ds.labels, cv.weight_plus,
+                       cv.weight_minus, T, rng, max_depth)
 
 
 def train_rusboost(ds, T: int = 10, rng=0, max_depth: int = 8) -> BoostModel:
     """Classical undersampled AdaBoost: the shared loop with unit costs."""
+    _check_counts(T, max_depth)
     ones = np.ones(ds.n_instances)
-    return _boost_loop("rusboost", ds.features, ds.labels, ones, ones, T, rng,
-                       max_depth)
+    return _boost_loop(ds.features, ds.labels, ones, ones, T, rng, max_depth)
 
 
 def decision_score(model: BoostModel, X: np.ndarray) -> np.ndarray:

@@ -16,35 +16,15 @@ arithmetic: it makes a fixed number of them per node, whatever d is.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_labels
+from .data import as_labels, is_count
 
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
 _TINY = 5e-324  # the smallest positive float: its log is finite
-
-
-@contextmanager
-def _decoding():
-    """As a decorator: what a decoder lets out on a malformed model is
-    raised as one ValueError naming the cause (a KeyError names the key)."""
-    try:
-        yield
-    except (KeyError, TypeError, AttributeError, OverflowError) as e:
-        raise ValueError(f"malformed model: {e!r}") from e
-
-
-def _json_array(d: dict, key: str, kinds: tuple) -> np.ndarray:
-    """d[key] as an array, if it is a JSON array of items of these exact
-    types: numpy would quietly coerce bools, strings and fractions."""
-    if type(d[key]) is not list or any(type(v) not in kinds for v in d[key]):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"model {key!r} is not a list of {names}")
-    return np.asarray(d[key], dtype=np.float64 if float in kinds else np.int64)
 
 
 @dataclass(frozen=True)
@@ -77,53 +57,6 @@ class DecisionTree:
             stack.append((self.left[node], idx[go_left]))
             stack.append((self.right[node], idx[~go_left]))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "label": self.label.tolist(),
-            "n_features": self.n_features,
-        }
-
-    @classmethod
-    @_decoding()
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        # files written before may also hold "params" and "confidence"
-        if type(d["n_features"]) is not int or d["n_features"] < 0:
-            raise ValueError("model 'n_features' is not an int >= 0")
-        tree = cls(**{key: _json_array(d, key, (int,)) for key in
-                      ("feature", "left", "right", "label")},
-                   threshold=_json_array(d, "threshold", (int, float)),
-                   n_features=d["n_features"])
-        tree._check()
-        return tree
-
-    def _check(self) -> None:
-        """Reject a tree that fit_tree cannot build.  fit_tree numbers nodes
-        in pre-order, so every child index is above its parent's: that is
-        what makes prediction on a loaded tree terminate."""
-        n = self.feature.size
-        arrays = (self.feature, self.threshold, self.left, self.right,
-                  self.label)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
-            raise ValueError("tree node arrays must be nonempty and of "
-                             "equal length")
-        leaf = self.feature == -1
-        node = np.arange(n)
-        for child in (self.left, self.right):
-            if (np.where(leaf, child != -1,
-                         (child <= node) | (child >= n))).any():
-                raise ValueError("tree child index must be -1 at a leaf and "
-                                 "in (node, n_nodes) at an internal node")
-        if (~leaf & ((self.feature < 0) | (self.feature >= self.n_features)
-                     | ~np.isfinite(self.threshold))).any():
-            raise ValueError("internal tree node needs a feature in "
-                             "[0, n_features) and a finite threshold")
-        if (leaf & (np.abs(self.label) != 1)).any():
-            raise ValueError("tree leaf label must be -1 or +1")
 
 
 def _binary_entropy(p: np.ndarray) -> np.ndarray:
@@ -194,8 +127,10 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     Zero-weight instances are excluded from split statistics but still
     routed to leaves.  NaN or infinite features or weights are rejected.
     Nodes are numbered in pre-order, each before its left, then its right
-    subtree, as DecisionTree._check requires.
+    subtree.
     """
+    if not (is_count(max_depth) and max_depth >= 0):
+        raise ValueError("max_depth must be >= 0")
     X = np.asarray(features, dtype=np.float64)
     y = as_labels(labels)
     w = np.asarray(sample_weights, dtype=np.float64)

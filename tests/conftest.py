@@ -61,6 +61,24 @@ def make_clusters(n_pos: int, n_neg: int, d: int = 2, sep: float = 6.0,
                    name=f"clusters_{n_pos}_{n_neg}_{seed}")
 
 
+def tree_bits(tree) -> tuple:
+    """A tree as the dtype and bytes of each node array and its
+    n_features: equal exactly when the trees are bit-identical, so NaN
+    equals NaN and 0.0 differs from -0.0."""
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.label)
+    return tuple((a.dtype.str, a.tobytes()) for a in arrays) \
+        + (tree.n_features,)
+
+
+def model_bits(model) -> tuple:
+    """A model as the bytes of its alphas, retries_exhausted and the
+    tree_bits of each tree: equal exactly when the models are
+    bit-identical."""
+    return (np.asarray(model.alphas, dtype=np.float64).tobytes(),
+            model.retries_exhausted,
+            tuple(tree_bits(t) for t in model.trees))
+
+
 @pytest.fixture
 def separable_ds() -> Dataset:
     return make_clusters(10, 10, d=2, sep=8.0, seed=1, noise=0.5)
