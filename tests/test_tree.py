@@ -20,6 +20,14 @@ def check_tree(tree) -> None:
     """Oracle: the structure of every tree fit_tree builds.  Nodes are
     numbered in pre-order, so every child index is above its parent's,
     which is what makes prediction terminate."""
+    assert isinstance(tree, DecisionTree), "not a DecisionTree"
+    for name in ("feature", "threshold", "left", "right", "label"):
+        dtype = np.float64 if name == "threshold" else np.int64
+        a = getattr(tree, name)
+        assert isinstance(a, np.ndarray) and a.dtype == dtype, \
+            f"'{name}' is not a {np.dtype(dtype)} array"
+    assert type(tree.n_features) is int, "'n_features' is not an int"
+    assert tree.n_features >= 0, "'n_features' is not an int >= 0"
     n = tree.feature.size
     node_arrays = (tree.feature, tree.threshold, tree.left, tree.right,
                    tree.label)
@@ -548,8 +556,10 @@ class TestPrediction:
             tree.predict_many(np.zeros(2))
 
 
-class TestCheckTree:
-    """The oracle rejects every structure fit_tree cannot build."""
+class TestSerialization:
+    """Malformed tree structures, the ones a tree file was checked for
+    when it was loaded: check_tree, the oracle every fitted tree passes,
+    rejects each of them."""
 
     @staticmethod
     def stump():
@@ -575,14 +585,33 @@ class TestCheckTree:
         # a root that is its own child would make prediction loop forever
         ({"feature": [0], "threshold": [0.5], "left": [5], "right": [0],
           "label": [0]}, "child index"),
+        # arrays fit_tree never builds, which numpy indexing would accept
+        ({"feature": np.array([True, False, False])},
+         "'feature' is not a int64 array"),
+        ({"left": np.array([1.0, -1.0, -1.0])}, "'left' is not a int64 array"),
+        ({"threshold": np.array(["0.5", "nan", "nan"])},
+         "'threshold' is not a float64 array"),
+        ({"right": "2"}, "'right' is not a int64 array"),
+        ({"n_features": 1.0}, "'n_features' is not an int"),
+        ({"n_features": -1}, "'n_features' is not an int >= 0"),
+        ({"label": np.array([0, -1, 2**63], dtype=object)},
+         "'label' is not a int64 array"),
     ], ids=["ragged", "empty", "child-past-end", "child-before-node",
             "internal-without-child", "leaf-with-child", "feature-past-end",
             "feature-negative", "threshold-inf", "leaf-label-7",
-            "one-node-cycle"])
-    def test_rejects_malformed_tree(self, change, message):
-        arrays = {key: np.asarray(value, dtype=np.float64 if key == "threshold"
+            "one-node-cycle", "bool-feature", "float-child",
+            "string-threshold", "string-children", "float-n-features",
+            "negative-n-features", "label-overflow"])
+    def test_malformed_file_rejected(self, change, message):
+        fields = {key: np.asarray(value, dtype=np.float64 if key == "threshold"
                                   else np.int64)
+                  if isinstance(value, list) else value
                   for key, value in change.items()}
-        tree = dataclasses.replace(self.stump(), **arrays)
+        tree = dataclasses.replace(self.stump(), **fields)
         with pytest.raises(AssertionError, match=message):
             check_tree(tree)
+
+    @pytest.mark.parametrize("d", [[], 5, None, {}])
+    def test_not_a_tree_object_rejected(self, d):
+        with pytest.raises(AssertionError, match="not a DecisionTree"):
+            check_tree(d)
