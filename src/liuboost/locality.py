@@ -6,23 +6,38 @@ misclassified, weight_minus accelerates the decrease when it is correct.
 Instances in hostile neighborhoods (few same-class neighbors) get large
 weight_plus; instances in safe neighborhoods get large weight_minus.
 
-The k-NN search is exact and uses one index, a k-d tree (Friedman,
-Bentley & Finkel, ACM TOMS 1977), so it holds O(m k) memory, not an
-m x m distance matrix.  Rows whose k-th and (k+1)-th candidates are too
-close to rank safely (distance ties) are settled from the same tree: a
-ball query just past the k-th distance collects every tied row, and
-those few candidates are ranked exactly.  One relative tolerance,
-_MARGIN, decides both what is too close and how far past the ball goes.
+The costs read only how many of each row's k nearest rows share its
+class, and they are exact: the same as from a full exact k-NN search.
+That search uses one index, a k-d tree (Friedman, Bentley & Finkel, ACM
+TOMS 1977), so it holds O(m k) memory, not an m x m distance matrix.
+Rows whose k-th and (k+1)-th candidates are too close to rank safely
+(distance ties) are settled from the same tree: a ball query just past
+the k-th distance collects every tied row, and those few candidates are
+ranked exactly.  One relative tolerance, _MARGIN, decides both what is
+too close and how far past the ball goes.
+
+Most majority rows of an imbalanced split are safe: all k neighbours
+share their class (Napierala & Stefanowski, JIIS 2016).  Such a row is
+certified without the exact search.  An approximate query on the same
+tree (eps=_EPS; Arya et al., JACM 1998) gives k+1 candidates, at least k
+of them other rows, so the farthest candidate bounds the row's k-th
+distance from above for any eps.  When the candidates are all majority
+rows and the nearest +1 row, from a small tree over the +1 rows, lies
+beyond that bound by more than _MARGIN, every row the exact search could
+return is a majority row: the count is k, as the search would give, so
+eps moves speed and never a count.  The +1 rows, the rows that fail the
+certificate, and every row of a split of fewer than _CERTIFY_ROWS rows
+take the exact search.
 
 The tree has leaves of up to _LEAF_ROWS = 64 rows.  Leaf size cannot
 change a neighbour set: a settled row has a strict gap at its k-th
 distance, so any exact search returns the same k rows, and a tied row
 is ranked from an exact ball query.
 
-The tree query runs on one thread per _ROWS_PER_WORKER rows, up to the
-cores this process may run on, so small training splits stay on one
-thread.  Each query row is answered on its own, so the neighbour sets,
-and every cost, are the same at any worker count.
+Each tree query runs on one thread per _ROWS_PER_WORKER of its query
+rows, up to the cores this process may run on, so small queries stay on
+one thread.  Each query row is answered on its own, so the neighbour
+sets, and every cost, are the same at any worker count.
 """
 from __future__ import annotations
 
@@ -65,6 +80,17 @@ _ROWS_PER_WORKER = 2048
 # (timings in CHANGES.md).
 _LEAF_ROWS = 64
 
+# Relative error allowed to the candidate query that bounds a row's k-th
+# distance (cKDTree's eps).  Any eps gives an upper bound, so it moves
+# speed only, never a count; from 2 to 5 the benchmark's large splits
+# certify fastest (timings in CHANGES.md).
+_EPS = 2.0
+
+# Training splits below this many rows send every row to the exact
+# search.  On them the candidate query costs about as much as the exact
+# query it would save (timings in CHANGES.md).
+_CERTIFY_ROWS = 800
+
 
 def _query_workers(m: int) -> int:
     """Threads for a k-d tree query over m rows: one per _ROWS_PER_WORKER
@@ -77,42 +103,75 @@ def _query_workers(m: int) -> int:
 
 
 def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) matrix whose row i holds the k nearest rows to row i.
+    """(m, k) matrix whose row i holds the k nearest rows to row i: the
+    exact search of every row, on a new tree."""
+    tree = cKDTree(features, leafsize=_LEAF_ROWS)
+    return _exact_neighbors(tree, features, np.arange(len(features)), k)
+
+
+def _exact_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
+                     k: int) -> np.ndarray:
+    """(len(rows), k) matrix whose i-th row holds the k nearest rows to
+    row rows[i] of the tree's features.
 
     Euclidean distance, self excluded.  Each row is a set: its order is
     unspecified.  Ties at the k-th distance go to the smaller index.
 
-    Candidates are the k+2 nearest points from a k-d tree, self dropped
+    Candidates are the k+2 nearest points from the k-d tree, self dropped
     by index (a duplicate point may come before it); when self is not
     among them, the last candidate is dropped instead.  A row is settled
     when its k-th distance is below (1 - _MARGIN) times its (k+1)-th;
     the other rows are resolved by _tied_neighbors from the same tree.
     Memory is O(m k) for the tree and candidates.
 
-    The query runs on _query_workers(m) threads.  Each thread answers
-    its own query rows, so the result does not depend on their number.
+    The query runs on _query_workers(len(rows)) threads.  Each thread
+    answers its own query rows, so the result does not depend on their
+    number.
     """
-    m = len(features)
-    tree = cKDTree(features, leafsize=_LEAF_ROWS)
-    dist, idx = tree.query(features, k=k + 2, workers=_query_workers(m))
-    drop = idx == np.arange(m)[:, None]
+    n = len(rows)
+    dist, idx = tree.query(features[rows], k=k + 2,
+                           workers=_query_workers(n))
+    drop = idx == rows[:, None]
     drop[~drop.any(axis=1), -1] = True
     keep = ~drop
-    dist = dist[keep].reshape(m, k + 1)
-    nearest = idx[keep].reshape(m, k + 1)[:, :k].copy()
+    dist = dist[keep].reshape(n, k + 1)
+    nearest = idx[keep].reshape(n, k + 1)[:, :k].copy()
     # with m = k + 1 the (k+1)-th candidate is padding at inf: settled
     unsettled = np.flatnonzero(~(dist[:, k - 1] < (1 - _MARGIN) * dist[:, k]))
     if unsettled.size:
         nearest[unsettled] = _tied_neighbors(
-            tree, features, unsettled, dist[unsettled, k - 1], k)
+            tree, features, rows[unsettled], dist[unsettled, k - 1], k)
     return nearest
+
+
+def _certified_rows(tree: cKDTree, features: np.ndarray, labels: np.ndarray,
+                    k: int) -> np.ndarray:
+    """The majority rows whose k nearest rows are all majority rows,
+    proven without the exact search.
+
+    An approximate query (eps=_EPS) gives each row k+1 candidates; at
+    least k of them are other rows, so the largest candidate distance
+    bounds the row's k-th distance from above, whatever eps is.  A row is
+    certified when its candidates are all majority rows and its nearest
+    +1 row lies beyond that bound by more than _MARGIN: then every row at
+    or near its k-th distance is a majority row.
+    """
+    majority = np.flatnonzero(labels == -1)
+    dist, idx = tree.query(features[majority], k=k + 1, eps=_EPS,
+                           workers=_query_workers(len(majority)))
+    pure = (labels[idx] == -1).all(axis=1)
+    rows, bound = majority[pure], dist[pure, k]
+    plus = cKDTree(features[labels == 1], leafsize=_LEAF_ROWS)
+    nearest_plus = plus.query(features[rows], k=1,
+                              workers=_query_workers(len(rows)))[0]
+    return rows[nearest_plus > bound * (1 + _MARGIN)]
 
 
 def _tied_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
                     kth: np.ndarray, k: int) -> np.ndarray:
     """(len(rows), k) exact k nearest neighbours of the given query rows.
 
-    Same contract as _neighbor_matrix.  kth holds each row's k-th
+    Same contract as _exact_neighbors.  kth holds each row's k-th
     distance from the tree.  The tree's ball of radius kth * (1 + _MARGIN)
     holds every row at or below the k-th distance, ties included; those
     candidates are ranked by cdist distance, then index.  cdist computes
@@ -134,15 +193,26 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
     With n_s same-class and n_o opposite-class neighbors among the k
     nearest: weight_plus = 1/n_s (delta when n_s = 0) and
     weight_minus = 1/n_o (delta when n_o = 0).
+
+    The counts are those of the exact k-NN search.  On a split of at
+    least _CERTIFY_ROWS rows, the majority rows that _certified_rows
+    proves safe get n_s = k without it; every other row, and every row of
+    a smaller split, takes the exact search, on the same tree.
     """
     m = ds.n_instances
     if not is_count(k) or not 1 <= k <= m - 1:
         raise ValueError(f"k={k} must be in [1, m-1] with m={m}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
-    neighbors = _neighbor_matrix(ds.features, k)
-    same = ds.labels[neighbors] == ds.labels[:, None]
-    n_same = same.sum(axis=1)
+    X, y = ds.features, ds.labels
+    tree = cKDTree(X, leafsize=_LEAF_ROWS)
+    searched = np.ones(m, dtype=bool)
+    if m >= _CERTIFY_ROWS:
+        searched[_certified_rows(tree, X, y, k)] = False
+    rows = np.flatnonzero(searched)
+    n_same = np.full(m, k)
+    n_same[rows] = (y[_exact_neighbors(tree, X, rows, k)]
+                    == y[rows, None]).sum(axis=1)
     n_opp = k - n_same
     weight_plus = np.where(n_same == 0, delta, 1.0 / np.maximum(n_same, 1))
     weight_minus = np.where(n_opp == 0, delta, 1.0 / np.maximum(n_opp, 1))

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from liuboost import locality
+from liuboost import synth
 from liuboost.data import Dataset
 from liuboost.locality import _neighbor_matrix, _query_workers, assign_weights
 
@@ -94,6 +95,40 @@ def point_sets(draw):
         X = X[draw(st.lists(st.integers(0, len(X) - 1),
                             min_size=2, max_size=30))]
     return X, draw(st.integers(1, len(X) - 1))
+
+
+@st.composite
+def labelled_point_sets(draw):
+    """(Dataset, k): point_sets() with drawn labels, both classes present
+    and +1 the minority or tied."""
+    X, k = draw(point_sets())
+    m = len(X)
+    plus = draw(st.permutations(range(m)))[:draw(st.integers(1, m // 2))]
+    y = -np.ones(m, dtype=np.int64)
+    y[plus] = 1
+    return Dataset(features=X, labels=y,
+                   feature_names=tuple(f"x{j}" for j in range(X.shape[1]))), k
+
+
+def brute_force_same(ds, k):
+    """Reference n_same: same-class rows among brute_force_neighbors."""
+    X, y = ds.features, ds.labels
+    return np.array([(y[brute_force_neighbors(X, i, k)] == y[i]).sum()
+                     for i in range(len(X))])
+
+
+@pytest.fixture
+def searched_rows(monkeypatch):
+    """Query rows of every call to the exact search, in call order."""
+    calls = []
+    exact = locality._exact_neighbors
+
+    def spy(tree, features, rows, k):
+        calls.append(np.array(rows))
+        return exact(tree, features, rows, k)
+
+    monkeypatch.setattr(locality, "_exact_neighbors", spy)
+    return calls
 
 
 class TestKnnIndices:
@@ -224,11 +259,11 @@ class TestQueryWorkers:
         X = (np.random.default_rng(17).random((300, 4)) if name == "random"
              else tie_grid())
         m = len(X)
-        workers = []
+        queries = []  # (query rows, workers) of each tree query
 
         class SpyTree(cKDTree):
             def query(self, *args, **kwargs):
-                workers.append(kwargs["workers"])
+                queries.append((len(args[0]), kwargs["workers"]))
                 return super().query(*args, **kwargs)
 
         monkeypatch.setattr(locality, "cKDTree", SpyTree)
@@ -240,7 +275,32 @@ class TestQueryWorkers:
             np.testing.assert_array_equal(parallel, serial)
             assert_brute_force(X, k)
         parallel_workers = min(m, usable_cores())
-        assert workers == [1, parallel_workers, parallel_workers] * 3
+        assert [w for _, w in queries] == [1, parallel_workers,
+                                           parallel_workers] * 3
+
+        # the costs, with the certificate on this small split: each of
+        # the three queries (candidates, nearest +1 row, exact search)
+        # runs on the workers of its own row count
+        ds = Dataset(features=X, labels=np.where(np.arange(m) % 5, -1, 1),
+                     feature_names=tuple(f"x{j}" for j in range(X.shape[1])))
+        monkeypatch.setattr(locality, "_CERTIFY_ROWS", 0)
+        for k in (1, 3, 7):
+            costs = []
+            for per in (m + 1, m // 4, 1):
+                monkeypatch.setattr(locality, "_ROWS_PER_WORKER", per)
+                queries.clear()
+                costs.append(assign_weights(ds, k))
+                assert [max(1, min(usable_cores(), rows // per))
+                        for rows, _ in queries] == [w for _, w in queries]
+                assert len(queries) == 3
+            serial = costs[0]
+            for parallel in costs[1:]:
+                for field in ("weight_plus", "weight_minus", "n_same",
+                              "n_opposite"):
+                    np.testing.assert_array_equal(getattr(parallel, field),
+                                                  getattr(serial, field))
+            np.testing.assert_array_equal(serial.n_same,
+                                          brute_force_same(ds, k))
 
 
 class TestTiedFallback:
@@ -312,6 +372,77 @@ class TestTiedFallback:
         y = np.where(rng.random(6000) < 0.1, 1, -1)
         self._traced_costs(X, y, 16 * 2**20)
         np.testing.assert_array_equal(fallback_rows[0], np.arange(6000))
+
+
+class TestCertificate:
+    """Majority rows whose k nearest rows are provably all majority rows
+    skip the exact search; the counts stay those of the exact search."""
+
+    @pytest.mark.parametrize("eps", [0.0, locality._EPS, 1e6])
+    @settings(max_examples=200, deadline=None)
+    @given(case=labelled_point_sets())
+    def test_counts_match_brute_force(self, case, eps):
+        # the certificate on every split, however small
+        ds, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locality, "_CERTIFY_ROWS", 0)
+            mp.setattr(locality, "_EPS", eps)
+            np.testing.assert_array_equal(assign_weights(ds, k).n_same,
+                                          brute_force_same(ds, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_point_sets())
+    def test_counts_match_brute_force_small_leaves(self, case):
+        ds, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locality, "_CERTIFY_ROWS", 0)
+            mp.setattr(locality, "_LEAF_ROWS", 1)
+            np.testing.assert_array_equal(assign_weights(ds, k).n_same,
+                                          brute_force_same(ds, k))
+
+    def test_candidates_miss_the_nearest_plus_row(self, monkeypatch,
+                                                  searched_rows):
+        # 200 rows on a line, in four leaves of 50.  Row 0 sits at 0 with
+        # majority rows at -1..-4 and from -20 down in its leaf; the one +1
+        # row sits at 19, in another leaf.  The approximate query stops in
+        # row 0's leaf, so its candidates are all majority rows with a
+        # bound of 20, while the +1 row is its 5th nearest.  The +1 row
+        # lies inside the bound, so row 0 is not certified and the exact
+        # search counts it.
+        left = [0, -1, -2, -3, -4] + [-20 - j for j in range(95)]
+        right = [19] + [100 + j for j in range(99)]
+        y = np.r_[-np.ones(100, dtype=np.int64), 1,
+                  -np.ones(99, dtype=np.int64)]
+        ds = one_d_dataset(left + right, y)
+        tree = cKDTree(ds.features, leafsize=locality._LEAF_ROWS)
+        dist, idx = tree.query(ds.features[:1], k=6, eps=locality._EPS)
+        assert 100 not in idx[0] and dist[0, -1] == 20
+        monkeypatch.setattr(locality, "_CERTIFY_ROWS", 0)
+        cv = assign_weights(ds, 5)
+        np.testing.assert_array_equal(cv.n_same, brute_force_same(ds, 5))
+        assert cv.n_same[0] == 4
+        assert 0 in searched_rows[0]
+
+    def test_most_rows_skip_the_exact_search(self, searched_rows):
+        ds = synth.generate_dataset("t", 3000, 8, 30, seed=0)
+        assert ds.n_instances >= locality._CERTIFY_ROWS
+        cv = assign_weights(ds, 5)
+        assert len(searched_rows) == 1
+        assert len(searched_rows[0]) < ds.n_instances / 2
+        # every +1 row takes the exact search
+        assert set(np.flatnonzero(ds.labels == 1)) <= set(searched_rows[0])
+        neighbors = _neighbor_matrix(ds.features, 5)
+        np.testing.assert_array_equal(
+            cv.n_same, (ds.labels[neighbors] == ds.labels[:, None]).sum(1))
+
+    def test_small_splits_skip_the_certificate(self, searched_rows):
+        m = locality._CERTIFY_ROWS - 1
+        rng = np.random.default_rng(19)
+        ds = Dataset(features=rng.random((m, 3)),
+                     labels=np.where(np.arange(m) % 10, -1, 1),
+                     feature_names=("a", "b", "c"))
+        assign_weights(ds, 5)
+        np.testing.assert_array_equal(searched_rows[0], np.arange(m))
 
 
 class TestRssBound:

@@ -6,7 +6,11 @@ Runs ``assign_weights`` once on m uniform random rows of d features (10%
 minority labels, seed 0) and prints one JSON line:
 
 - ``seconds``: wall time of that call;
-- ``workers``: the k-d tree query threads it used;
+- ``workers``: the k-d tree query threads for a query of all m rows
+  (each query runs on the threads of its own row count);
+- ``searched_rows``: the rows of that call that took the exact search,
+  the rows the certificate did not settle (counted by rebinding
+  ``_exact_neighbors`` for the call);
 - ``tied_rows``: the rows of that call too close to a tie at the k-th
   distance for the tree query alone, resolved by ``_tied_neighbors``
   (counted by rebinding it for the call);
@@ -48,14 +52,20 @@ def main(argv=None) -> int:
     ds = Dataset(features=rng.random((args.m, args.d)),
                  labels=np.where(rng.random(args.m) < 0.1, 1, -1),
                  feature_names=tuple(f"x{j}" for j in range(args.d)))
-    tied_rows = 0
-    tied = locality._tied_neighbors
+    searched_rows = tied_rows = 0
+    exact, tied = locality._exact_neighbors, locality._tied_neighbors
+
+    def searched(tree, features, rows, k):
+        nonlocal searched_rows
+        searched_rows += len(rows)
+        return exact(tree, features, rows, k)
 
     def counted(tree, features, rows, kth, k):
         nonlocal tied_rows
         tied_rows += len(rows)
         return tied(tree, features, rows, kth, k)
 
+    locality._exact_neighbors = searched
     locality._tied_neighbors = counted
     try:
         before = max_rss_bytes()
@@ -64,6 +74,7 @@ def main(argv=None) -> int:
         seconds = time.perf_counter() - started
         rss_growth = max_rss_bytes() - before
     finally:
+        locality._exact_neighbors = exact
         locality._tied_neighbors = tied
 
     tracemalloc.start()
@@ -77,6 +88,7 @@ def main(argv=None) -> int:
         "m": args.m, "d": args.d, "k": args.k,
         "seconds": round(seconds, 3),
         "workers": locality._query_workers(args.m),
+        "searched_rows": searched_rows,
         "tied_rows": tied_rows,
         "rss_growth_mib": round(rss_growth / 2**20, 2),
         "traced_peak_mib": round(traced_peak / 2**20, 2),
