@@ -152,9 +152,10 @@ def _certified_rows(tree: cKDTree, features: np.ndarray, labels: np.ndarray,
     An approximate query (eps=_EPS) gives each row k+1 candidates; at
     least k of them are other rows, so the largest candidate distance
     bounds the row's k-th distance from above, whatever eps is.  A row is
-    certified when its candidates are all majority rows and its nearest
-    +1 row lies beyond that bound by more than _MARGIN: then every row at
-    or near its k-th distance is a majority row.
+    certified when its nearest +1 row lies beyond that bound by more than
+    _MARGIN: then every row at or near its k-th distance is a majority
+    row.  A row with a +1 candidate cannot pass, so the +1 query runs only
+    for the rows whose candidates are all majority rows.
     """
     majority = np.flatnonzero(labels == -1)
     dist, idx = tree.query(features[majority], k=k + 1, eps=_EPS,
