@@ -202,9 +202,9 @@ def serialize_keel(ds: Dataset) -> str:
     lines.append(f"@inputs {', '.join(ds.feature_names)}")
     lines.append("@outputs Class")
     lines.append("@data")
-    for x, y in zip(ds.features, ds.labels):
+    for x, y in zip(ds.features.tolist(), ds.labels.tolist()):
         cls = "positive" if y == 1 else "negative"
-        lines.append(",".join(repr(float(v)) for v in x) + "," + cls)
+        lines.append(",".join(map(repr, x)) + "," + cls)
     return "\n".join(lines) + "\n"
 
 

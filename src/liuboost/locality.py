@@ -19,15 +19,19 @@ too close and how far past the ball goes.
 Most majority rows of an imbalanced split are safe: all k neighbours
 share their class (Napierala & Stefanowski, JIIS 2016).  Such a row is
 certified without the exact search.  An approximate query on the same
-tree (eps=_EPS; Arya et al., JACM 1998) gives k+1 candidates, at least k
-of them other rows, so the farthest candidate bounds the row's k-th
-distance from above for any eps.  When the candidates are all majority
-rows and the nearest +1 row, from a small tree over the +1 rows, lies
-beyond that bound by more than _MARGIN, every row the exact search could
-return is a majority row: the count is k, as the search would give, so
-eps moves speed and never a count.  The +1 rows, the rows that fail the
-certificate, and every row of a split of fewer than _CERTIFY_ROWS rows
-take the exact search.
+tree (cKDTree's eps; Arya et al., JACM 1998) gives k+1 candidates, at
+least k of them other rows, so the farthest candidate bounds the row's
+k-th distance from above for any eps.  When the candidates are all
+majority rows and the nearest +1 row, from a small tree over the +1
+rows, lies beyond that bound by more than _MARGIN, every row the exact
+search could return is a majority row: the count is k, as the search
+would give, so eps moves speed and never a count.  The certificate runs
+in two passes of _EPS_PASSES.  The first, at a huge eps, stops in each
+row's own leaf: it is cheap and proves most safe rows.  The second, at
+eps = 2, queries only the rows the first left, with tighter bounds.  The
++1 rows, the rows that fail both passes, and every row of a split with
+fewer than _CERTIFY_ROWS more majority than +1 rows take the exact
+search.
 
 The tree has leaves of up to _LEAF_ROWS = 64 rows.  Leaf size cannot
 change a neighbour set: a settled row has a strict gap at its k-th
@@ -80,16 +84,20 @@ _ROWS_PER_WORKER = 2048
 # (timings in CHANGES.md).
 _LEAF_ROWS = 64
 
-# Relative error allowed to the candidate query that bounds a row's k-th
-# distance (cKDTree's eps).  Any eps gives an upper bound, so it moves
-# speed only, never a count; from 2 to 5 the benchmark's large splits
-# certify fastest (timings in CHANGES.md).
-_EPS = 2.0
+# Relative errors allowed to the certificate's candidate queries, one
+# per pass, in order (cKDTree's eps).  Any eps gives an upper bound on a
+# row's k-th distance, so they move speed only, never a count.  At 1e6
+# the search stops in the row's own leaf, which is cheap and proves most
+# safe rows; the rows it leaves take a query at 2, and from 2 to 5 the
+# benchmark's large splits certify fastest (timings in CHANGES.md).
+_EPS_PASSES = (1e6, 2.0)
 
-# Training splits below this many rows send every row to the exact
-# search.  On them the candidate query costs about as much as the exact
-# query it would save (timings in CHANGES.md).
-_CERTIFY_ROWS = 800
+# A training split runs the certificate only when its majority rows
+# outnumber its +1 rows by at least this many; every row of another split
+# takes the exact search.  On small splits the candidate queries cost
+# about as much as the exact query they would save, and a large +1 share
+# leaves few rows to certify (timings in CHANGES.md).
+_CERTIFY_ROWS = 420
 
 
 def _query_workers(m: int) -> int:
@@ -149,23 +157,36 @@ def _certified_rows(tree: cKDTree, features: np.ndarray, labels: np.ndarray,
     """The majority rows whose k nearest rows are all majority rows,
     proven without the exact search.
 
-    An approximate query (eps=_EPS) gives each row k+1 candidates; at
-    least k of them are other rows, so the largest candidate distance
-    bounds the row's k-th distance from above, whatever eps is.  A row is
-    certified when its nearest +1 row lies beyond that bound by more than
-    _MARGIN: then every row at or near its k-th distance is a majority
-    row.  A row with a +1 candidate cannot pass, so the +1 query runs only
-    for the rows whose candidates are all majority rows.
+    Each pass of _EPS_PASSES runs one approximate query (cKDTree's eps)
+    over the majority rows that the passes before it left: it gives each
+    row k+1 candidates, at least k of them other rows, so the largest
+    candidate distance bounds the row's k-th distance from above,
+    whatever eps is.  A row is certified when its nearest +1 row lies
+    beyond that bound by more than _MARGIN: then every row at or near its
+    k-th distance is a majority row.  A row with a +1 candidate cannot
+    pass, so the +1 query runs only for the rows whose candidates are all
+    majority rows, once per row: the distance does not depend on eps.  A
+    pass's candidates are dropped before the next pass runs; the rows that
+    fail every pass are left to the exact search.
     """
-    majority = np.flatnonzero(labels == -1)
-    dist, idx = tree.query(features[majority], k=k + 1, eps=_EPS,
-                           workers=_query_workers(len(majority)))
-    pure = (labels[idx] == -1).all(axis=1)
-    rows, bound = majority[pure], dist[pure, k]
     plus = cKDTree(features[labels == 1], leafsize=_LEAF_ROWS)
-    nearest_plus = plus.query(features[rows], k=1,
-                              workers=_query_workers(len(rows)))[0]
-    return rows[nearest_plus > bound * (1 + _MARGIN)]
+    rows = np.flatnonzero(labels == -1)
+    nearest_plus = np.full(len(rows), np.nan)  # NaN: not yet queried
+    certified = []
+    for eps in _EPS_PASSES:
+        dist, idx = tree.query(features[rows], k=k + 1, eps=eps,
+                               workers=_query_workers(len(rows)))
+        pure = (labels[idx] == -1).all(axis=1)
+        bound = dist[:, k] * (1 + _MARGIN)
+        del dist, idx
+        ask = pure & np.isnan(nearest_plus)
+        nearest_plus[ask] = plus.query(
+            features[rows[ask]], k=1,
+            workers=_query_workers(np.count_nonzero(ask)))[0]
+        passed = pure & (nearest_plus > bound)
+        certified.append(rows[passed])
+        rows, nearest_plus = rows[~passed], nearest_plus[~passed]
+    return np.concatenate(certified)
 
 
 def _tied_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
@@ -195,10 +216,11 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
     nearest: weight_plus = 1/n_s (delta when n_s = 0) and
     weight_minus = 1/n_o (delta when n_o = 0).
 
-    The counts are those of the exact k-NN search.  On a split of at
-    least _CERTIFY_ROWS rows, the majority rows that _certified_rows
-    proves safe get n_s = k without it; every other row, and every row of
-    a smaller split, takes the exact search, on the same tree.
+    The counts are those of the exact k-NN search.  On a split whose
+    majority rows outnumber its +1 rows by at least _CERTIFY_ROWS, the
+    majority rows that either pass of _certified_rows proves safe get
+    n_s = k without it.  Every other row, and every row of another split,
+    takes the exact search, on the same tree.
     """
     m = ds.n_instances
     if not is_count(k) or not 1 <= k <= m - 1:
@@ -208,7 +230,7 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
     X, y = ds.features, ds.labels
     tree = cKDTree(X, leafsize=_LEAF_ROWS)
     searched = np.ones(m, dtype=bool)
-    if m >= _CERTIFY_ROWS:
+    if ds.majority_count - ds.minority_count >= _CERTIFY_ROWS:
         searched[_certified_rows(tree, X, y, k)] = False
     rows = np.flatnonzero(searched)
     n_same = np.full(m, k)

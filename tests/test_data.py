@@ -125,6 +125,22 @@ class TestParseKeel:
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.feature_names == ds.feature_names
 
+    def test_rows_match_per_element_repr(self):
+        # the bulk writer gives each value the repr of its Python float,
+        # as repr(float(v)) on each NumPy scalar does
+        values = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+        X = np.array([values, values[::-1], [-v for v in values]])
+        ds = Dataset(features=X, labels=np.array([1, -1, -1]),
+                     feature_names=tuple("abcde"), name="reprs")
+        rows = serialize_keel(ds).split("@data\n")[1].splitlines()
+        assert rows == [",".join(repr(float(v)) for v in x) + "," + cls
+                        for x, cls in zip(X, ("positive", "negative",
+                                              "negative"))]
+        assert rows[0] == "-0.0,5e-324,1e+16,1e-05,0.30000000000000004,positive"
+        back = parse_keel(serialize_keel(ds), name=ds.name)
+        np.testing.assert_array_equal(back.features, X)
+        assert np.signbit(back.features[0, 0])
+
 
 class TestDataset:
     def test_validation(self):

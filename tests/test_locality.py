@@ -279,8 +279,8 @@ class TestQueryWorkers:
                                            parallel_workers] * 3
 
         # the costs, with the certificate on this small split: each of
-        # the three queries (candidates, nearest +1 row, exact search)
-        # runs on the workers of its own row count
+        # the five queries (candidates and nearest +1 row in each of two
+        # passes, exact search) runs on the workers of its own row count
         ds = Dataset(features=X, labels=np.where(np.arange(m) % 5, -1, 1),
                      feature_names=tuple(f"x{j}" for j in range(X.shape[1])))
         monkeypatch.setattr(locality, "_CERTIFY_ROWS", 0)
@@ -292,7 +292,7 @@ class TestQueryWorkers:
                 costs.append(assign_weights(ds, k))
                 assert [max(1, min(usable_cores(), rows // per))
                         for rows, _ in queries] == [w for _, w in queries]
-                assert len(queries) == 3
+                assert len(queries) == 5
             serial = costs[0]
             for parallel in costs[1:]:
                 for field in ("weight_plus", "weight_minus", "n_same",
@@ -378,15 +378,17 @@ class TestCertificate:
     """Majority rows whose k nearest rows are provably all majority rows
     skip the exact search; the counts stay those of the exact search."""
 
-    @pytest.mark.parametrize("eps", [0.0, locality._EPS, 1e6])
+    @pytest.mark.parametrize("passes", [(0.0,), (2.0,), (1e6,), (1e6, 2.0),
+                                        (1e6, 0.0)],
+                             ids=lambda passes: "-".join(map(str, passes)))
     @settings(max_examples=200, deadline=None)
     @given(case=labelled_point_sets())
-    def test_counts_match_brute_force(self, case, eps):
+    def test_counts_match_brute_force(self, case, passes):
         # the certificate on every split, however small
         ds, k = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(locality, "_CERTIFY_ROWS", 0)
-            mp.setattr(locality, "_EPS", eps)
+            mp.setattr(locality, "_EPS_PASSES", passes)
             np.testing.assert_array_equal(assign_weights(ds, k).n_same,
                                           brute_force_same(ds, k))
 
@@ -404,20 +406,24 @@ class TestCertificate:
                                                   searched_rows):
         # 200 rows on a line, in four leaves of 50.  Row 0 sits at 0 with
         # majority rows at -1..-4 and from -20 down in its leaf; the one +1
-        # row sits at 19, in another leaf.  The approximate query stops in
-        # row 0's leaf, so its candidates are all majority rows with a
-        # bound of 20, while the +1 row is its 5th nearest.  The +1 row
-        # lies inside the bound, so row 0 is not certified and the exact
-        # search counts it.
+        # row sits at 19, in another leaf.  The approximate query of each
+        # pass stops in row 0's leaf, so its candidates are all majority
+        # rows with a bound of 20, while the +1 row is its 5th nearest.
+        # The +1 row lies inside the bound, so row 0 fails both passes and
+        # the exact search counts it.
         left = [0, -1, -2, -3, -4] + [-20 - j for j in range(95)]
         right = [19] + [100 + j for j in range(99)]
         y = np.r_[-np.ones(100, dtype=np.int64), 1,
                   -np.ones(99, dtype=np.int64)]
         ds = one_d_dataset(left + right, y)
         tree = cKDTree(ds.features, leafsize=locality._LEAF_ROWS)
-        dist, idx = tree.query(ds.features[:1], k=6, eps=locality._EPS)
-        assert 100 not in idx[0] and dist[0, -1] == 20
+        assert len(locality._EPS_PASSES) == 2
+        for eps in locality._EPS_PASSES:
+            dist, idx = tree.query(ds.features[:1], k=6, eps=eps)
+            assert 100 not in idx[0] and dist[0, -1] == 20
         monkeypatch.setattr(locality, "_CERTIFY_ROWS", 0)
+        assert 0 not in locality._certified_rows(tree, ds.features,
+                                                 ds.labels, 5)
         cv = assign_weights(ds, 5)
         np.testing.assert_array_equal(cv.n_same, brute_force_same(ds, 5))
         assert cv.n_same[0] == 4
@@ -425,7 +431,7 @@ class TestCertificate:
 
     def test_most_rows_skip_the_exact_search(self, searched_rows):
         ds = synth.generate_dataset("t", 3000, 8, 30, seed=0)
-        assert ds.n_instances >= locality._CERTIFY_ROWS
+        assert ds.majority_count - ds.minority_count >= locality._CERTIFY_ROWS
         cv = assign_weights(ds, 5)
         assert len(searched_rows) == 1
         assert len(searched_rows[0]) < ds.n_instances / 2
@@ -435,14 +441,40 @@ class TestCertificate:
         np.testing.assert_array_equal(
             cv.n_same, (ds.labels[neighbors] == ds.labels[:, None]).sum(1))
 
+    def test_second_pass_gets_the_rows_the_first_leaves(self, monkeypatch,
+                                                        searched_rows):
+        # the own-leaf pass proves most majority rows safe, so the eps=2
+        # pass queries under a third of them
+        ds = synth.generate_dataset("t", 3000, 8, 30, seed=0)
+        candidates = []  # (query rows, eps) of each candidate query
+
+        class SpyTree(cKDTree):
+            def query(self, *args, **kwargs):
+                if "eps" in kwargs:
+                    candidates.append((len(args[0]), kwargs["eps"]))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(locality, "cKDTree", SpyTree)
+        cv = assign_weights(ds, 5)
+        majority = ds.majority_count
+        assert [eps for _, eps in candidates] == list(locality._EPS_PASSES)
+        assert candidates[0][0] == majority
+        assert 0 < candidates[1][0] < majority / 3
+        assert len(searched_rows[0]) < ds.n_instances / 2
+        np.testing.assert_array_equal(cv.n_same, brute_force_same(ds, 5))
+
     def test_small_splits_skip_the_certificate(self, searched_rows):
-        m = locality._CERTIFY_ROWS - 1
+        # the certificate runs from _CERTIFY_ROWS more majority than +1
+        # rows up; one row fewer sends every row to the exact search
         rng = np.random.default_rng(19)
-        ds = Dataset(features=rng.random((m, 3)),
-                     labels=np.where(np.arange(m) % 10, -1, 1),
-                     feature_names=("a", "b", "c"))
-        assign_weights(ds, 5)
-        np.testing.assert_array_equal(searched_rows[0], np.arange(m))
+        for surplus in (locality._CERTIFY_ROWS - 1, locality._CERTIFY_ROWS):
+            m = 80 + surplus
+            ds = Dataset(features=rng.random((m, 3)),
+                         labels=np.repeat([1, -1], [40, 40 + surplus]),
+                         feature_names=("a", "b", "c"))
+            assign_weights(ds, 5)
+        np.testing.assert_array_equal(searched_rows[0], np.arange(m - 1))
+        assert len(searched_rows[1]) < m / 2
 
 
 class TestRssBound:

@@ -2,12 +2,18 @@
 
     PYTHONPATH=src python3 tools/locality_scale.py --m 100000 --d 10 --k 5
 
-Runs ``assign_weights`` once on m uniform random rows of d features (10%
-minority labels, seed 0) and prints one JSON line:
+Runs ``assign_weights`` once on m rows of d features and prints one JSON
+line.  ``--data uniform`` (the default) draws uniform random rows with
+10% minority labels (seed 0); ``--data synth`` takes
+``synth.generate_dataset(m, d, n_min=m // 100, seed=0)``, min-max scaled
+as ``bench`` scales a training split.  The line holds:
 
 - ``seconds``: wall time of that call;
 - ``workers``: the k-d tree query threads for a query of all m rows
   (each query runs on the threads of its own row count);
+- ``pass_rows``: the rows that entered each pass of the certificate, in
+  order (counted by rebinding ``cKDTree`` for the call, so that each
+  candidate query, the one with an ``eps``, is seen);
 - ``searched_rows``: the rows of that call that took the exact search,
   the rows the certificate did not settle (counted by rebinding
   ``_exact_neighbors`` for the call);
@@ -31,8 +37,8 @@ import tracemalloc
 
 import numpy as np
 
-from liuboost import locality
-from liuboost.data import Dataset
+from liuboost import locality, synth
+from liuboost.data import Dataset, apply_min_max, fit_min_max
 
 
 def max_rss_bytes() -> int:
@@ -46,14 +52,31 @@ def main(argv=None) -> int:
     parser.add_argument("--m", type=int, required=True, help="rows")
     parser.add_argument("--d", type=int, required=True, help="features")
     parser.add_argument("--k", type=int, default=5, help="neighbours")
+    parser.add_argument("--data", choices=("uniform", "synth"),
+                        default="uniform", help="input rows")
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(0)
-    ds = Dataset(features=rng.random((args.m, args.d)),
-                 labels=np.where(rng.random(args.m) < 0.1, 1, -1),
-                 feature_names=tuple(f"x{j}" for j in range(args.d)))
+    if args.data == "uniform":
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.random((args.m, args.d)),
+                     labels=np.where(rng.random(args.m) < 0.1, 1, -1),
+                     feature_names=tuple(f"x{j}" for j in range(args.d)))
+    else:
+        raw = synth.generate_dataset("scale", args.m, args.d,
+                                     n_min=args.m // 100, seed=0)
+        ds = Dataset(features=apply_min_max(raw.features,
+                                            *fit_min_max(raw.features)),
+                     labels=raw.labels, feature_names=raw.feature_names)
     searched_rows = tied_rows = 0
+    pass_rows = []
     exact, tied = locality._exact_neighbors, locality._tied_neighbors
+    tree_class = locality.cKDTree
+
+    class CountedTree(tree_class):
+        def query(self, x, *args, **kwargs):
+            if "eps" in kwargs:
+                pass_rows.append(len(x))
+            return super().query(x, *args, **kwargs)
 
     def searched(tree, features, rows, k):
         nonlocal searched_rows
@@ -67,6 +90,7 @@ def main(argv=None) -> int:
 
     locality._exact_neighbors = searched
     locality._tied_neighbors = counted
+    locality.cKDTree = CountedTree
     try:
         before = max_rss_bytes()
         started = time.perf_counter()
@@ -76,6 +100,7 @@ def main(argv=None) -> int:
     finally:
         locality._exact_neighbors = exact
         locality._tied_neighbors = tied
+        locality.cKDTree = tree_class
 
     tracemalloc.start()
     try:
@@ -85,9 +110,10 @@ def main(argv=None) -> int:
         tracemalloc.stop()
 
     print(json.dumps({
-        "m": args.m, "d": args.d, "k": args.k,
+        "m": args.m, "d": args.d, "k": args.k, "data": args.data,
         "seconds": round(seconds, 3),
         "workers": locality._query_workers(args.m),
+        "pass_rows": pass_rows,
         "searched_rows": searched_rows,
         "tied_rows": tied_rows,
         "rss_growth_mib": round(rss_growth / 2**20, 2),
