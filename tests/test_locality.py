@@ -429,23 +429,10 @@ class TestCertificate:
         assert cv.n_same[0] == 4
         assert 0 in searched_rows[0]
 
-    def test_most_rows_skip_the_exact_search(self, searched_rows):
+    def test_most_rows_skip_the_exact_search(self, monkeypatch,
+                                             searched_rows):
         ds = synth.generate_dataset("t", 3000, 8, 30, seed=0)
         assert ds.majority_count - ds.minority_count >= locality._CERTIFY_ROWS
-        cv = assign_weights(ds, 5)
-        assert len(searched_rows) == 1
-        assert len(searched_rows[0]) < ds.n_instances / 2
-        # every +1 row takes the exact search
-        assert set(np.flatnonzero(ds.labels == 1)) <= set(searched_rows[0])
-        neighbors = _neighbor_matrix(ds.features, 5)
-        np.testing.assert_array_equal(
-            cv.n_same, (ds.labels[neighbors] == ds.labels[:, None]).sum(1))
-
-    def test_second_pass_gets_the_rows_the_first_leaves(self, monkeypatch,
-                                                        searched_rows):
-        # the own-leaf pass proves most majority rows safe, so the eps=2
-        # pass queries under a third of them
-        ds = synth.generate_dataset("t", 3000, 8, 30, seed=0)
         candidates = []  # (query rows, eps) of each candidate query
 
         class SpyTree(cKDTree):
@@ -456,12 +443,18 @@ class TestCertificate:
 
         monkeypatch.setattr(locality, "cKDTree", SpyTree)
         cv = assign_weights(ds, 5)
-        majority = ds.majority_count
-        assert [eps for _, eps in candidates] == list(locality._EPS_PASSES)
-        assert candidates[0][0] == majority
-        assert 0 < candidates[1][0] < majority / 3
+        # the own-leaf pass proves most majority rows safe, so the eps=2
+        # pass queries under a third of them
+        assert candidates == [(ds.majority_count, locality._EPS_PASSES[0]),
+                              (candidates[1][0], locality._EPS_PASSES[1])]
+        assert 0 < candidates[1][0] < ds.majority_count / 3
+        assert len(searched_rows) == 1
         assert len(searched_rows[0]) < ds.n_instances / 2
-        np.testing.assert_array_equal(cv.n_same, brute_force_same(ds, 5))
+        # every +1 row takes the exact search
+        assert set(np.flatnonzero(ds.labels == 1)) <= set(searched_rows[0])
+        neighbors = _neighbor_matrix(ds.features, 5)
+        np.testing.assert_array_equal(
+            cv.n_same, (ds.labels[neighbors] == ds.labels[:, None]).sum(1))
 
     def test_small_splits_skip_the_certificate(self, searched_rows):
         # the certificate runs from _CERTIFY_ROWS more majority than +1
