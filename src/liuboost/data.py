@@ -2,6 +2,10 @@
 
 Labels are always mapped to {-1, +1} with the minority class as +1, so
 that recall/precision downstream refer to the rare class.
+
+parse_keel converts the data section in bulk, one float() pass per
+feature column; only when that fails does it scan the rows in order for
+the first bad one, so its errors are those of a row-by-row check.
 """
 from __future__ import annotations
 
@@ -93,6 +97,14 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     The class column is the single @outputs attribute (last attribute if
     @outputs is absent).  The minority class becomes +1; on a cardinality
     tie the lexicographically smaller class name becomes +1.
+
+    Each data line is split once at its commas, the rows are transposed
+    into columns, and each feature column is converted by one pass of
+    float() into a C-ordered (m, d) float64 array; every value is that of
+    float() on the stripped token.  A row with the wrong field count, a
+    missing value ('?' or '<null>' in any column) or a non-numeric value
+    raises for the first such row, with the checks of a row in that
+    order; a non-finite value raises only when every row passes them.
     """
     attr_names: list[str] = []
     attr_nominal: list[bool] = []
@@ -130,11 +142,11 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
             raise KeelFormatError(f"unknown header keyword: {keyword!r}")
     else:
         raise KeelFormatError("missing @data section")
-    rows = [[f.strip() for f in line.split(",")] for line in lines[n + 1:]]
+    body = lines[n + 1:]
 
     if relation is None:
         raise KeelFormatError("missing @relation line")
-    if not rows:
+    if not body:
         raise KeelFormatError("empty @data section")
     if not attr_names:
         raise KeelFormatError("no @attribute declarations")
@@ -155,27 +167,28 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     feat_cols = [j for j in range(n_cols) if j != class_col]
     if not feat_cols:
         raise KeelFormatError("no input attribute declared")
-    features = np.empty((len(rows), len(feat_cols)))
-    classes: list[str] = []
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise KeelFormatError(f"row {i} has {len(row)} fields, expected {n_cols}")
-        for token in row:
-            if token.lower() in MISSING_TOKENS:
-                raise KeelFormatError(f"missing value in row {i}")
+    rows = [line.split(",") for line in body]
+    try:
+        if set(map(len, rows)) != {n_cols}:
+            raise ValueError
+        columns = list(zip(*rows))
+        del rows
+        features = np.empty((len(body), len(feat_cols)))
         for jj, j in enumerate(feat_cols):
-            try:
-                features[i, jj] = float(row[j])
-            except ValueError:
-                raise KeelFormatError(
-                    f"non-numeric value {row[j]!r} in attribute {attr_names[j]!r}")
-        classes.append(row[class_col])
+            features[:, jj] = _floats(columns[j])
+        classes = [token.strip() for token in columns[class_col]]
+        del columns
+        if any(c.lower() in MISSING_TOKENS for c in set(classes)):
+            raise ValueError
+    except ValueError:
+        raise _first_bad_row(body, n_cols, feat_cols, attr_names) from None
 
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         i, jj = bad[0]
+        token = body[i].split(",")[feat_cols[jj]].strip()
         raise KeelFormatError(
-            f"non-finite value {rows[i][feat_cols[jj]]!r} in row {i}, "
+            f"non-finite value {token!r} in row {i}, "
             f"attribute {attr_names[feat_cols[jj]]!r}")
 
     uniq, class_of, counts = np.unique(classes, return_inverse=True,
@@ -190,6 +203,41 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
         feature_names=tuple(attr_names[j] for j in feat_cols),
         name=name or relation,
     )
+
+
+def _floats(tokens) -> np.ndarray:
+    """The float of each stripped token, as today's conversion gives it;
+    a ValueError when one is not a number."""
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        # float() strips ASCII whitespace but not all that str.strip()
+        # does ('\x1f', for one), so a token padded with that converts
+        # only once stripped
+        return np.fromiter(map(float, map(str.strip, tokens)), np.float64,
+                           len(tokens))
+
+
+def _first_bad_row(body: list[str], n_cols: int, feat_cols: list[int],
+                   attr_names: list[str]) -> KeelFormatError:
+    """The error of the first data line that fails a row check: its field
+    count, then a missing value in any column, then a non-numeric value
+    by feature column."""
+    for i, line in enumerate(body):
+        row = [f.strip() for f in line.split(",")]
+        if len(row) != n_cols:
+            return KeelFormatError(
+                f"row {i} has {len(row)} fields, expected {n_cols}")
+        if any(token.lower() in MISSING_TOKENS for token in row):
+            return KeelFormatError(f"missing value in row {i}")
+        for j in feat_cols:
+            try:
+                float(row[j])
+            except ValueError:
+                return KeelFormatError(
+                    f"non-numeric value {row[j]!r} in attribute "
+                    f"{attr_names[j]!r}")
+    raise AssertionError("no data line fails a row check")
 
 
 def serialize_keel(ds: Dataset) -> str:

@@ -6,9 +6,11 @@ from conftest import make_clusters
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liuboost.data import (Dataset, KeelFormatError, apply_min_max,
-                           as_labels, fit_min_max, imbalance_ratio,
-                           parse_keel, serialize_keel, stratified_folds)
+from liuboost import synth
+from liuboost.data import (MISSING_TOKENS, NUMERIC_TYPES, Dataset,
+                           KeelFormatError, apply_min_max, as_labels,
+                           fit_min_max, imbalance_ratio, parse_keel,
+                           serialize_keel, stratified_folds)
 
 SAMPLE = """\
 @relation toy
@@ -23,6 +25,181 @@ SAMPLE = """\
 5.0, 6.0, negative
 7.0, 8.0, positive
 """
+
+
+def loop_parse_keel(text: str, name: str | None = None) -> Dataset:
+    """Oracle: parse_keel as it was before bulk conversion, checking and
+    converting each data row in turn, one element at a time."""
+    attr_names: list[str] = []
+    attr_nominal: list[bool] = []
+    relation = None
+    outputs: list[str] = []
+
+    lines = [line for line in (raw.strip() for raw in text.splitlines())
+             if line]
+    for n, line in enumerate(lines):
+        if not line.startswith("@"):
+            raise KeelFormatError(f"data line before @data section: {line!r}")
+        keyword, _, rest = line.replace("\t", " ").partition(" ")
+        keyword, rest = keyword.lower(), rest.strip()
+        if keyword == "@relation":
+            relation = rest or "unnamed"
+        elif keyword == "@attribute":
+            if not rest:
+                raise KeelFormatError(f"malformed attribute line: {line!r}")
+            attr_name, _, spec = rest.partition(" ")
+            spec = spec.strip()
+            attr_names.append(attr_name.strip())
+            if spec.startswith("{"):
+                attr_nominal.append(True)
+            else:
+                base = spec.split("[")[0].strip().lower()
+                if base not in NUMERIC_TYPES:
+                    raise KeelFormatError(
+                        f"unsupported attribute type {spec!r} for {attr_name!r}")
+                attr_nominal.append(False)
+        elif keyword == "@outputs":
+            outputs = [s.strip() for s in rest.split(",") if s.strip()]
+        elif keyword == "@data":
+            break
+        elif keyword != "@inputs":
+            raise KeelFormatError(f"unknown header keyword: {keyword!r}")
+    else:
+        raise KeelFormatError("missing @data section")
+    rows = [[f.strip() for f in line.split(",")] for line in lines[n + 1:]]
+
+    if relation is None:
+        raise KeelFormatError("missing @relation line")
+    if not rows:
+        raise KeelFormatError("empty @data section")
+    if not attr_names:
+        raise KeelFormatError("no @attribute declarations")
+
+    if len(outputs) > 1:
+        raise KeelFormatError("exactly one output attribute is supported")
+    class_name = outputs[0] if outputs else attr_names[-1]
+    if class_name not in attr_names:
+        raise KeelFormatError(f"output attribute {class_name!r} not declared")
+    class_col = attr_names.index(class_name)
+
+    for j, nominal in enumerate(attr_nominal):
+        if nominal and j != class_col:
+            raise KeelFormatError(
+                f"nominal input attribute {attr_names[j]!r} is not supported")
+
+    n_cols = len(attr_names)
+    feat_cols = [j for j in range(n_cols) if j != class_col]
+    if not feat_cols:
+        raise KeelFormatError("no input attribute declared")
+    features = np.empty((len(rows), len(feat_cols)))
+    classes: list[str] = []
+    for i, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise KeelFormatError(f"row {i} has {len(row)} fields, expected {n_cols}")
+        for token in row:
+            if token.lower() in MISSING_TOKENS:
+                raise KeelFormatError(f"missing value in row {i}")
+        for jj, j in enumerate(feat_cols):
+            try:
+                features[i, jj] = float(row[j])
+            except ValueError:
+                raise KeelFormatError(
+                    f"non-numeric value {row[j]!r} in attribute {attr_names[j]!r}")
+        classes.append(row[class_col])
+
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, jj = bad[0]
+        raise KeelFormatError(
+            f"non-finite value {rows[i][feat_cols[jj]]!r} in row {i}, "
+            f"attribute {attr_names[feat_cols[jj]]!r}")
+
+    uniq, class_of, counts = np.unique(classes, return_inverse=True,
+                                       return_counts=True)
+    if len(uniq) != 2:
+        raise KeelFormatError(f"expected 2 classes, found {len(uniq)}: {list(uniq)}")
+    return Dataset(
+        features=features,
+        labels=np.where(class_of == np.argmin(counts), 1, -1),
+        feature_names=tuple(attr_names[j] for j in feat_cols),
+        name=name or relation,
+    )
+
+
+# padding that str.strip() removes; float() itself does not strip '\x1f'
+PADS = ("", " ", "  ", "\t", " \t ", "\xa0", "\x1f")
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e16", "1e+16", "3", "-7", "1_0"]))
+# each fault is (kind, token or None); "?" and "<null>" go either into a
+# feature column or into the class column
+FAULTS = st.sampled_from([
+    ("fields", "drop"), ("fields", "extra"),
+    ("feature", "?"), ("feature", "<null>"), ("feature", "<NULL>"),
+    ("class", "?"), ("class", "<null>"),
+    ("feature", "abc"), ("feature", ""), ("feature", "1.0.0"),
+    ("feature", "0x1p3"), ("feature", "nan"), ("feature", "inf"),
+    ("feature", "-inf"), ("feature", "1e999"),
+    ("at_line", None), ("class", "third"),
+])
+
+
+@st.composite
+def keel_texts(draw):
+    """A KEEL text of 2-12 rows and 1-4 features, its class column
+    anywhere, with 0-3 faults injected into rows drawn at random."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 12))
+    class_col = draw(st.integers(0, d))
+    names = [f"x{j}" for j in range(d)]
+    names.insert(class_col, "Class")
+    header = ["@relation gen"]
+    for a in names:
+        spec = "{neg, pos}" if a == "Class" else "real [0, 1]"
+        header.append(f"@attribute {a} {spec}")
+    if class_col < d or draw(st.booleans()):
+        header.append("@outputs Class")
+    header.append("@data")
+
+    pad = st.sampled_from(PADS)
+    rows = []
+    for _ in range(m):
+        row = [draw(VALUES) for _ in range(d)]
+        row.insert(class_col, draw(st.sampled_from(["neg", "pos"])))
+        rows.append(row)
+    for i, (kind, token) in draw(st.lists(
+            st.tuples(st.integers(0, m - 1), FAULTS), max_size=3)):
+        row = rows[i]
+        feature = draw(st.sampled_from(
+            [j for j in range(d + 1) if j != class_col]))
+        if kind == "fields":
+            if token == "drop":
+                del row[feature:feature + 1]
+            else:
+                row.append("1.0")
+        elif kind == "feature" and feature < len(row):
+            row[feature] = token
+        elif kind == "class" and class_col < len(row):
+            row[class_col] = token
+        elif kind == "at_line" and row:
+            row[0] = "@" + row[0]
+    lines = [draw(pad) + ",".join(draw(pad) + t + draw(pad) for t in row)
+             + draw(pad) for row in rows]
+    blank = draw(st.integers(0, m))
+    lines.insert(blank, draw(pad))  # a blank line is no row
+    return "\n".join(header + lines) + "\n"
+
+
+def outcome(parse, text):
+    """What parse makes of text: the bytes of a Dataset's arrays, its
+    names and name, or the type and message of its error."""
+    try:
+        ds = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (ds.features.dtype.str, ds.features.shape,
+            ds.features.tobytes(), ds.labels.tobytes(), ds.feature_names,
+            ds.name)
 
 
 class TestParseKeel:
@@ -117,6 +294,48 @@ class TestParseKeel:
         text = text.replace("1.0, 2.0", "x, 2.0")
         with pytest.raises(KeelFormatError, match="nominal input"):
             parse_keel(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(keel_texts())
+    def test_matches_row_by_row_oracle(self, text):
+        assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
+
+    @pytest.mark.parametrize("token", [" 1.5", "1.5\t", "\x1f1.5\x1f",
+                                       "\xa01.5", " \t1.5 \x1f"])
+    def test_padded_tokens_convert_as_stripped(self, token):
+        text = SAMPLE.replace("3.0,", token + ",")
+        ds = parse_keel(text)
+        assert ds.features[1, 0] == 1.5
+        assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
+
+    def test_first_bad_row_is_reported(self):
+        # row 1 has a non-finite value, row 2 a non-numeric one and row 3
+        # a missing class: the row checks run before the non-finite one
+        text = (SAMPLE.replace("3.0, 4.0", "inf, 4.0")
+                .replace("5.0, 6.0", "5.0, x")
+                .replace("8.0, positive", "8.0, ?"))
+        with pytest.raises(KeelFormatError,
+                           match="non-numeric value 'x' in attribute 'b'"):
+            parse_keel(text)
+
+    @pytest.mark.parametrize("entry", synth.BENCHMARK_CATALOG,
+                             ids=lambda e: e.name)
+    def test_round_trip_bench_stand_ins(self, entry):
+        self.assert_round_trip(synth.generate_catalog_dataset(entry))
+
+    def test_round_trip_knn_scale_input(self):
+        self.assert_round_trip(
+            synth.generate_dataset("knn_m8000", 8000, 10, 80, seed=0))
+
+    @staticmethod
+    def assert_round_trip(ds):
+        back = parse_keel(serialize_keel(ds))
+        assert back.features.flags.c_contiguous
+        assert back.features.dtype == np.float64
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.feature_names == ds.feature_names
+        assert back.name == ds.name
 
     def test_round_trip_exact(self):
         ds = make_clusters(7, 13, d=4, seed=5)
