@@ -206,8 +206,8 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
 
 
 def _floats(tokens) -> np.ndarray:
-    """The float of each stripped token, as today's conversion gives it;
-    a ValueError when one is not a number."""
+    """float(token.strip()) of each token as a float64 array; a
+    ValueError when one is not a number."""
     try:
         return np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:

@@ -28,8 +28,8 @@ SAMPLE = """\
 
 
 def loop_parse_keel(text: str, name: str | None = None) -> Dataset:
-    """Oracle: parse_keel as it was before bulk conversion, checking and
-    converting each data row in turn, one element at a time."""
+    """Oracle: the row-by-row KEEL parser, which checks and converts each
+    data row in turn, one element at a time."""
     attr_names: list[str] = []
     attr_nominal: list[bool] = []
     relation = None
@@ -131,8 +131,9 @@ PADS = ("", " ", "  ", "\t", " \t ", "\xa0", "\x1f")
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["-0.0", "5e-324", "1e16", "1e+16", "3", "-7", "1_0"]))
-# each fault is (kind, token or None); "?" and "<null>" go either into a
-# feature column or into the class column
+# (kind, detail): "fields" drops or adds a field, "feature" and "class"
+# put the token into a feature column or the class column, "at_line"
+# starts the row with "@"
 FAULTS = st.sampled_from([
     ("fields", "drop"), ("fields", "extra"),
     ("feature", "?"), ("feature", "<null>"), ("feature", "<NULL>"),
@@ -300,8 +301,7 @@ class TestParseKeel:
     def test_matches_row_by_row_oracle(self, text):
         assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
 
-    @pytest.mark.parametrize("token", [" 1.5", "1.5\t", "\x1f1.5\x1f",
-                                       "\xa01.5", " \t1.5 \x1f"])
+    @pytest.mark.parametrize("token", ["\x1f1.5\x1f", " \t1.5\xa0"])
     def test_padded_tokens_convert_as_stripped(self, token):
         text = SAMPLE.replace("3.0,", token + ",")
         ds = parse_keel(text)
