@@ -179,7 +179,7 @@ def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Full protocol: repeats x stratified folds per dataset, both
     algorithms, aggregated metrics, win counts and signed-rank tests."""
-    if jobs < 1:
+    if not is_count(jobs) or jobs < 1:
         raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
     skipped_datasets = {}

@@ -18,20 +18,19 @@ too close and how far past the ball goes.
 
 Most majority rows of an imbalanced split are safe: all k neighbours
 share their class (Napierala & Stefanowski, JIIS 2016).  Such a row is
-certified without the exact search.  An approximate query on the same
-tree (cKDTree's eps; Arya et al., JACM 1998) gives k+1 candidates, at
-least k of them other rows, so the farthest candidate bounds the row's
-k-th distance from above for any eps.  When the candidates are all
-majority rows and the nearest +1 row, from a small tree over the +1
-rows, lies beyond that bound by more than _MARGIN, every row the exact
-search could return is a majority row: the count is k, as the search
-would give, so eps moves speed and never a count.  The certificate runs
-in two passes of _EPS_PASSES.  The first, at a huge eps, stops in each
-row's own leaf: it is cheap and proves most safe rows.  The second, at
-eps = 2, queries only the rows the first left, with tighter bounds.  The
-+1 rows, the rows that fail both passes, and every row of a split with
-fewer than _CERTIFY_ROWS more majority than +1 rows take the exact
-search.
+certified without the exact search.  Any k other rows bound a row's
+k-th distance from above.  When the nearest +1 row, from a small tree
+over the +1 rows, lies beyond such a bound by more than _MARGIN, every
+row the exact search could return is a majority row: the count is k,
+as the search would give.  The certificate runs in two passes.  The
+first reads each row's bound from its own leaf of the tree, by one
+cdist per leaf: it is cheap and proves most safe rows.  The second
+queries only the rows the first left, with an approximate query on the
+same tree (cKDTree's eps = _EPS; Arya et al., JACM 1998), whose k+1
+candidates give tighter bounds; any eps gives an upper bound, so eps
+moves speed and never a count.  The +1 rows, the rows that fail both
+passes, and every row of a split with fewer than _CERTIFY_ROWS more
+majority than +1 rows take the exact search.
 
 The tree has leaves of up to _LEAF_ROWS = 64 rows.  Leaf size cannot
 change a neighbour set: a settled row has a strict gap at its k-th
@@ -84,13 +83,12 @@ _ROWS_PER_WORKER = 2048
 # (timings in CHANGES.md).
 _LEAF_ROWS = 64
 
-# Relative errors allowed to the certificate's candidate queries, one
-# per pass, in order (cKDTree's eps).  Any eps gives an upper bound on a
-# row's k-th distance, so they move speed only, never a count.  At 1e6
-# the search stops in the row's own leaf, which is cheap and proves most
-# safe rows; the rows it leaves take a query at 2, and from 2 to 5 the
-# benchmark's large splits certify fastest (timings in CHANGES.md).
-_EPS_PASSES = (1e6, 2.0)
+# Relative error allowed to the certificate's second pass, the candidate
+# query of the rows that their own leaf did not prove safe (cKDTree's
+# eps).  Any eps gives an upper bound on a row's k-th distance, so it
+# moves speed only, never a count; from 2 to 5 the benchmark's large
+# splits certify fastest (timings in CHANGES.md).
+_EPS = 2.0
 
 # A training split runs the certificate only when its majority rows
 # outnumber its +1 rows by at least this many; every row of another split
@@ -152,41 +150,61 @@ def _exact_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
     return nearest
 
 
+def _leaf_bounds(tree: cKDTree, features: np.ndarray, k: int) -> np.ndarray:
+    """(m,) upper bound on each row's k-th distance, from its own leaf.
+
+    A leaf of the tree (split_dim -1) holds the rows
+    tree.indices[start_idx:end_idx].  Each row's (k+1)-th smallest cdist
+    distance to its leaf's rows, self at 0 among them, has at least k
+    other rows within it.  A leaf of k rows or fewer gives no bound: inf.
+    The distances are taken for _LEAF_ROWS rows at a time, so a block is
+    at most _LEAF_ROWS by the leaf's rows (a leaf holds more than
+    _LEAF_ROWS rows only when they are copies of one point).
+    """
+    bound = np.full(len(features), np.inf)
+    nodes = [tree.tree]
+    while nodes:
+        node = nodes.pop()
+        if node.split_dim != -1:
+            nodes += [node.lesser, node.greater]
+            continue
+        leaf = tree.indices[node.start_idx:node.end_idx]
+        if len(leaf) <= k:
+            continue
+        for start in range(0, len(leaf), _LEAF_ROWS):
+            rows = leaf[start:start + _LEAF_ROWS]
+            bound[rows] = np.partition(cdist(features[rows], features[leaf]),
+                                       k, axis=1)[:, k]
+    return bound
+
+
 def _certified_rows(tree: cKDTree, features: np.ndarray, labels: np.ndarray,
                     k: int) -> np.ndarray:
     """The majority rows whose k nearest rows are all majority rows,
     proven without the exact search.
 
-    Each pass of _EPS_PASSES runs one approximate query (cKDTree's eps)
-    over the majority rows that the passes before it left: it gives each
-    row k+1 candidates, at least k of them other rows, so the largest
-    candidate distance bounds the row's k-th distance from above,
-    whatever eps is.  A row is certified when its nearest +1 row lies
-    beyond that bound by more than _MARGIN: then every row at or near its
-    k-th distance is a majority row.  A row with a +1 candidate cannot
-    pass, so the +1 query runs only for the rows whose candidates are all
-    majority rows, once per row: the distance does not depend on eps.  A
-    pass's candidates are dropped before the next pass runs; the rows that
-    fail every pass are left to the exact search.
+    Each pass gives each majority row still open an upper bound on its
+    k-th distance: the first from its own leaf (_leaf_bounds), the
+    second, for the rows the first left, from the k+1 candidates of an
+    approximate query at eps = _EPS, at least k of them other rows.  A
+    row is certified when its nearest +1 row lies beyond its bound by
+    more than _MARGIN: then every row at or near its k-th distance is a
+    majority row.  The +1 tree is asked once per majority row, before
+    the first pass: the distance does not depend on the bound.  The rows
+    that fail both passes are left to the exact search.
     """
     plus = cKDTree(features[labels == 1], leafsize=_LEAF_ROWS)
     rows = np.flatnonzero(labels == -1)
-    nearest_plus = np.full(len(rows), np.nan)  # NaN: not yet queried
-    certified = []
-    for eps in _EPS_PASSES:
-        dist, idx = tree.query(features[rows], k=k + 1, eps=eps,
-                               workers=_query_workers(len(rows)))
-        pure = (labels[idx] == -1).all(axis=1)
-        bound = dist[:, k] * (1 + _MARGIN)
-        del dist, idx
-        ask = pure & np.isnan(nearest_plus)
-        nearest_plus[ask] = plus.query(
-            features[rows[ask]], k=1,
-            workers=_query_workers(np.count_nonzero(ask)))[0]
-        passed = pure & (nearest_plus > bound)
-        certified.append(rows[passed])
-        rows, nearest_plus = rows[~passed], nearest_plus[~passed]
-    return np.concatenate(certified)
+    nearest_plus = plus.query(features[rows], k=1,
+                              workers=_query_workers(len(rows)))[0]
+    bound = _leaf_bounds(tree, features, k)[rows]
+    passed = nearest_plus > bound * (1 + _MARGIN)
+    certified = rows[passed]
+    rows, nearest_plus = rows[~passed], nearest_plus[~passed]
+    kth = tree.query(features[rows], k=k + 1, eps=_EPS,
+                     workers=_query_workers(len(rows)))[0][:, k]
+    return np.concatenate([certified,
+                           rows[nearest_plus > kth * (1 + _MARGIN)]])
 
 
 def _tied_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,

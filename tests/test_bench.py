@@ -138,6 +138,17 @@ class TestRunExperiment:
         emit_report(run_experiment(cfg, jobs=2), "json", out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("jobs", [0, True, 2.0, "2", None])
+    def test_jobs_must_be_a_count(self, small_suite, monkeypatch, jobs):
+        # checked like every other count, before any file is parsed
+        _, paths = small_suite
+        read = []
+        monkeypatch.setattr(bench, "parse_keel",
+                            lambda *a, **k: read.append(a))
+        with pytest.raises(ValueError, match="jobs must be"):
+            run_experiment(small_config(paths), jobs=jobs)
+        assert read == []
+
     @pytest.mark.parametrize("text", ["not a keel file\n", SAMPLE_INF],
                              ids=["garbage", "inf"])
     def test_unparseable_dataset_skipped_with_entry(self, small_suite, text):

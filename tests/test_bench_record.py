@@ -90,6 +90,32 @@ class TestSummarize:
                                    [0.8], [0.7])
         assert s["parent_iqr"] == s["change_iqr"] == 0.0
         assert s["change_wins"] == 1
+        assert s["paired_ratio_median"] == 0.7 / 0.8
+
+    def test_paired_ratio_median(self):
+        # pair by pair, not median over median: 38.5 / 31.5 would be 1.22
+        s = bench_record.summarize({"unit": "1/s", "better": "higher"},
+                                   [30.0, 32.0, 31.0, 33.0],
+                                   [45.0, 31.0, 44.0, 33.0])
+        assert s["paired_ratio_median"] == (1.0 + 44.0 / 31.0) / 2
+        # the same ratios whatever the host's drift, which scales a pair
+        drift = [1.0, 1.3, 0.8, 1.1]
+        drifted = bench_record.summarize(
+            {"unit": "1/s", "better": "higher"},
+            [p * f for p, f in zip(s["parent"], drift)],
+            [c * f for c, f in zip(s["change"], drift)])
+        assert drifted["paired_ratio_median"] == pytest.approx(
+            s["paired_ratio_median"])
+        assert drifted["parent_iqr"] != pytest.approx(s["parent_iqr"])
+        # the verdict does not read it
+        spec = {"unit": "1/s", "better": "higher"}
+        assert bench_record.verdict(s, 0.24) == bench_record.verdict(
+            s | {"paired_ratio_median": None}, 0.24)
+        # a parent of 0 has no ratio
+        zero = bench_record.summarize(spec, [0.0, 2.0], [1.0, 3.0])
+        assert zero["paired_ratio_median"] == 1.5
+        assert bench_record.summarize(spec, [0.0], [1.0])[
+            "paired_ratio_median"] is None
 
 
 def _run(rate):

@@ -117,6 +117,40 @@ def brute_force_same(ds, k):
                      for i in range(len(X))])
 
 
+def leaves(tree):
+    """The rows of each leaf of a k-d tree, from its node objects."""
+    out, nodes = [], [tree.tree]
+    while nodes:
+        node = nodes.pop()
+        if node.split_dim == -1:
+            out.append(node.indices)
+        else:
+            nodes += [node.lesser, node.greater]
+    return out
+
+
+def leaf_sizes(tree):
+    """(m,) rows in each row's own leaf."""
+    sizes = np.zeros(tree.n, dtype=np.intp)
+    for leaf in leaves(tree):
+        sizes[leaf] = len(leaf)
+    return sizes
+
+
+def assert_leaf_bounds(X, k, leaf_rows):
+    """_leaf_bounds on a tree of leaf_rows-row leaves: at least each row's
+    brute-force k-th distance, and finite exactly where the row's leaf
+    holds more than k rows."""
+    tree = cKDTree(X, leafsize=leaf_rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locality, "_LEAF_ROWS", leaf_rows)
+        bound = locality._leaf_bounds(tree, X, k)
+    d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    assert (bound >= np.sort(d, axis=1)[:, k - 1]).all()
+    np.testing.assert_array_equal(np.isfinite(bound), leaf_sizes(tree) > k)
+
+
 @pytest.fixture
 def searched_rows(monkeypatch):
     """Query rows of every call to the exact search, in call order."""
@@ -279,8 +313,9 @@ class TestQueryWorkers:
                                            parallel_workers] * 3
 
         # the costs, with the certificate on this small split: each of
-        # the five queries (candidates and nearest +1 row in each of two
-        # passes, exact search) runs on the workers of its own row count
+        # the three queries (nearest +1 row, the eps candidates of the
+        # rows their own leaf left, exact search) runs on the workers of
+        # its own row count
         ds = Dataset(features=X, labels=np.where(np.arange(m) % 5, -1, 1),
                      feature_names=tuple(f"x{j}" for j in range(X.shape[1])))
         monkeypatch.setattr(locality, "_CERTIFY_ROWS", 0)
@@ -292,7 +327,7 @@ class TestQueryWorkers:
                 costs.append(assign_weights(ds, k))
                 assert [max(1, min(usable_cores(), rows // per))
                         for rows, _ in queries] == [w for _, w in queries]
-                assert len(queries) == 5
+                assert len(queries) == 3
             serial = costs[0]
             for parallel in costs[1:]:
                 for field in ("weight_plus", "weight_minus", "n_same",
@@ -378,17 +413,16 @@ class TestCertificate:
     """Majority rows whose k nearest rows are provably all majority rows
     skip the exact search; the counts stay those of the exact search."""
 
-    @pytest.mark.parametrize("passes", [(0.0,), (2.0,), (1e6,), (1e6, 2.0),
-                                        (1e6, 0.0)],
-                             ids=lambda passes: "-".join(map(str, passes)))
+    @pytest.mark.parametrize("eps", [0.0, 2.0, 1e6])
     @settings(max_examples=200, deadline=None)
     @given(case=labelled_point_sets())
-    def test_counts_match_brute_force(self, case, passes):
-        # the certificate on every split, however small
+    def test_counts_match_brute_force(self, case, eps):
+        # the certificate on every split, however small, at any eps of
+        # its second pass
         ds, k = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(locality, "_CERTIFY_ROWS", 0)
-            mp.setattr(locality, "_EPS_PASSES", passes)
+            mp.setattr(locality, "_EPS", eps)
             np.testing.assert_array_equal(assign_weights(ds, k).n_same,
                                           brute_force_same(ds, k))
 
@@ -402,14 +436,51 @@ class TestCertificate:
             np.testing.assert_array_equal(assign_weights(ds, k).n_same,
                                           brute_force_same(ds, k))
 
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_point_sets())
+    def test_counts_match_brute_force_leaves_of_k_plus_one(self, case):
+        # the smallest leaves that give a bound: every row of a full leaf
+        # has exactly k others in it
+        ds, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(locality, "_CERTIFY_ROWS", 0)
+            mp.setattr(locality, "_LEAF_ROWS", k + 1)
+            np.testing.assert_array_equal(assign_weights(ds, k).n_same,
+                                          brute_force_same(ds, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_point_sets(), st.sampled_from(["1", "k+1", "64"]))
+    def test_leaf_bounds_property(self, case, leaf):
+        ds, k = case
+        assert_leaf_bounds(ds.features, k, {"1": 1, "k+1": k + 1,
+                                            "64": 64}[leaf])
+
+    @pytest.mark.parametrize("leaf", [1, 2, 4, 8, 64])
+    def test_leaf_bounds_on_tie_grid(self, leaf):
+        # integer rows: many distances tie at the k-th, and leaves of
+        # 1 to 8 rows split the grid's copies of a point apart
+        for k in (1, 3, 7):
+            assert_leaf_bounds(tie_grid(), k, leaf)
+
+    def test_copies_of_one_point_bound_in_blocks(self):
+        # a leaf holds more than _LEAF_ROWS rows only when they are all
+        # copies of one point; its bound, 0, comes in _LEAF_ROWS-row blocks
+        X = np.vstack([np.zeros((150, 2)), np.eye(2)])
+        tree = cKDTree(X, leafsize=locality._LEAF_ROWS)
+        assert leaf_sizes(tree)[:150].tolist() == [150] * 150
+        bound = locality._leaf_bounds(tree, X, 5)
+        assert bound[:150].tolist() == [0.0] * 150
+        assert np.isinf(bound[150:]).all()
+        assert_leaf_bounds(X, 5, locality._LEAF_ROWS)
+
     def test_candidates_miss_the_nearest_plus_row(self, monkeypatch,
                                                   searched_rows):
         # 200 rows on a line, in four leaves of 50.  Row 0 sits at 0 with
         # majority rows at -1..-4 and from -20 down in its leaf; the one +1
-        # row sits at 19, in another leaf.  The approximate query of each
-        # pass stops in row 0's leaf, so its candidates are all majority
-        # rows with a bound of 20, while the +1 row is its 5th nearest.
-        # The +1 row lies inside the bound, so row 0 fails both passes and
+        # row sits at 19, in another leaf.  Row 0's own leaf misses it:
+        # its leaf bound is 20, while the +1 row is its 5th nearest.  The
+        # +1 row lies inside the bound, so row 0 fails the leaf pass; it
+        # lies within the true k-th distance, so no bound can pass it, and
         # the exact search counts it.
         left = [0, -1, -2, -3, -4] + [-20 - j for j in range(95)]
         right = [19] + [100 + j for j in range(99)]
@@ -417,10 +488,11 @@ class TestCertificate:
                   -np.ones(99, dtype=np.int64)]
         ds = one_d_dataset(left + right, y)
         tree = cKDTree(ds.features, leafsize=locality._LEAF_ROWS)
-        assert len(locality._EPS_PASSES) == 2
-        for eps in locality._EPS_PASSES:
-            dist, idx = tree.query(ds.features[:1], k=6, eps=eps)
-            assert 100 not in idx[0] and dist[0, -1] == 20
+        own = next(leaf for leaf in leaves(tree) if 0 in leaf)
+        assert 100 not in own and len(own) == 50
+        assert locality._leaf_bounds(tree, ds.features, 5)[0] == 20
+        dist, idx = tree.query(ds.features[:1], k=6, eps=locality._EPS)
+        assert 100 not in idx[0] and dist[0, -1] == 20
         monkeypatch.setattr(locality, "_CERTIFY_ROWS", 0)
         assert 0 not in locality._certified_rows(tree, ds.features,
                                                  ds.labels, 5)
@@ -443,12 +515,14 @@ class TestCertificate:
 
         monkeypatch.setattr(locality, "cKDTree", SpyTree)
         cv = assign_weights(ds, 5)
-        # the own-leaf pass proves most majority rows safe, so the eps=2
-        # pass queries under a third of them
-        assert candidates == [(ds.majority_count, locality._EPS_PASSES[0]),
-                              (candidates[1][0], locality._EPS_PASSES[1])]
-        assert 0 < candidates[1][0] < ds.majority_count / 3
+        # the leaf pass proves most majority rows safe, so the one
+        # candidate query, at eps = _EPS, asks under a third of them
+        assert candidates == [(candidates[0][0], locality._EPS)]
+        assert 0 < candidates[0][0] < ds.majority_count / 3
         assert len(searched_rows) == 1
+        # and that query proves some of the rows it asks safe
+        assert (len(searched_rows[0])
+                < ds.minority_count + candidates[0][0])
         assert len(searched_rows[0]) < ds.n_instances / 2
         # every +1 row takes the exact search
         assert set(np.flatnonzero(ds.labels == 1)) <= set(searched_rows[0])

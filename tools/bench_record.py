@@ -17,7 +17,8 @@ run the benchmark code of their own commit. For each workload of
 
 The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
-won (ties count for neither) and its ``verdict`` against the bound of the
+won (ties count for neither), the median of change/parent over the pairs
+(``paired_ratio_median``) and its ``verdict`` against the bound of the
 change's ``BENCHMARK.json`` (see ``verdict``), the traced per-layer
 metrics, both sha256 values and ``failed``: the failed checks that run.py
 reported, plus one for every run that exited non-zero or printed no
@@ -110,9 +111,14 @@ def iqr(values: list[float]) -> float:
 
 def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     """Per-seed values of one metric on both sides, their medians and
-    IQRs, and the pairs each side won by the metric's 'better' sense."""
+    IQRs, the pairs each side won by the metric's 'better' sense, and the
+    median of change/parent over the pairs (None when every parent value
+    is 0).  Host drift moves both runs of a pair, so that ratio reads the
+    same two commits alike on a quiet or a noisy host, where the parent's
+    IQR does not."""
     sign = 1 if spec["better"] == "higher" else -1
     diffs = [sign * (c - p) for p, c in zip(parent, change)]
+    ratios = [c / p for p, c in zip(parent, change) if p]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -124,6 +130,7 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
         "change_iqr": iqr(change),
         "change_wins": sum(d > 0 for d in diffs),
         "parent_wins": sum(d < 0 for d in diffs),
+        "paired_ratio_median": statistics.median(ratios) if ratios else None,
     }
 
 

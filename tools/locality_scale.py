@@ -12,8 +12,11 @@ as ``bench`` scales a training split.  The line holds:
 - ``workers``: the k-d tree query threads for a query of all m rows
   (each query runs on the threads of its own row count);
 - ``pass_rows``: the rows that entered each pass of the certificate, in
-  order (counted by rebinding ``cKDTree`` for the call, so that each
-  candidate query, the one with an ``eps``, is seen);
+  order: every majority row enters the leaf pass (counted when
+  ``_leaf_bounds`` is called, by rebinding it for the call), and the rows
+  it left enter the candidate query, the one with an ``eps`` (counted by
+  rebinding ``cKDTree`` for the call); the leaf pass certified the
+  difference;
 - ``searched_rows``: the rows of that call that took the exact search,
   the rows the certificate did not settle (counted by rebinding
   ``_exact_neighbors`` for the call);
@@ -70,6 +73,7 @@ def main(argv=None) -> int:
     searched_rows = tied_rows = 0
     pass_rows = []
     exact, tied = locality._exact_neighbors, locality._tied_neighbors
+    leaf_bounds = locality._leaf_bounds
     tree_class = locality.cKDTree
 
     class CountedTree(tree_class):
@@ -77,6 +81,10 @@ def main(argv=None) -> int:
             if "eps" in kwargs:
                 pass_rows.append(len(x))
             return super().query(x, *args, **kwargs)
+
+    def bounded(tree, features, k):
+        pass_rows.append(int((ds.labels == -1).sum()))
+        return leaf_bounds(tree, features, k)
 
     def searched(tree, features, rows, k):
         nonlocal searched_rows
@@ -90,6 +98,7 @@ def main(argv=None) -> int:
 
     locality._exact_neighbors = searched
     locality._tied_neighbors = counted
+    locality._leaf_bounds = bounded
     locality.cKDTree = CountedTree
     try:
         before = max_rss_bytes()
@@ -100,6 +109,7 @@ def main(argv=None) -> int:
     finally:
         locality._exact_neighbors = exact
         locality._tied_neighbors = tied
+        locality._leaf_bounds = leaf_bounds
         locality.cKDTree = tree_class
 
     tracemalloc.start()
