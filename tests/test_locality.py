@@ -457,8 +457,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("leaf", [1, 2, 4, 8, 64])
     def test_leaf_bounds_on_tie_grid(self, leaf):
-        # integer rows: many distances tie at the k-th, and leaves of
-        # 1 to 8 rows split the grid's copies of a point apart
+        # integer rows: many distances tie at the k-th, and with leaves
+        # of 1 to 8 rows many leaves hold k rows or fewer (bound inf)
         for k in (1, 3, 7):
             assert_leaf_bounds(tie_grid(), k, leaf)
 
