@@ -154,28 +154,6 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
     return name, entry, time.perf_counter() - started
 
 
-def _mean_pairs(datasets: dict, metric: str) -> list[tuple[float, float]]:
-    """(rusboost, liuboost) means of one metric per dataset, in name order;
-    datasets where either mean is missing are left out.  A mean that is
-    neither a number nor None raises TypeError."""
-    pairs = []
-    for name in sorted(datasets):
-        algos = datasets[name]["algorithms"]
-        for algo in ALGORITHMS:
-            if algo not in algos:
-                raise ValueError(f"dataset {name!r} has no {algo} results")
-        rus = algos["rusboost"][f"{metric}_mean"]
-        liu = algos["liuboost"][f"{metric}_mean"]
-        for mean in (rus, liu):
-            if isinstance(mean, bool) or not isinstance(
-                    mean, (int, float, type(None))):
-                raise TypeError(f"dataset {name!r}: {metric} mean "
-                                f"{mean!r} is not a number")
-        if rus is not None and liu is not None:
-            pairs.append((rus, liu))
-    return pairs
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Full protocol: repeats x stratified folds per dataset, both
     algorithms, aggregated metrics, win counts and signed-rank tests."""
@@ -223,7 +201,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     summary = {"wins": {}, "wilcoxon": {}}
     if set(cfg.algorithms) == set(ALGORITHMS):
         for metric in ("auroc", "aupr"):
-            pairs = _mean_pairs(datasets, metric)
+            # (rusboost, liuboost) means in name order; a dataset where
+            # either has no scored fold is left out
+            means = ((entry["algorithms"]["rusboost"][f"{metric}_mean"],
+                      entry["algorithms"]["liuboost"][f"{metric}_mean"])
+                     for _, entry in sorted(datasets.items()))
+            pairs = [p for p in means if None not in p]
             summary["wins"][metric] = {
                 "liuboost": sum(liu > rus for rus, liu in pairs),
                 "rusboost": sum(rus > liu for rus, liu in pairs),
@@ -320,22 +303,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_wilcoxon(args) -> int:
-    # every error that comes from the file's content names the file
-    try:
-        report = json.loads(Path(args.report).read_text())
-        pairs = _mean_pairs(report["datasets"], args.metric)
-        r = wilcoxon_signed_rank(pairs, zeros=args.zeros)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{args.report}: not a bench run report ({exc!r})")
-    except ValueError as exc:
-        raise ValueError(f"{args.report}: {exc}") from exc
-    print(f"n_pairs={len(pairs)} n_effective={r.n_effective} "
-          f"w-={r.w_minus} w+={r.w_plus} p={r.p_two_sided:.6g} "
-          f"method={r.method} zeros={r.zeros}")
-    return 0
-
-
 def _cmd_curves(args) -> int:
     path = Path(args.dataset)
     cfg = _config_from_args(args, [path])
@@ -387,12 +354,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in the report")
     p_run.set_defaults(func=_cmd_run)
-
-    p_w = sub.add_parser("wilcoxon", help="signed-rank test on a report")
-    p_w.add_argument("--report", required=True)
-    p_w.add_argument("--metric", choices=("auroc", "aupr"), default="auroc")
-    p_w.add_argument("--zeros", choices=("drop", "pratt"), default="drop")
-    p_w.set_defaults(func=_cmd_wilcoxon)
 
     p_c = sub.add_parser("curves", help="emit ROC/PR points for one dataset")
     p_c.add_argument("--dataset", required=True)

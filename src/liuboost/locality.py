@@ -108,13 +108,6 @@ def _query_workers(m: int) -> int:
     return max(1, min(cores, m // _ROWS_PER_WORKER))
 
 
-def _neighbor_matrix(features: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) matrix whose row i holds the k nearest rows to row i: the
-    exact search of every row, on a new tree."""
-    tree = cKDTree(features, leafsize=_LEAF_ROWS)
-    return _exact_neighbors(tree, features, np.arange(len(features)), k)
-
-
 def _exact_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
                      k: int) -> np.ndarray:
     """(len(rows), k) matrix whose i-th row holds the k nearest rows to

@@ -14,6 +14,7 @@ from liuboost import bench
 from liuboost.bench import (ExperimentConfig, derive_seed, emit_report, main,
                             run_experiment)
 from liuboost.data import serialize_keel
+from liuboost.stats import wilcoxon_signed_rank
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,6 +139,32 @@ class TestRunExperiment:
         emit_report(run_experiment(cfg, jobs=2), "json", out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_summary_tests_the_reports_own_means(self, tmp_path):
+        # six scored datasets, and one whose single +1 row leaves every
+        # fold's training or test split without a class: no fold is scored
+        # and both of its means are None
+        paths = [write_dataset(tmp_path, make_clusters(10, 30, sep=1.5,
+                                                       seed=seed, noise=1.5))
+                 for seed in range(40, 46)]
+        lone = write_dataset(tmp_path, make_clusters(1, 19, seed=46))
+        report = run_experiment(small_config(paths + [lone], repeats=1,
+                                             folds=3))
+        lone_algos = report["datasets"][lone.stem]["algorithms"]
+        for metric in ("auroc", "aupr"):
+            assert lone_algos["liuboost"][f"{metric}_mean"] is None
+            assert lone_algos["rusboost"][f"{metric}_mean"] is None
+            pairs = [(entry["algorithms"]["rusboost"][f"{metric}_mean"],
+                      entry["algorithms"]["liuboost"][f"{metric}_mean"])
+                     for name, entry in sorted(report["datasets"].items())
+                     if name != lone.stem]
+            assert sum(report["summary"]["wins"][metric].values()) == 6
+            r = wilcoxon_signed_rank(pairs, zeros="drop")
+            assert report["summary"]["wilcoxon"][metric] == {
+                "w_minus": r.w_minus, "w_plus": r.w_plus,
+                "n_effective": r.n_effective, "p_two_sided": r.p_two_sided,
+                "method": r.method, "zeros": "drop",
+                "favors": "liuboost" if r.w_plus > r.w_minus else "rusboost"}
+
     @pytest.mark.parametrize("jobs", [0, True, 2.0, "2", None])
     def test_jobs_must_be_a_count(self, small_suite, monkeypatch, jobs):
         # checked like every other count, before any file is parsed
@@ -227,70 +254,14 @@ class TestCli:
         assert {r[1] for r in rows[1:]} == {"roc", "pr"}
         assert {r[0] for r in rows[1:]} == {"liuboost", "rusboost"}
 
-    def test_wilcoxon_subcommand(self, tmp_path):
-        # fabricate a report with six per-dataset mean pairs
-        rng = np.random.default_rng(8)
-        datasets = {}
-        for i in range(6):
-            rus, liu = sorted(rng.uniform(0.5, 1.0, size=2))
-            datasets[f"d{i}"] = {"algorithms": {
-                "rusboost": {"auroc_mean": rus, "aupr_mean": rus},
-                "liuboost": {"auroc_mean": liu, "aupr_mean": liu}}}
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps({"datasets": datasets}))
-        assert main(["wilcoxon", "--report", str(path)]) == 0
-        assert main(["wilcoxon", "--report", str(path), "--metric", "aupr",
-                     "--zeros", "pratt"]) == 0
-
     def test_error_paths_return_nonzero(self, tmp_path, capsys):
         assert main(["run", "--data-dir", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o.json")]) == 1
         assert "error" in capsys.readouterr().err
-        # too few pairs for the signed-rank test
-        small = tmp_path / "small.json"
-        small.write_text(json.dumps({"datasets": {}}))
-        assert main(["wilcoxon", "--report", str(small)]) == 1
-        # a report without RUSBoost results (a `--algos liuboost` run)
-        one_algo = tmp_path / "liuboost_only.json"
-        one_algo.write_text(json.dumps({"datasets": {"d0": {"algorithms": {
-            "liuboost": {"auroc_mean": 0.9, "aupr_mean": 0.8}}}}}))
-        capsys.readouterr()
-        assert main(["wilcoxon", "--report", str(one_algo)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "rusboost" in err
-        # JSON that is not a run report: no datasets, not an object, and an
-        # entry without the metric's mean
-        no_mean = {"datasets": {"d0": {"algorithms": {
-            "liuboost": {"aupr_mean": 0.8}, "rusboost": {"aupr_mean": 0.7}}}}}
-        for i, body in enumerate(({}, [], no_mean)):
-            bad = tmp_path / f"not_a_report{i}.json"
-            bad.write_text(json.dumps(body))
-            assert main(["wilcoxon", "--report", str(bad)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and str(bad) in err
-        # errors from the file's content name the file too: text that is
-        # not JSON, a mean that is a string (even a numeric one) or a
-        # bool, and a mean that is not finite
-        def report_with_mean(mean):
-            return json.dumps({"datasets": {f"d{i}": {"algorithms": {
-                "liuboost": {"auroc_mean": mean if i == 3 else 0.9 - i / 10},
-                "rusboost": {"auroc_mean": 0.7}}} for i in range(6)}})
-
-        for name, text, detail in (
-                ("not_json.json", "nope", "Expecting value"),
-                ("str_mean.json", report_with_mean("x"),
-                 "not a bench run report"),
-                ("numeric_str_mean.json", report_with_mean("0.9"),
-                 "not a bench run report"),
-                ("bool_mean.json", report_with_mean(True),
-                 "not a bench run report"),
-                ("nan_mean.json", report_with_mean(float("nan")),
-                 "pairs must be finite")):
-            bad = tmp_path / name
-            bad.write_text(text)
-            assert main(["wilcoxon", "--report", str(bad)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {bad}: ") and detail in err
+        # the signed-rank test lives in `bench run`'s summary only
+        with pytest.raises(SystemExit) as exc:
+            main(["wilcoxon", "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
 
     @pytest.fixture
     def glass5_and_pima(self, tmp_path):

@@ -74,10 +74,10 @@ def test_readme_bench_commands_parse(monkeypatch):
             bench._config_from_args(args, [])
         return 0
 
-    for name in ("run", "wilcoxon", "curves", "synth"):
+    for name in ("run", "curves", "synth"):
         monkeypatch.setattr(bench, f"_cmd_{name}", handler)
     commands = readme_bench_commands()
     for argv in commands:
         assert bench.main(argv) == 0, argv
     assert seen == [argv[0] for argv in commands]
-    assert set(seen) == {"run", "wilcoxon", "curves", "synth"}
+    assert set(seen) == {"run", "curves", "synth"}

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from liuboost import locality
 from liuboost import synth
 from liuboost.data import Dataset
-from liuboost.locality import _neighbor_matrix, _query_workers, assign_weights
+from liuboost.locality import _query_workers, assign_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,9 +40,18 @@ def tie_grid():
     return rng.integers(0, 4, size=(50, 3)).astype(float)
 
 
+def neighbor_matrix(X, k):
+    """(m, k) matrix whose row i holds the k nearest rows to row i: the
+    exact search of every row, on a new tree.  It reads cKDTree,
+    _LEAF_ROWS and _exact_neighbors from locality when called, so that
+    monkeypatches of them reach it."""
+    tree = locality.cKDTree(X, leafsize=locality._LEAF_ROWS)
+    return locality._exact_neighbors(tree, X, np.arange(len(X)), k)
+
+
 def neighbor_sets(X, k):
-    """Rows of _neighbor_matrix, each sorted: the rows are sets."""
-    return np.sort(_neighbor_matrix(X, k), axis=1)
+    """Rows of neighbor_matrix, each sorted: the rows are sets."""
+    return np.sort(neighbor_matrix(X, k), axis=1)
 
 
 def brute_force_sets(X, k):
@@ -303,9 +312,9 @@ class TestQueryWorkers:
         monkeypatch.setattr(locality, "cKDTree", SpyTree)
         for k in (1, 3, 7):
             monkeypatch.setattr(locality, "_ROWS_PER_WORKER", m + 1)
-            serial = _neighbor_matrix(X, k)
+            serial = neighbor_matrix(X, k)
             monkeypatch.setattr(locality, "_ROWS_PER_WORKER", 1)
-            parallel = _neighbor_matrix(X, k)
+            parallel = neighbor_matrix(X, k)
             np.testing.assert_array_equal(parallel, serial)
             assert_brute_force(X, k)
         parallel_workers = min(m, usable_cores())
@@ -526,7 +535,7 @@ class TestCertificate:
         assert len(searched_rows[0]) < ds.n_instances / 2
         # every +1 row takes the exact search
         assert set(np.flatnonzero(ds.labels == 1)) <= set(searched_rows[0])
-        neighbors = _neighbor_matrix(ds.features, 5)
+        neighbors = neighbor_matrix(ds.features, 5)
         np.testing.assert_array_equal(
             cv.n_same, (ds.labels[neighbors] == ds.labels[:, None]).sum(1))
 

@@ -12,8 +12,14 @@ run the benchmark code of their own commit. For each workload of
    at seed i (1, 2, ..., 10) on both sides, alternating which side runs
    first, each run as long as ``run_seconds`` of the change's
    ``BENCHMARK.json``;
-2. one traced run per side at seed 0, ``--trace 1``, for the per-layer
-   metrics and the report and counts sha256 values.
+2. one traced run per side at seed 0, ``--trace 1``, parent first, for
+   the per-layer metrics and the report and counts sha256 values.
+
+``per_layer`` is therefore a single sample per side. Host drift between
+the two traced runs can invert a layer's move: in ``BENCH_25.json``,
+knn_scale ``locality.busy_s`` read 0.905 -> 1.076 s, while four more
+traced pairs of the same two commits all moved the other way. Cite a
+per-layer move only from repeated traced pairs; the counts are exact.
 
 The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
