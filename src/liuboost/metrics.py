@@ -34,8 +34,10 @@ def _check_scored(scores, labels):
 
 def _cumulative_by_threshold(scores, labels):
     """Cumulative (tp, fp) integer counts after each distinct-score group,
-    scores processed in descending order with ties grouped."""
-    order = np.argsort(-scores, kind="stable")
+    scores processed in descending order with ties grouped.  The counts
+    at a group's end do not depend on the order of the rows inside it,
+    so the sort need not be stable."""
+    order = np.argsort(-scores)
     s = scores[order]
     pos = (labels[order] == 1).astype(np.int64)
     group_end = np.flatnonzero(np.r_[s[:-1] != s[1:], True])

@@ -185,3 +185,71 @@ class TestVerdict:
     def test_a_worse_median_within_the_bound(self):
         s = _summary("lower", STEADY, [v + 0.2 for v in STEADY])
         assert bench_record.verdict(s, 0.25) == "within_bound"
+
+
+def _traced(side, i, report=REPORT):
+    """A parsed traced run of one side: its layer time grows with i."""
+    busy = {"parent": 1.0, "change": 0.5}[side] + (0.1, 0.3, 0.0)[i]
+    return {"machine": MACHINE, "report_sha256": report,
+            "counts_sha256": COUNTS,
+            "result": {"failed": 0, "metrics": {
+                "locality.busy_s": {"value": busy, "unit": "s"},
+                "locality.calls": {"value": 172.0, "unit": "count"}}}}
+
+
+class TestRecordWorkload:
+    BENCH = TestPairUp.BENCH
+
+    def record(self, monkeypatch, traced):
+        """record_workload with run.py replaced: untraced runs give a
+        rate, traced run i of a side gives traced(side, i); the sides and
+        traces of the calls, in order."""
+        calls = []
+
+        def fake_run(checkout, workload, seed, seconds, trace):
+            side = checkout.name
+            calls.append((side, trace))
+            if not trace:
+                return _run(30.0) | {"machine": MACHINE}
+            return traced(side, sum(c == (side, 1) for c in calls) - 1)
+
+        monkeypatch.setattr(bench_record, "run", fake_run)
+        checkouts = {side: Path(side) for side in bench_record.SIDES}
+        entry = bench_record.record_workload(checkouts, self.BENCH,
+                                             "protocol", 30)
+        return entry, calls
+
+    def test_per_layer_is_the_median_of_alternating_traced_runs(
+            self, monkeypatch):
+        entry, calls = self.record(monkeypatch, _traced)
+        assert [side for side, trace in calls if trace] == [
+            "parent", "change", "change", "parent", "parent", "change"]
+        # the medians of 1.1, 1.3, 1.0 and of 0.6, 0.8, 0.5
+        assert entry["per_layer"] == {
+            "parent": {"locality.busy_s": 1.1, "locality.calls": 172.0},
+            "change": {"locality.busy_s": 0.6, "locality.calls": 172.0}}
+        assert entry["sha256"]["change"] == {"report": REPORT,
+                                             "counts": COUNTS}
+        assert entry["failed"] == {"parent": 0, "change": 0}
+
+    def test_disagreeing_digests_count_as_failed(self, monkeypatch):
+        def traced(side, i):
+            if side == "change" and i == 2:
+                return _traced(side, i, report="0" * 64)
+            if side == "parent" and i == 1:
+                return bench_record.parse_run_output("")
+            return _traced(side, i)
+
+        entry, _ = self.record(monkeypatch, traced)
+        # one disagreement; the parent's run without a result is its own
+        # failure, and its other two runs agree
+        assert entry["failed"] == {"parent": 1, "change": 1}
+        assert entry["sha256"]["change"]["report"] == REPORT
+        assert entry["per_layer"]["parent"]["locality.busy_s"] == 1.05
+
+    def test_no_traced_result_leaves_no_layers(self, monkeypatch):
+        entry, _ = self.record(
+            monkeypatch, lambda side, i: bench_record.parse_run_output(""))
+        assert entry["per_layer"] == {"parent": None, "change": None}
+        assert entry["sha256"]["parent"] == {"report": None, "counts": None}
+        assert entry["failed"] == {"parent": 3, "change": 3}

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liuboost.metrics import aupr, auroc, pr_curve, roc_curve
 
@@ -62,6 +65,31 @@ def test_infinite_scores_order():
     # tied infinities group like any tied score
     s = np.array([np.inf, np.inf, 0.1, -np.inf])
     assert auroc(s, y) == pairwise_auroc(s, y) == 0.625
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tied_rows_in_any_order_give_identical_curves(data):
+    # the tp/fp counts are read at the end of each tied score group, so
+    # the order of its rows cannot reach a point or an area; -0.0 ties 0.0
+    n = data.draw(st.integers(2, 300), label="n")
+    scores = data.draw(arrays(np.float64, n, elements=st.sampled_from(
+        [-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf])), label="scores")
+    labels = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])),
+                       label="labels")
+    assume(len(set(labels.tolist())) == 2)
+    key = np.array(data.draw(st.permutations(range(n)), label="key"))
+    # position p of both orders lies in the same tie group, so this moves
+    # each label to another row of its own group
+    shuffled = np.empty_like(labels)
+    shuffled[np.argsort(scores, kind="stable")] = \
+        labels[np.lexsort((key, scores))]
+    for curve in (roc_curve, pr_curve):
+        a, b = curve(scores, labels), curve(scores, shuffled)
+        # assert_equal tells 0.0 from -0.0
+        np.testing.assert_equal(a.points, b.points)
+        assert np.float64(a.area).view(np.uint64) \
+            == np.float64(b.area).view(np.uint64)
 
 
 class TestRoc:

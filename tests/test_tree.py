@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 from liuboost import bench
 from liuboost.bench import ExperimentConfig
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
-from liuboost.tree import (MIN_GAIN, MIN_LEAF_WEIGHT, DecisionTree,
-                           _best_split, _binary_entropy, fit_tree)
+from liuboost.tree import (_FAST_SORT_ROWS, MIN_GAIN, MIN_LEAF_WEIGHT,
+                           DecisionTree, _best_split, _binary_entropy,
+                           fit_tree)
 
 
 def check_tree(tree) -> None:
@@ -457,16 +458,38 @@ class TestBestSplit:
         X, y, w = node
         np.testing.assert_equal(_best_split(X, y, w), loop_best_split(X, y, w))
 
+    @staticmethod
+    def tied_node(shape, n, rng):
+        """An (n, 3) node whose columns tie: a 5-valued grid, or one tied
+        column among continuous ones that mostly decides the labels, so
+        the best cut is one of its own: 5-valued, or of signs whose zero
+        run mixes -0.0 and 0.0."""
+        if shape == "grid5":
+            X = rng.integers(0, 5, size=(n, 3)).astype(float)
+            y = rng.choice([-1, 1], size=n)
+        else:
+            X = rng.normal(size=(n, 3))
+            values = ([-1.0, -0.0, 0.0, 1.0] if shape == "signed_zero"
+                      else [0.0, 1.0, 2.0, 3.0, 4.0])
+            X[:, 1] = rng.choice(values, size=n)
+            noise = rng.uniform(size=n) < 0.2
+            y = np.where((X[:, 1] > 0) ^ noise, 1, -1)
+        return X, y, rng.uniform(size=n)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle_on_large_tied_nodes(self, seed):
         # a weight prefix sum over tied rows depends on their order in the
-        # last bit, so only a stable sort matches the oracle; nodes this
-        # large show it (numpy sorts small arrays stably whatever the kind)
+        # last bit, so only the stable order matches the oracle.  Nodes
+        # below _FAST_SORT_ROWS rows sort stably; from there on the default
+        # sort's tied runs are put back in row order, which these sizes
+        # check on both sides of the threshold
         rng = np.random.default_rng(seed)
-        X = rng.integers(0, 5, size=(300, 3)).astype(float)
-        y = rng.choice([-1, 1], size=300)
-        w = rng.uniform(size=300)
-        np.testing.assert_equal(_best_split(X, y, w), loop_best_split(X, y, w))
+        for n in (_FAST_SORT_ROWS - 1, _FAST_SORT_ROWS, 300, 480):
+            for shape in ("grid5", "one_tied", "signed_zero"):
+                X, y, w = self.tied_node(shape, n, rng)
+                np.testing.assert_equal(_best_split(X, y, w),
+                                        loop_best_split(X, y, w),
+                                        err_msg=f"{shape}, n = {n}")
 
     def test_duplicated_column_tie_goes_to_lower_feature(self):
         rng = np.random.default_rng(7)
@@ -510,17 +533,21 @@ class TestBinaryEntropy:
 class TestOracleGuard:
     @pytest.mark.parametrize("max_depth", [1, 8])
     def test_fold_models_match_loop_oracle(self, monkeypatch, max_depth):
-        """One fold of two stand-ins trains byte-identical models with the
-        library's split search and with the loop oracle."""
+        """One fold of three stand-ins trains byte-identical models with the
+        library's split search and with the loop oracle.  pima's balanced
+        subsamples hold about 480 rows, so its boosting rounds take the
+        fast sort of nodes of _FAST_SORT_ROWS rows or more (its fold 0
+        leaves a stump model with no stage, so it runs fold 1)."""
         cfg = ExperimentConfig(dataset_paths=(), max_depth=max_depth)
+        folds = {"glass0": 0, "winequality-red-8_vs_6": 0, "pima": 1}
         stand_ins = [generate_catalog_dataset(e) for e in BENCHMARK_CATALOG
-                     if e.name in ("glass0", "winequality-red-8_vs_6")]
+                     if e.name in folds]
 
         def fold_models():
             out = []
             for ds in stand_ins:
                 scored = bench._fold_models(ds, bench._fold_plan(ds, cfg, 0),
-                                            cfg, 0, 0)
+                                            cfg, 0, folds[ds.name])
                 assert scored is not None
                 out += [model_bits(m) for m in scored[0].values()]
             return out
@@ -534,7 +561,7 @@ class TestOracleGuard:
 
         monkeypatch.setattr("liuboost.tree._best_split", oracle)
         assert fold_models() == library
-        assert calls
+        assert max(rows for rows, _ in calls) >= _FAST_SORT_ROWS
 
 
 class TestPrediction:

@@ -12,23 +12,28 @@ run the benchmark code of their own commit. For each workload of
    at seed i (1, 2, ..., 10) on both sides, alternating which side runs
    first, each run as long as ``run_seconds`` of the change's
    ``BENCHMARK.json``;
-2. one traced run per side at seed 0, ``--trace 1``, parent first, for
-   the per-layer metrics and the report and counts sha256 values.
+2. ``TRACED_RUNS`` traced runs per side at seed 0, ``--trace 1``,
+   alternating which side runs first (parent first in the first pair),
+   for the per-layer metrics and the report and counts sha256 values.
 
-``per_layer`` is therefore a single sample per side. Host drift between
-the two traced runs can invert a layer's move: in ``BENCH_25.json``,
-knn_scale ``locality.busy_s`` read 0.905 -> 1.076 s, while four more
-traced pairs of the same two commits all moved the other way. Cite a
-per-layer move only from repeated traced pairs; the counts are exact.
+``per_layer`` holds each metric's median over a side's traced runs that
+gave a result. One traced run per side was a single sample, which host
+drift could invert: in ``BENCH_25.json`` knn_scale ``locality.busy_s``
+read 0.905 -> 1.076 s, while four more traced pairs of the same two
+commits all moved the other way. Three runs still show only a large
+move; the counts are exact. A side's traced runs must agree on both
+sha256 values: ``sha256`` holds its first run's, and a disagreement
+counts as one more failure of that side.
 
 The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
 won (ties count for neither), the median of change/parent over the pairs
 (``paired_ratio_median``) and its ``verdict`` against the bound of the
 change's ``BENCHMARK.json`` (see ``verdict``), the traced per-layer
-metrics, both sha256 values and ``failed``: the failed checks that run.py
+medians, both sha256 values and ``failed``: the failed checks that run.py
 reported, plus one for every run that exited non-zero or printed no
-result.  A pair counts only when both of its runs gave a result; the
+result and one for each side whose traced runs disagree on a sha256.
+A pair counts only when both of its runs gave a result; the
 seeds of the other pairs are listed as ``dropped_seeds``.
 """
 from __future__ import annotations
@@ -46,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 # ten pairs: the fewest on which a gain can win nine of ten
 PAIRS = 10
+# traced runs per side; per_layer is their median
+TRACED_RUNS = 3
 SIDES = ("parent", "change")
 
 
@@ -208,19 +215,37 @@ def record_workload(checkouts: dict, bench: dict, workload: str,
             runs[side].append(parsed)
             print(f"{workload} seed {seed} {side}: "
                   f"{parsed['result'] and metrics(parsed)}", flush=True)
-    traced = {side: run(checkouts[side], workload, 0, seconds, 1)
-              for side in SIDES}
+    traced = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            traced[side].append(run(checkouts[side], workload, 0, seconds, 1))
+    layers = {side: traced_layers(traced[side]) for side in SIDES}
     return {
         "machine": next((p["machine"] for side in SIDES
                          for p in runs[side] if p["machine"]), None),
         **pair_up(bench, runs),
-        "per_layer": {side: traced[side]["result"] and metrics(traced[side])
-                      for side in SIDES},
-        "sha256": {side: {"report": traced[side]["report_sha256"],
-                          "counts": traced[side]["counts_sha256"]}
-                   for side in SIDES},
-        "failed": {side: sum(failed(p) for p in runs[side])
-                   + failed(traced[side]) for side in SIDES},
+        "per_layer": {side: layers[side]["per_layer"] for side in SIDES},
+        "sha256": {side: layers[side]["sha256"] for side in SIDES},
+        "failed": {side: sum(failed(p) for p in runs[side] + traced[side])
+                   + layers[side]["mismatched"] for side in SIDES},
+    }
+
+
+def traced_layers(traced: list[dict]) -> dict:
+    """One side's traced runs, over those that gave a result: each
+    metric's median (None when no run gave one), the first such run's two
+    sha256 values, and whether those runs disagree on either value."""
+    done = [p for p in traced if p["result"]]
+    layers = [metrics(p) for p in done]
+    first = done[0] if done else {"report_sha256": None,
+                                  "counts_sha256": None}
+    return {
+        "per_layer": {name: statistics.median(m[name] for m in layers)
+                      for name in layers[0]} if layers else None,
+        "sha256": {"report": first["report_sha256"],
+                   "counts": first["counts_sha256"]},
+        "mismatched": len({(p["report_sha256"], p["counts_sha256"])
+                           for p in done}) > 1,
     }
 
 
@@ -248,6 +273,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "seconds": bench["run_seconds"],
         "traced_seed": 0,
+        "traced_runs": TRACED_RUNS,
         "workloads": workloads,
         "failed": sum(sum(e["failed"].values()) for e in workloads.values()),
     }
