@@ -19,10 +19,11 @@ tied rows depends on their order in the last bit.  Below _FAST_SORT_ROWS
 rows a node takes numpy's stable sort.  From there on it takes numpy's
 default sort (vectorized where the CPU allows) and then repairs
 each run of tied values.  On (n, 10) nodes of 256 to 480 rows, on an
-AVX-512 Xeon with numpy 2.4, that made the whole search 20-34% faster
-on continuous columns and 7-30% faster on 5- or 50-valued grids or with
-one tied column.  On tied columns of 64 to 128 rows it was up to 20%
-slower: the repair costs more than the faster sort saves.
+AVX-512 Xeon with numpy 2.4, that made the whole search 28-33% faster
+on continuous columns, 14-25% on 50-valued grids and 11-19% with one
+5-valued column; on 5-valued grids it was about even (+1 to -9%).  On
+tied columns of 64 to 128 rows it was 10-30% slower: there the repair
+costs more than the faster sort saves.
 """
 from __future__ import annotations
 
