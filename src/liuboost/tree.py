@@ -15,15 +15,14 @@ round hold tens of rows, so the search costs numpy calls, not
 arithmetic: it makes a fixed number of them per node, whatever d is.
 
 The order of the sort must be the stable one: a weight prefix sum over
-tied rows depends on their order in the last bit.  Below _FAST_SORT_ROWS
-rows a node takes numpy's stable sort.  From there on it takes numpy's
-default sort (vectorized where the CPU allows) and then repairs
-each run of tied values.  On (n, 10) nodes of 256 to 480 rows, on an
-AVX-512 Xeon with numpy 2.4, that made the whole search 28-33% faster
-on continuous columns, 14-25% on 50-valued grids and 11-19% with one
-5-valued column; on 5-valued grids it was about even (+1 to -9%).  On
-tied columns of 64 to 128 rows it was 10-30% slower: there the repair
-costs more than the faster sort saves.
+tied rows depends on their order in the last bit.  Every node takes
+numpy's default sort (vectorized where the CPU allows) and then repairs
+each run of tied values, which a node with no tie skips.  On (n, 10)
+nodes, on an AVX-512 Xeon with numpy 2.4, that made the whole search
+4-9% faster than the stable sort at 64-128 rows and 22-33% at 200-480
+on continuous columns.  Tied columns pay for the repair: below about
+200 rows it cost 10-30% more than the stable sort, from 256 rows on it
+was about even on 5-valued grids and faster on the rest.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from .data import as_labels, is_count
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
 _TINY = 5e-324  # the smallest positive float: its log is finite
-_FAST_SORT_ROWS = 256  # nodes this large sort unstably, then repair ties
 
 
 @dataclass(frozen=True)
@@ -89,16 +87,15 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     All features are scored in one pass over feature-major (d, n) arrays:
     row j holds the node's rows sorted stably by feature j, and position
     c of a row is the cut between sorted rows c and c + 1.  A cut is valid
-    where those two values differ and both sides carry weight.  Nodes
-    below _FAST_SORT_ROWS rows take numpy's stable sort.  Larger ones
-    take its default sort, faster but unstable, and then restore the
-    stable order exactly: within each run of equal values (-0.0 equals
-    0.0) rows go by index, through one sort of the unique keys
-    run * n + row, run being the index of the row's run in the sorted
-    column.  A node with no tie in any column skips that sort.  The flat
-    argmax over the valid cuts, in feature-major order, takes the first
-    maximum: ties among equal gain ratios resolve to the lower feature
-    index, then the lower threshold.  The valid cuts are kept as flat
+    where those two values differ and both sides carry weight.  The
+    columns take numpy's default sort, faster but unstable, and then the
+    stable order is restored exactly: within each run of equal values
+    (-0.0 equals 0.0) rows go by index, through one sort of the unique
+    keys run * n + row, run being the index of the row's run in the
+    sorted column.  A node with no tie in any column skips that sort.
+    The flat argmax over the valid cuts, in feature-major order, takes
+    the first maximum: ties among equal gain ratios resolve to the lower
+    feature index, then the lower threshold.  The valid cuts are kept as flat
     indices j * (n - 1) + c into the (d, n - 1) cut grid, so the winner's
     feature and position are one divmod.  One _binary_entropy call scores
     the parent and the left and right side of every valid cut.  The
@@ -114,11 +111,10 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     W = w.sum()
     Wp = w[pos].sum()
     cols = np.arange(d)[:, None]
-    fast = n >= _FAST_SORT_ROWS
-    order = X.argsort(axis=0, kind=None if fast else "stable").T
+    order = X.argsort(axis=0).T
     xs = X[order, cols]
     step = xs[:, :-1] < xs[:, 1:]
-    if fast and not step.all():
+    if not step.all():
         # run ids stay put: the repair moves rows only within their run,
         # so step holds; xs is gathered again for the sign of a zero
         run = np.zeros((d, n), dtype=np.int64)

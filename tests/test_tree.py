@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from liuboost import bench
 from liuboost.bench import ExperimentConfig
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
-from liuboost.tree import (_FAST_SORT_ROWS, MIN_GAIN, MIN_LEAF_WEIGHT,
+from liuboost.tree import (MIN_GAIN, MIN_LEAF_WEIGHT,
                            DecisionTree, _best_split, _binary_entropy,
                            fit_tree)
 
@@ -479,12 +479,11 @@ class TestBestSplit:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_loop_oracle_on_large_tied_nodes(self, seed):
         # a weight prefix sum over tied rows depends on their order in the
-        # last bit, so only the stable order matches the oracle.  Nodes
-        # below _FAST_SORT_ROWS rows sort stably; from there on the default
-        # sort's tied runs are put back in row order, which these sizes
-        # check on both sides of the threshold
+        # last bit, so only the stable order matches the oracle.  Every
+        # node takes the default sort, which on an AVX-512 host reorders
+        # ties from 4 rows up, and has its tied runs put back in row order
         rng = np.random.default_rng(seed)
-        for n in (_FAST_SORT_ROWS - 1, _FAST_SORT_ROWS, 300, 480):
+        for n in (4, 16, 64, 200, 256, 480):
             for shape in ("grid5", "one_tied", "signed_zero"):
                 X, y, w = self.tied_node(shape, n, rng)
                 np.testing.assert_equal(_best_split(X, y, w),
@@ -535,9 +534,9 @@ class TestOracleGuard:
     def test_fold_models_match_loop_oracle(self, monkeypatch, max_depth):
         """One fold of three stand-ins trains byte-identical models with the
         library's split search and with the loop oracle.  pima's balanced
-        subsamples hold about 480 rows, so its boosting rounds take the
-        fast sort of nodes of _FAST_SORT_ROWS rows or more (its fold 0
-        leaves a stump model with no stage, so it runs fold 1)."""
+        subsamples hold about 480 rows, so its boosting rounds sort nodes
+        of 256 rows or more (its fold 0 leaves a stump model with no
+        stage, so it runs fold 1)."""
         cfg = ExperimentConfig(dataset_paths=(), max_depth=max_depth)
         folds = {"glass0": 0, "winequality-red-8_vs_6": 0, "pima": 1}
         stand_ins = [generate_catalog_dataset(e) for e in BENCHMARK_CATALOG
@@ -561,7 +560,7 @@ class TestOracleGuard:
 
         monkeypatch.setattr("liuboost.tree._best_split", oracle)
         assert fold_models() == library
-        assert max(rows for rows, _ in calls) >= _FAST_SORT_ROWS
+        assert max(rows for rows, _ in calls) >= 256
 
 
 class TestPrediction:
