@@ -188,13 +188,34 @@ class TestVerdict:
 
 
 def _traced(side, i, report=REPORT):
-    """A parsed traced run of one side: its layer time grows with i."""
+    """A parsed traced run of one side at the reference speed: its layer
+    time grows with i."""
     busy = {"parent": 1.0, "change": 0.5}[side] + (0.1, 0.3, 0.0)[i]
     return {"machine": MACHINE, "report_sha256": report,
-            "counts_sha256": COUNTS,
+            "counts_sha256": COUNTS, "scaled_wall_s": 3.0,
             "result": {"failed": 0, "metrics": {
                 "locality.busy_s": {"value": busy, "unit": "s"},
-                "locality.calls": {"value": 172.0, "unit": "count"}}}}
+                "locality.calls": {"value": 172.0, "unit": "count"},
+                "trace.wall_s": {"value": 3.5, "unit": "s"},
+                "trace.overhead_s": {"value": 0.5, "unit": "s"}}}}
+
+
+def _traced_stdout(wall_s):
+    """perfbench/run.py output of a traced run whose untraced run took
+    300 / 100 = 3 s and whose tracing took 0.5 s more, both at the
+    reference speed, and which took wall_s."""
+    return f"""\
+# machine: {MACHINE}
+# untraced: 2.715 s wall without the reference kernel, report sha256 {REPORT}
+models_per_s                               100.000000 1/s    n=300
+train_p50_ms                                 5.204000 ms     n=300
+# traced: {wall_s:.3f} s wall, report sha256 {REPORT}, counts sha256 {COUNTS}
+trace.overhead_s                             0.500000 s
+trace.wall_s                                 {wall_s:.6f} s
+{json.dumps({"correct": True, "attempted": 180, "failed": 0, "metrics": {
+    "trace.overhead_s": {"value": 0.5, "unit": "s"},
+    "trace.wall_s": {"value": wall_s, "unit": "s"}}})}
+"""
 
 
 class TestRecordWorkload:
@@ -225,9 +246,14 @@ class TestRecordWorkload:
         assert [side for side, trace in calls if trace] == [
             "parent", "change", "change", "parent", "parent", "change"]
         # the medians of 1.1, 1.3, 1.0 and of 0.6, 0.8, 0.5
+        trace = {"trace.wall_s": 3.5, "trace.overhead_s": 0.5}
         assert entry["per_layer"] == {
-            "parent": {"locality.busy_s": 1.1, "locality.calls": 172.0},
-            "change": {"locality.busy_s": 0.6, "locality.calls": 172.0}}
+            "parent": {"locality.busy_s": 1.1, "locality.calls": 172.0}
+            | trace,
+            "change": {"locality.busy_s": 0.6, "locality.calls": 172.0}
+            | trace}
+        assert entry["speed_factor"] == {"parent": [1.0] * 3,
+                                         "change": [1.0] * 3}
         assert entry["sha256"]["change"] == {"report": REPORT,
                                              "counts": COUNTS}
         assert entry["failed"] == {"parent": 0, "change": 0}
@@ -253,3 +279,23 @@ class TestRecordWorkload:
         assert entry["per_layer"] == {"parent": None, "change": None}
         assert entry["sha256"]["parent"] == {"report": None, "counts": None}
         assert entry["failed"] == {"parent": 3, "change": 3}
+
+    def test_speed_factor_of_each_traced_run(self, monkeypatch):
+        walls = {"parent": (3.5, 7.0, 5.25), "change": (1.75, 3.5, None)}
+
+        def traced(side, i):
+            wall = walls[side][i]
+            return bench_record.parse_run_output(
+                "" if wall is None else _traced_stdout(wall))
+
+        entry, _ = self.record(monkeypatch, traced)
+        assert bench_record.parse_run_output(_traced_stdout(3.5))[
+            "scaled_wall_s"] == 3.0
+        # each wall over 3 + 0.5 s, in run order; a run with no result
+        # has none
+        assert entry["speed_factor"] == {"parent": [1.0, 2.0, 1.5],
+                                         "change": [0.5, 1.0, None]}
+        # the medians of a slow parent and a fast change, which the
+        # factors explain
+        assert entry["per_layer"]["parent"]["trace.wall_s"] == 5.25
+        assert entry["per_layer"]["change"]["trace.wall_s"] == 2.625

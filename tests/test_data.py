@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from conftest import make_clusters
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liuboost import synth
+from liuboost import data, synth
 from liuboost.data import (MISSING_TOKENS, NUMERIC_TYPES, Dataset,
                            KeelFormatError, apply_min_max, as_labels,
                            fit_min_max, imbalance_ratio, parse_keel,
@@ -117,7 +118,8 @@ def loop_parse_keel(text: str, name: str | None = None) -> Dataset:
     uniq, class_of, counts = np.unique(classes, return_inverse=True,
                                        return_counts=True)
     if len(uniq) != 2:
-        raise KeelFormatError(f"expected 2 classes, found {len(uniq)}: {list(uniq)}")
+        raise KeelFormatError(
+            f"expected 2 classes, found {len(uniq)}: {uniq.tolist()}")
     return Dataset(
         features=features,
         labels=np.where(class_of == np.argmin(counts), 1, -1),
@@ -289,6 +291,19 @@ class TestParseKeel:
         with pytest.raises(KeelFormatError, match="expected 2 classes"):
             parse_keel(text)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("positive", "negative", "found 1: ['negative']"),
+        ("3.0, 4.0, negative", "3.0, 4.0, other",
+         "found 3: ['negative', 'other', 'positive']"),
+    ], ids=["one_class", "three_classes"])
+    def test_class_count_message_names_the_classes(self, old, new, message):
+        # plain names in sorted order, not NumPy's np.str_('negative')
+        with pytest.raises(KeelFormatError) as err:
+            parse_keel(SAMPLE.replace(old, new))
+        assert str(err.value) == f"expected 2 classes, {message}"
+        assert outcome(loop_parse_keel, SAMPLE.replace(old, new)) == (
+            KeelFormatError, str(err.value))
+
     def test_nominal_input_rejected(self):
         text = SAMPLE.replace("@attribute a real [0.0, 10.0]",
                               "@attribute a {x, y}")
@@ -300,6 +315,35 @@ class TestParseKeel:
     @given(keel_texts())
     def test_matches_row_by_row_oracle(self, text):
         assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(keel_texts(), st.integers(1, 3))
+    def test_matches_oracle_across_block_boundaries(self, text, block_lines):
+        # blocks of 1-3 lines put faults and class names in every block
+        # and at either end of one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_LINES", block_lines)
+            assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
+
+    def test_memory_bounded_by_text_size(self):
+        # the policy: a parse holds the text, its lines, the array and one
+        # block. On this text the peak is 2.7 times the text's length
+        # (9.7 times when every token was kept until its column was
+        # converted)
+        m, d = 200_000, 3
+        rng = np.random.default_rng(0)
+        text = serialize_keel(Dataset(
+            features=rng.random((m, d)),
+            labels=np.where(np.arange(m) % 10 == 0, 1, -1),
+            feature_names=tuple(f"x{j}" for j in range(d)), name="big"))
+        tracemalloc.start()
+        try:
+            ds = parse_keel(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n_instances == m
+        assert peak < 4 * len(text), f"peak {peak / len(text):.2f} x text"
 
     @pytest.mark.parametrize("token", ["\x1f1.5\x1f", " \t1.5\xa0"])
     def test_padded_tokens_convert_as_stripped(self, token):

@@ -23,7 +23,12 @@ read 0.905 -> 1.076 s, while four more traced pairs of the same two
 commits all moved the other way. Three runs still show only a large
 move; the counts are exact. A side's traced runs must agree on both
 sha256 values: ``sha256`` holds its first run's, and a disagreement
-counts as one more failure of that side.
+counts as one more failure of that side. ``speed_factor`` holds, per
+side and in run order, each traced run's wall over its wall at the
+reference speed (see ``speed_factor``; None for a run with no result):
+a layer's move reads only against these, since in ``BENCH_27.json``
+deep_trees ``tree.fit_busy_s`` read 2.996 -> 3.089 s while six more
+traced runs per side gave medians 3.20 -> 2.42 s.
 
 The file holds both commits, the machine line, every end-to-end metric per
 seed with each side's median and interquartile range, the pairs each side
@@ -69,12 +74,16 @@ def extract(rev: str, into: Path) -> str:
 
 
 def parse_run_output(stdout: str) -> dict:
-    """The facts of one run.py output: its machine line, its sha256 values
-    and its final JSON object."""
-    out = {"machine": None, "report_sha256": None, "counts_sha256": None}
+    """The facts of one run.py output: its machine line, its sha256 values,
+    the untraced run's wall at the reference speed (n / models_per_s, from
+    its models_per_s line) and its final JSON object."""
+    out = {"machine": None, "report_sha256": None, "counts_sha256": None,
+           "scaled_wall_s": None}
     for line in stdout.splitlines():
         if line.startswith("# machine: "):
             out["machine"] = line.removeprefix("# machine: ")
+        elif found := re.match(r"models_per_s\s+(\S+)\s.*\bn=(\d+)$", line):
+            out["scaled_wall_s"] = int(found[2]) / float(found[1])
         elif found := re.match(r"# (untraced|traced):.*report sha256 "
                                r"([0-9a-f]{64})", line):
             out["report_sha256"] = found[2]
@@ -180,6 +189,15 @@ def metrics(parsed: dict) -> dict:
             for name, m in parsed["result"]["metrics"].items()}
 
 
+def speed_factor(parsed: dict) -> float:
+    """A traced run's wall (trace.wall_s) over its wall at the reference
+    speed: the untraced run's (n / models_per_s) plus trace.overhead_s.
+    Above 1 the host ran slower than the reference speed in that run."""
+    layer = metrics(parsed)
+    return layer["trace.wall_s"] / (parsed["scaled_wall_s"]
+                                    + layer["trace.overhead_s"])
+
+
 def pair_up(bench: dict, runs: dict) -> dict:
     """The seeds of the pairs whose two runs both gave a result, the seeds
     of the other pairs, and every end-to-end metric over the kept pairs.
@@ -225,6 +243,8 @@ def record_workload(checkouts: dict, bench: dict, workload: str,
                          for p in runs[side] if p["machine"]), None),
         **pair_up(bench, runs),
         "per_layer": {side: layers[side]["per_layer"] for side in SIDES},
+        "speed_factor": {side: [speed_factor(p) if p["result"] else None
+                                for p in traced[side]] for side in SIDES},
         "sha256": {side: layers[side]["sha256"] for side in SIDES},
         "failed": {side: sum(failed(p) for p in runs[side] + traced[side])
                    + layers[side]["mismatched"] for side in SIDES},
