@@ -298,11 +298,10 @@ class TestParseKeel:
     ], ids=["one_class", "three_classes"])
     def test_class_count_message_names_the_classes(self, old, new, message):
         # plain names in sorted order, not NumPy's np.str_('negative')
-        with pytest.raises(KeelFormatError) as err:
-            parse_keel(SAMPLE.replace(old, new))
-        assert str(err.value) == f"expected 2 classes, {message}"
-        assert outcome(loop_parse_keel, SAMPLE.replace(old, new)) == (
-            KeelFormatError, str(err.value))
+        text = SAMPLE.replace(old, new)
+        expected = (KeelFormatError, f"expected 2 classes, {message}")
+        assert outcome(parse_keel, text) == expected
+        assert outcome(loop_parse_keel, text) == expected
 
     def test_nominal_input_rejected(self):
         text = SAMPLE.replace("@attribute a real [0.0, 10.0]",
@@ -327,9 +326,9 @@ class TestParseKeel:
 
     def test_memory_bounded_by_text_size(self):
         # the policy: a parse holds the text, its lines, the array and one
-        # block. On this text the peak is 2.7 times the text's length
-        # (9.7 times when every token was kept until its column was
-        # converted)
+        # block. On this text the peak is 2.7 times the text's length; a
+        # parse that keeps every token until its column is converted
+        # peaks at 9.7 times
         m, d = 200_000, 3
         rng = np.random.default_rng(0)
         text = serialize_keel(Dataset(
