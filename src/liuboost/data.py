@@ -214,15 +214,16 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
             f"non-finite value {token!r} in row {i}, "
             f"attribute {attr_names[feat_cols[jj]]!r}")
 
-    # the sorted class names and each row's index into them, as
-    # np.unique of every row's name gives them
-    uniq, uniq_of = np.unique(list(table), return_inverse=True)
-    class_of = uniq_of[codes]
-    counts = np.bincount(class_of, minlength=len(uniq))
-    if len(uniq) != 2:
+    # the class names sorted as Python strings: a NumPy unicode array
+    # drops trailing '\x00', so np.unique would merge 'a\x00' into 'a'
+    names = sorted(table)
+    if len(names) != 2:
         raise KeelFormatError(
-            f"expected 2 classes, found {len(uniq)}: {uniq.tolist()}")
-    # argmin picks the first of equal counts: the smaller name, as uniq
+            f"expected 2 classes, found {len(names)}: {names}")
+    # each row's index into names; table lists the names by code
+    class_of = np.array([names.index(c) for c in table])[codes]
+    counts = np.bincount(class_of, minlength=2)
+    # argmin picks the first of equal counts: the smaller name, as names
     # is sorted
     return Dataset(
         features=features,

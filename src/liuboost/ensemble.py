@@ -91,27 +91,35 @@ def _boost_loop(X, y, weight_plus, weight_minus, T, rng,
     T = int(T)
     rng = np.random.default_rng(rng)  # a Generator is passed through
     D = np.full(len(y), 1.0 / len(y))
+    # D * cost of each row, for either outcome, is taken once per stage:
+    # the stage's redraws share it, so each round's two sums are one mask
+    # and one sum each.  A product does not depend on when it is taken and
+    # a sign flip is exact, so the sums and the update exponent have the
+    # bits of (D[mis] * weight_plus[mis]).sum() and -alpha * y * pred * cost
+    Dp, Dm = D * weight_plus, D * weight_minus
     alphas: list[float] = []
     trees: list[DecisionTree] = []
     history: list[RoundRecord] = []
     retries = 0
     while len(alphas) < T and retries <= MAX_CONSECUTIVE_RETRIES:
         sample = random_undersample(y, rng)
-        tree = fit_tree(X[sample], y[sample], D[sample], max_depth)
+        tree = fit_tree(X.take(sample, axis=0), y[sample], D[sample],
+                        max_depth)  # take: faster than X[sample]
         pred = tree.predict_many(X)
         mis = pred != y
-        mis_sum = float((D[mis] * weight_plus[mis]).sum())
-        cor_sum = float((D[~mis] * weight_minus[~mis]).sum())
+        mis_sum = float(Dp[mis].sum())
+        cor_sum = float(Dm[~mis].sum())
         alpha = compute_alpha(cor_sum, mis_sum)
         if alpha <= 0:
             retries += 1
             continue
         retries = 0
         epsilon = float(D[mis].sum())  # cost-free weighted error under current D
-        cost = np.where(mis, weight_plus, weight_minus)
         # |alpha| < 14.2 and every cost is in (0, 1]: no overflow
-        D = D * np.exp(-alpha * y * pred * cost)
+        D = D * np.exp(np.where(mis, alpha * weight_plus,
+                                -alpha * weight_minus))
         D = D / D.sum()  # rebinds D, so each record keeps its own array
+        Dp, Dm = D * weight_plus, D * weight_minus
         alphas.append(alpha)
         trees.append(tree)
         history.append(RoundRecord(mis_sum=mis_sum, cor_sum=cor_sum,

@@ -7,12 +7,23 @@ Depth is the tree's one parameter; the other two stopping rules are the
 constants MIN_LEAF_WEIGHT and MIN_GAIN.
 
 The split search scores every feature of a node in one pass: one
-column-wise argsort gives feature-major (d, n) sorted values and weight
-prefix sums, one entropy call covers the parent and both sides of every
-valid cut, and one argmax over those cuts picks the lowest feature, then
-the lowest threshold, among equal gain ratios.  Most nodes of a boosting
-round hold tens of rows, so the search costs numpy calls, not
-arithmetic: it makes a fixed number of them per node, whatever d is.
+column-wise argsort gives feature-major (d, n) weight prefix sums and
+one column-wise sort the sorted values, one entropy call covers the
+parent and both sides of every valid cut, and one argmax over those cuts
+picks the lowest feature, then the lowest threshold, among equal gain
+ratios.  Most nodes of a boosting round hold tens of rows, so the search
+costs numpy calls, not arithmetic: it makes a fixed number of them per
+node, whatever d is.
+
+For the same reason a boosting round pays mostly a fixed count of numpy
+calls, and growth and prediction make no call that their output does
+not need.  A fit hands each node its own rows (X, y, w), taken from its
+parent's at the positions of the parent's mask, so no node carries row
+numbers into the input: the root searches the input itself when every
+weight is positive, and a node at max_depth is a leaf before any other
+work, so its X rows are never taken.  Prediction compares
+whole columns and carries boolean masks until a node holds under an
+eighth of the rows (predict_many).
 
 The order of the sort must be the stable one: a weight prefix sum over
 tied rows depends on their order in the last bit.  Every node takes
@@ -35,6 +46,9 @@ from .data import as_labels, is_count
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
 _TINY = 5e-324  # the smallest positive float: its log is finite
+# a node below this share of the rows it predicts routes an index array,
+# under m / 8 entries of 8 bytes: never more than an m-byte mask
+_ROUTE_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -53,19 +67,53 @@ class DecisionTree:
         return len(self.feature)
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
+        """The leaf label of each row of an (m, n_features) matrix.
+
+        Rows go down the tree as a boolean mask over all m rows: a node
+        compares its whole column, X[:, f] <= threshold, and splits its
+        mask in two with no gather.  A child that is not a leaf and holds
+        under m * _ROUTE_SHARE rows takes its rows as an index array
+        instead, and routes them by a gather of its column, so deep nodes
+        of a large tree cost their own rows, not m.  Each stack entry
+        holds one m-byte mask or an index array of under m / 8 entries,
+        so at worst one m-byte buffer per level of the tree.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError("feature dimensionality mismatch")
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
+        m = X.shape[0]
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right, label = (self.left.tolist(), self.right.tolist(),
+                              self.label.tolist())
+        out = np.empty(m, dtype=np.int64)
+        stack = [(0, None)]  # None: every row
         while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = self.label[node]
+            node, rows = stack.pop()
+            f, kids = feature[node], (left[node], right[node])
+            if rows is not None and rows.dtype != bool:  # an index array
+                if f < 0:
+                    out[rows] = label[node]
+                    continue
+                go = X[:, f][rows] <= threshold[node]
+                stack += zip(kids, (rows[go], rows[~go]))
                 continue
-            go_left = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
+            if f < 0:
+                if rows is None:
+                    out.fill(label[node])
+                else:
+                    np.putmask(out, rows, label[node])  # faster than out[rows]
+                continue
+            go = X[:, f] <= threshold[node]
+            if rows is None:
+                rows = ~go
+            else:  # each mask has one owner: split it in place
+                go &= rows
+                rows ^= go
+            for child, mask in zip(kids, (go, rows)):
+                if (feature[child] >= 0
+                        and np.count_nonzero(mask) < m * _ROUTE_SHARE):
+                    mask = mask.nonzero()[0]
+                stack.append((child, mask))
         return out
 
 
@@ -98,11 +146,21 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     feature index, then the lower threshold.  The valid cuts are kept as flat
     indices j * (n - 1) + c into the (d, n - 1) cut grid, so the winner's
     feature and position are one divmod.  One _binary_entropy call scores
-    the parent and the left and right side of every valid cut.  The
-    threshold is the midpoint lo / 2 + hi / 2 of the two values, which
-    cannot overflow; between adjacent floats that rounds to hi, so lo is
-    taken instead and the cut still separates them.  Returns
-    (-inf, -1, nan) when no valid cut exists.  With finite inputs
+    the parent and the left and right side of every valid cut; the right
+    weights are formed for the valid cuts only.  The threshold is the
+    midpoint lo / 2 + hi / 2 of the two values, which cannot overflow;
+    between adjacent floats that rounds to hi, so lo is taken instead and
+    the cut still separates them.
+
+    The sorted values come from a sort of their own, not through the
+    order, so within a run of zeros the signs may stand in any order.  No
+    sign reaches a threshold.  lo and hi lie in different runs, so at
+    most one of them is a zero.  A zero lo gives mid = hi / 2 (+0.0 when
+    hi is the smallest float), always below hi, so mid is taken.  A zero
+    hi makes lo negative: mid is lo / 2, taken, or else a zero, and then
+    lo is taken.
+
+    Returns (-inf, -1, nan) when no valid cut exists.  With finite inputs
     (fit_tree checks them) every ratio is finite, so no NaN reaches the
     argmax.
     """
@@ -110,27 +168,26 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     pos = y == 1
     W = w.sum()
     Wp = w[pos].sum()
-    cols = np.arange(d)[:, None]
     order = X.argsort(axis=0).T
-    xs = X[order, cols]
+    xs = np.sort(X, axis=0).T
     step = xs[:, :-1] < xs[:, 1:]
     if not step.all():
-        # run ids stay put: the repair moves rows only within their run,
-        # so step holds; xs is gathered again for the sign of a zero
+        # run ids stay put: the repair moves rows only within their run
         run = np.zeros((d, n), dtype=np.int64)
         np.cumsum(step, axis=1, out=run[:, 1:])
         run *= n
         key = run + order
         key.sort(axis=1)
         order = key - run
-        xs = X[order, cols]
     wl = w[order].cumsum(axis=1)[:, :-1]
     plc = (w * pos)[order].cumsum(axis=1)[:, :-1]
-    wr = W - wl
-    flat = np.flatnonzero(step & (wl > 0) & (wr > 0))
+    # W - wl > 0 exactly when wl < W: a float difference is 0 only
+    # between equal floats
+    flat = np.flatnonzero(step & (wl > 0) & (wl < W))
     if not flat.size:
         return -np.inf, -1, np.nan
-    wl, wr, plc = wl.take(flat), wr.take(flat), plc.take(flat)
+    wl, plc = wl.take(flat), plc.take(flat)
+    wr = W - wl
     h = _binary_entropy(np.concatenate(([Wp / W], plc / wl,
                                         (Wp - plc) / wr)))
     fl, fr = wl / W, wr / W
@@ -142,6 +199,18 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     lo, hi = xs[j, c], xs[j, c + 1]
     mid = lo / 2 + hi / 2
     return float(ratio[i]), j, mid if mid < hi else lo
+
+
+def _live_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """_best_split of a node's rows of positive weight, searched in place
+    when every row has one; no split, (-inf, -1, nan), when their labels
+    agree.  The node has a row of positive weight."""
+    live = w > 0
+    if not live.all():
+        X, y, w = X[live], y[live], w[live]
+    if (y == y[0]).all():
+        return -np.inf, -1, np.nan
+    return _best_split(X, y, w)
 
 
 def fit_tree(features: np.ndarray, labels: np.ndarray,
@@ -174,29 +243,38 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
 
     nodes = []  # [feature, threshold, left, right, label] rows
 
-    def build(idx, depth):
+    def build(rows, depth):
+        """The subtree of the rows [X, y, w] that the list rows hands
+        over, in row order; X is None at max_depth, where no search needs
+        it.  build empties the list and drops its rows once the children
+        have theirs, so a fit holds the rows of the node it is growing
+        and of the right children waiting on the path to it."""
+        Xn, yn, wn = rows
+        rows.clear()
         node, row = len(nodes), [-1, np.nan, -1, -1, 0]
         nodes.append(row)
-        wn, yn = w[idx], y[idx]
         Wn = wn.sum()
-        live = wn > 0
-        ya = yn[live]
         # weights sum to 1: a node with no weighted row is below
         # MIN_LEAF_WEIGHT; with no valid cut, the ratio is -inf < MIN_GAIN
-        if not (depth >= max_depth or Wn < MIN_LEAF_WEIGHT
-                or (ya == ya[0]).all()):
-            ratio, f, thr = _best_split(X[idx[live]], ya, wn[live])
+        if depth < max_depth and Wn >= MIN_LEAF_WEIGHT:
+            ratio, f, thr = _live_split(Xn, yn, wn)
             if ratio >= MIN_GAIN:
-                go_left = X[idx, f] <= thr
-                row[:4] = (f, thr, build(idx[go_left], depth + 1),
-                           build(idx[~go_left], depth + 1))
+                go_left = Xn[:, f] <= thr
+                deeper = depth + 1 < max_depth
+                # the mask's positions, taken: faster than masking (n, d)
+                kids = [[Xn.take(at, axis=0) if deeper else None, yn[at],
+                         wn[at]]
+                        for at in (go_left.nonzero()[0],
+                                   (~go_left).nonzero()[0])]
+                del Xn, yn, wn, go_left
+                row[:4] = (f, thr, *(build(k, depth + 1) for k in kids))
                 return node
         wpos = wn[yn == 1].sum()
         # ties, and leaves holding only zero-weight instances, go to -1
         row[4] = 1 if wpos > Wn - wpos else -1
         return node
 
-    build(np.arange(X.shape[0]), 0)
+    build([X, y, w], 0)
     del build  # it refers to itself: a cycle would hold X, y, w until gc
     feature, threshold, left, right, label = zip(*nodes)
     return DecisionTree(

@@ -115,11 +115,12 @@ def loop_parse_keel(text: str, name: str | None = None) -> Dataset:
             f"non-finite value {rows[i][feat_cols[jj]]!r} in row {i}, "
             f"attribute {attr_names[feat_cols[jj]]!r}")
 
-    uniq, class_of, counts = np.unique(classes, return_inverse=True,
-                                       return_counts=True)
+    uniq = sorted(set(classes))
     if len(uniq) != 2:
         raise KeelFormatError(
-            f"expected 2 classes, found {len(uniq)}: {uniq.tolist()}")
+            f"expected 2 classes, found {len(uniq)}: {uniq}")
+    class_of = np.array([uniq.index(c) for c in classes])
+    counts = np.bincount(class_of, minlength=2)
     return Dataset(
         features=features,
         labels=np.where(class_of == np.argmin(counts), 1, -1),
@@ -302,6 +303,21 @@ class TestParseKeel:
         expected = (KeelFormatError, f"expected 2 classes, {message}")
         assert outcome(parse_keel, text) == expected
         assert outcome(loop_parse_keel, text) == expected
+
+    def test_trailing_nul_names_a_class_of_its_own(self):
+        # a NumPy unicode array drops trailing '\x00': grouped by
+        # np.unique, 'a\x00' would count as 'a'
+        rows = ["a", "a\x00", "b", "a"]
+        text = SAMPLE.split("@data")[0] + "@data\n" + "".join(
+            f"{i}.0, 1.0, {c}\n" for i, c in enumerate(rows))
+        expected = (KeelFormatError,
+                    "expected 2 classes, found 3: ['a', 'a\\x00', 'b']")
+        assert outcome(parse_keel, text) == expected
+        assert outcome(loop_parse_keel, text) == expected
+        text = text.replace(", b\n", ", a\n")
+        ds = parse_keel(text)
+        assert ds.labels.tolist() == [-1, 1, -1, -1]
+        assert outcome(loop_parse_keel, text) == outcome(parse_keel, text)
 
     def test_nominal_input_rejected(self):
         text = SAMPLE.replace("@attribute a real [0.0, 10.0]",

@@ -119,18 +119,18 @@ class TestTraining:
         for rec, tree, alpha in zip(model.history, model.trees, model.alphas):
             pred = tree.predict_many(ds.features)
             mis = pred != ds.labels
-            assert rec.mis_sum == pytest.approx(
-                float((D_prev[mis] * cv.weight_plus[mis]).sum()), abs=1e-12)
-            assert rec.cor_sum == pytest.approx(
-                float((D_prev[~mis] * cv.weight_minus[~mis]).sum()), abs=1e-12)
-            assert rec.epsilon == pytest.approx(float(D_prev[mis].sum()),
-                                                abs=1e-12)
-            assert alpha == pytest.approx(
-                compute_alpha(rec.cor_sum, rec.mis_sum), abs=1e-12)
+            # exact: the loop's sums and update have the bits of these
+            # textbook forms
+            assert rec.mis_sum == float(
+                (D_prev[mis] * cv.weight_plus[mis]).sum())
+            assert rec.cor_sum == float(
+                (D_prev[~mis] * cv.weight_minus[~mis]).sum())
+            assert rec.epsilon == float(D_prev[mis].sum())
+            assert alpha == compute_alpha(rec.cor_sum, rec.mis_sum)
             cost = np.where(mis, cv.weight_plus, cv.weight_minus)
             expected = D_prev * np.exp(-alpha * ds.labels * pred * cost)
             expected /= expected.sum()
-            np.testing.assert_allclose(rec.distribution, expected, atol=1e-12)
+            np.testing.assert_array_equal(rec.distribution, expected)
             D_prev = rec.distribution
 
     def test_round_one_update_ordering_follows_cost(self, noisy_ds):

@@ -563,7 +563,72 @@ class TestOracleGuard:
         assert max(rows for rows, _ in calls) >= 256
 
 
+@st.composite
+def complete_trees(draw, depth=8):
+    """A complete tree of the given depth, numbered in pre-order, with
+    features, thresholds and leaf labels drawn; the thresholds come from
+    a small grid, so a path may contradict itself and reach no row."""
+    d = draw(st.integers(1, 4))
+    n_inner = 2 ** depth - 1
+    split_on = iter(zip(
+        draw(arrays(np.int64, n_inner, elements=st.integers(0, d - 1))),
+        draw(arrays(np.float64, n_inner,
+                    elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))))
+    leaf_labels = iter(draw(arrays(np.int64, n_inner + 1,
+                                   elements=st.sampled_from([-1, 1]))))
+    nodes = []  # [feature, threshold, left, right, label] rows
+
+    def build(level):
+        node, row = len(nodes), [-1, np.nan, -1, -1, 0]
+        nodes.append(row)
+        if level == depth:
+            row[4] = next(leaf_labels)
+        else:
+            row[:2] = next(split_on)
+            row[2] = build(level + 1)
+            row[3] = build(level + 1)
+        return node
+
+    build(0)
+    feature, threshold, left, right, label = map(np.array, zip(*nodes))
+    return DecisionTree(feature=feature, threshold=threshold, left=left,
+                        right=right, label=label, n_features=d)
+
+
+def assert_routes_like_walk(tree, X):
+    np.testing.assert_array_equal(tree.predict_many(X),
+                                  [walk_tree(tree, x) for x in X])
+
+
 class TestPrediction:
+    @settings(max_examples=200, deadline=None)
+    @given(training_sets(), st.data())
+    def test_predict_many_matches_walk_on_fitted_trees(self, training_set,
+                                                      data):
+        # depth 0-8 on tied, continuous and zero-weight data; the queries
+        # add rows outside the training range
+        X, y, w, max_depth = training_set
+        tree = fit_tree(X, y, w, max_depth)
+        outside = data.draw(arrays(
+            np.float64, (data.draw(st.integers(0, 20)), X.shape[1]),
+            elements=st.floats(-1e3, 1e3) | st.sampled_from(
+                [-1e300, -0.0, 0.0, 1e300]), fill=st.nothing()))
+        assert_routes_like_walk(tree, np.vstack([X, outside]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(complete_trees(), st.data())
+    def test_predict_many_matches_walk_on_a_complete_tree(self, tree, data):
+        # 511 nodes: under 256 rows some leaves receive none, and the
+        # deeper nodes hold under an eighth of the rows, so their masks
+        # turn into index arrays
+        assert tree.n_nodes == 511
+        check_tree(tree)
+        X = data.draw(arrays(
+            np.float64, (data.draw(st.integers(0, 300)), tree.n_features),
+            elements=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 0.75, 1.0, 2.0])
+            | st.floats(-3, 3), fill=st.nothing()))
+        assert_routes_like_walk(tree, X)
+
     def test_predict_many_matches_single(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(80, 4))
