@@ -21,9 +21,9 @@ not need.  A fit hands each node its own rows (X, y, w), taken from its
 parent's at the positions of the parent's mask, so no node carries row
 numbers into the input: the root searches the input itself when every
 weight is positive, and a node at max_depth is a leaf before any other
-work, so its X rows are never taken.  Prediction compares
-whole columns and carries boolean masks until a node holds under an
-eighth of the rows (predict_many).
+work, so its X rows are never taken.  Prediction compares whole columns
+and carries boolean masks until a node holds under an eighth of the
+rows (predict_many).
 
 The order of the sort must be the stable one: a weight prefix sum over
 tied rows depends on their order in the last bit.  Every node takes
@@ -255,7 +255,8 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         nodes.append(row)
         Wn = wn.sum()
         # weights sum to 1: a node with no weighted row is below
-        # MIN_LEAF_WEIGHT; with no valid cut, the ratio is -inf < MIN_GAIN
+        # MIN_LEAF_WEIGHT; a pure node, or one with no valid cut, gets the
+        # ratio -inf < MIN_GAIN
         if depth < max_depth and Wn >= MIN_LEAF_WEIGHT:
             ratio, f, thr = _live_split(Xn, yn, wn)
             if ratio >= MIN_GAIN:
