@@ -634,10 +634,7 @@ class TestPrediction:
         X = rng.normal(size=(80, 4))
         y = np.where(X[:, 0] * X[:, 1] > 0, 1, -1)
         tree = fit_tree(X, y, np.ones(80), max_depth=4)
-        Xq = rng.normal(size=(100, 4))
-        many = tree.predict_many(Xq)
-        singles = np.array([walk_tree(tree, x) for x in Xq])
-        np.testing.assert_array_equal(many, singles)
+        assert_routes_like_walk(tree, rng.normal(size=(100, 4)))
 
     def test_dimension_mismatch(self):
         tree = fit_tree(np.zeros((2, 2)), np.array([1, -1]), np.ones(2))
