@@ -165,7 +165,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     for p in cfg.dataset_paths:
         try:
             ds = parse_keel(Path(p).read_text(), name=Path(p).stem)
-        except (OSError, KeelFormatError) as exc:
+        except (OSError, UnicodeDecodeError, KeelFormatError) as exc:
             skipped_datasets[str(p)] = str(exc)
             continue
         if reason := _too_small(ds, cfg):

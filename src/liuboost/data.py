@@ -3,26 +3,33 @@
 Labels are always mapped to {-1, +1} with the minority class as +1, so
 that recall/precision downstream refer to the rare class.
 
-parse_keel converts the data section in blocks of _BLOCK_LINES lines,
-one float() pass per feature column of a block, into one preallocated
-array; only when a block fails does it scan the rows in order, from the
-first, for the first bad one, so its errors are those of a row-by-row
-check. A parse holds the text, its list of lines, the (m, d) array with
-one class code per row, and the tokens of one block.
+parse_keel never splits the whole text: it reads the text in pieces of
+about _BLOCK_CHARS characters, each ending right after a newline, counts
+the data lines in a first walk over them, and converts each piece's
+lines as one block in a second walk, one float() pass per feature column
+of a block, into one preallocated array; only when a block fails does it
+walk the rows again, from the first, for the first bad one, so its
+errors are those of a row-by-row check.  A parse holds the text, the
+(m, d) array with one class code per row, and one block: its piece, its
+lines and their tokens.  Reading a file holds its bytes and its text
+together, twice the text, so the read, not the parse, sets the peak of a
+read and parse.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 MISSING_TOKENS = {"?", "<null>"}
 NUMERIC_TYPES = {"real", "integer", "numeric"}
-# data lines converted at a time: the tokens of one block are all the
-# Python strings a parse makes beyond its lines. At 2·10⁵ rows a parse
-# grew RSS by 37 MiB with 64 or 256 lines, 41 MiB with 4096 and 107 MiB
-# with 2¹⁶, and 256 was no slower than any of them
-_BLOCK_LINES = 256
+# characters of text split at a time (_pieces): a block's Python objects
+# take about 7 bytes per character. On 2·10⁵ × 10 rows (a 15.3 MiB array)
+# the traced peak of a parse was 18.8 MiB with 2¹⁴ or 2¹⁶, 19.6 MiB with
+# 2¹² (more pieces to list) and 23.7 MiB with 2²⁰; 2¹⁴ took 0.3 MB off
+# knn_scale's peak RSS against 2¹⁶, and parses took 0.97-1.04 times as long
+_BLOCK_CHARS = 1 << 14
 
 
 class KeelFormatError(ValueError):
@@ -106,60 +113,34 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     @outputs is absent).  The minority class becomes +1; on a cardinality
     tie the lexicographically smaller class name becomes +1.
 
-    The data lines are converted in blocks of _BLOCK_LINES lines: each
-    line of a block is split once at its commas, the block's rows are
-    transposed into columns, and each feature column is converted by one
-    pass of float() into its rows of a preallocated C-ordered (m, d)
-    float64 array; every value is that of float() on the stripped token.
-    Each class token becomes an integer code against a table of the
-    class names, so no token outlives its block.  A row with the wrong
-    field count, a missing value ('?' or '<null>' in any column) or a
-    non-numeric value raises for the first such row, with the checks of a
-    row in that order; a non-finite value raises only when every row
-    passes them.
+    The lines are those of text.splitlines(), stripped, with blank lines
+    dropped, but text is split a piece at a time (_pieces): the header is
+    read piece by piece up to @data, one walk over the rest counts the
+    data lines, and a second converts each piece's data lines as one
+    block: each line of a block is split once at its commas, the block's
+    rows are transposed into columns, and each feature column is
+    converted by one pass of float() into its rows of a preallocated
+    C-ordered (m, d) float64 array; every value is that of float() on the
+    stripped token.  Each class token becomes an integer code against a
+    table of the class names, so no token outlives its block, and the
+    codes become the labels in place.  A row with the wrong field count,
+    a missing value ('?' or '<null>' in any column) or a non-numeric
+    value raises for the first such row, with the checks of a row in that
+    order; a non-finite value raises only when every row passes them.
     """
-    attr_names: list[str] = []
-    attr_nominal: list[bool] = []
-    relation = None
-    outputs: list[str] = []
-
-    lines = [line for line in (raw.strip() for raw in text.splitlines())
-             if line]
-    for n, line in enumerate(lines):
-        if not line.startswith("@"):
-            raise KeelFormatError(f"data line before @data section: {line!r}")
-        keyword, _, rest = line.replace("\t", " ").partition(" ")
-        keyword, rest = keyword.lower(), rest.strip()
-        if keyword == "@relation":
-            relation = rest or "unnamed"
-        elif keyword == "@attribute":
-            if not rest:
-                raise KeelFormatError(f"malformed attribute line: {line!r}")
-            attr_name, _, spec = rest.partition(" ")
-            spec = spec.strip()
-            attr_names.append(attr_name.strip())
-            if spec.startswith("{"):
-                attr_nominal.append(True)
-            else:
-                base = spec.split("[")[0].strip().lower()
-                if base not in NUMERIC_TYPES:
-                    raise KeelFormatError(
-                        f"unsupported attribute type {spec!r} for {attr_name!r}")
-                attr_nominal.append(False)
-        elif keyword == "@outputs":
-            outputs = [s.strip() for s in rest.split(",") if s.strip()]
-        elif keyword == "@data":
-            break
-        elif keyword != "@inputs":  # the input list is implied by @outputs
-            raise KeelFormatError(f"unknown header keyword: {keyword!r}")
-    else:
-        raise KeelFormatError("missing @data section")
-    body = lines[n + 1:]
-    del lines
+    relation, attr_names, attr_nominal, outputs, tail = _read_header(text)
+    # the pieces that hold data rows, each with the count of its non-blank
+    # lines to skip: the header's, in the piece of the @data line
+    pieces, m = [], 0
+    for start, stop, skip in tail:
+        rows = len(_lines(text[start:stop])) - skip
+        if rows:
+            pieces.append((start, stop, skip))
+            m += rows
 
     if relation is None:
         raise KeelFormatError("missing @relation line")
-    if not body:
+    if not m:
         raise KeelFormatError("empty @data section")
     if not attr_names:
         raise KeelFormatError("no @attribute declarations")
@@ -180,13 +161,12 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     feat_cols = [j for j in range(n_cols) if j != class_col]
     if not feat_cols:
         raise KeelFormatError("no input attribute declared")
-    m = len(body)
     features = np.empty((m, len(feat_cols)))
-    codes = np.empty(m, dtype=np.intp)
+    codes = np.empty(m, dtype=np.int64)
     table: dict[str, int] = {}  # class name -> code, by first row
+    start = 0
     try:
-        for start in range(0, m, _BLOCK_LINES):
-            block = body[start:start + _BLOCK_LINES]
+        for block in _blocks(text, pieces):
             rows = [line.split(",") for line in block]
             if set(map(len, rows)) != {n_cols}:
                 raise ValueError
@@ -203,16 +183,20 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
                         raise ValueError
                     table[c] = len(table)
             codes[start:stop] = [table[c] for c in classes]
+            start = stop
     except ValueError:
-        raise _first_bad_row(body, n_cols, feat_cols, attr_names) from None
+        raise _first_bad_row(_data_lines(text, pieces), n_cols, feat_cols,
+                             attr_names) from None
 
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        i, jj = bad[0]
-        token = body[i].split(",")[feat_cols[jj]].strip()
+    finite = np.isfinite(features)
+    if not finite.all():
+        i, jj = np.argwhere(~finite)[0]
+        line = next(islice(_data_lines(text, pieces), i, None))
+        token = line.split(",")[feat_cols[jj]].strip()
         raise KeelFormatError(
             f"non-finite value {token!r} in row {i}, "
             f"attribute {attr_names[feat_cols[jj]]!r}")
+    del finite
 
     # the class names sorted as Python strings: a NumPy unicode array
     # drops trailing '\x00', so np.unique would merge 'a\x00' into 'a'
@@ -220,17 +204,98 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     if len(names) != 2:
         raise KeelFormatError(
             f"expected 2 classes, found {len(names)}: {names}")
-    # each row's index into names; table lists the names by code
-    class_of = np.array([names.index(c) for c in table])[codes]
-    counts = np.bincount(class_of, minlength=2)
-    # argmin picks the first of equal counts: the smaller name, as names
-    # is sorted
+    by_name = [table[c] for c in names]  # the code of each sorted name
+    # argmin picks the first of equal counts: the smaller name
+    plus = by_name[int(np.bincount(codes)[by_name].argmin())]
+    # the codes 0 and 1 become the labels in place: 2 * code - 1, negated
+    # when the +1 class has code 0
+    sign = 1 if plus else -1
+    codes *= 2 * sign
+    codes -= sign
     return Dataset(
         features=features,
-        labels=np.where(class_of == np.argmin(counts), 1, -1),
+        labels=codes,
         feature_names=tuple(attr_names[j] for j in feat_cols),
         name=name or relation,
     )
+
+
+def _lines(piece: str) -> list[str]:
+    """The lines of piece that are not blank, stripped."""
+    return [line for line in (raw.strip() for raw in piece.splitlines())
+            if line]
+
+
+def _pieces(text: str, start: int = 0):
+    """(start, stop) of each piece of text[start:], in order: a piece
+    ends right after the last newline ('\\n') of its first _BLOCK_CHARS
+    characters, or after the first newline past them (a longer line), or
+    at the end of text.  splitlines() ends a line at every '\\n' (with
+    the '\\r' of a '\\r\\n'), so the lines of the pieces are those of
+    the text."""
+    end = len(text)
+    while start < end:
+        stop = (text.rfind("\n", start, start + _BLOCK_CHARS) + 1
+                or text.find("\n", start + _BLOCK_CHARS) + 1 or end)
+        yield start, stop
+        start = stop
+
+
+def _read_header(text: str):
+    """(relation, attribute names, which are nominal, outputs, tail) of
+    the header of text, read a piece at a time up to @data.  tail yields
+    (start, stop, skip) for each piece from that of the @data line on,
+    skip being the count of its non-blank lines up to the @data line:
+    1 + the @data line's index in the piece, 0 in every later piece."""
+    attr_names: list[str] = []
+    attr_nominal: list[bool] = []
+    relation = None
+    outputs: list[str] = []
+    for start, stop in _pieces(text):
+        for n, line in enumerate(_lines(text[start:stop])):
+            if not line.startswith("@"):
+                raise KeelFormatError(
+                    f"data line before @data section: {line!r}")
+            keyword, _, rest = line.replace("\t", " ").partition(" ")
+            keyword, rest = keyword.lower(), rest.strip()
+            if keyword == "@relation":
+                relation = rest or "unnamed"
+            elif keyword == "@attribute":
+                if not rest:
+                    raise KeelFormatError(
+                        f"malformed attribute line: {line!r}")
+                attr_name, _, spec = rest.partition(" ")
+                spec = spec.strip()
+                attr_names.append(attr_name.strip())
+                if spec.startswith("{"):
+                    attr_nominal.append(True)
+                else:
+                    base = spec.split("[")[0].strip().lower()
+                    if base not in NUMERIC_TYPES:
+                        raise KeelFormatError(
+                            f"unsupported attribute type {spec!r} "
+                            f"for {attr_name!r}")
+                    attr_nominal.append(False)
+            elif keyword == "@outputs":
+                outputs = [s.strip() for s in rest.split(",") if s.strip()]
+            elif keyword == "@data":
+                return relation, attr_names, attr_nominal, outputs, chain(
+                    [(start, stop, n + 1)],
+                    ((a, b, 0) for a, b in _pieces(text, stop)))
+            elif keyword != "@inputs":  # the input list is implied by @outputs
+                raise KeelFormatError(f"unknown header keyword: {keyword!r}")
+    raise KeelFormatError("missing @data section")
+
+
+def _blocks(text: str, pieces):
+    """The data lines of each (start, stop, skip) piece, as one list."""
+    for start, stop, skip in pieces:
+        yield _lines(text[start:stop])[skip:]
+
+
+def _data_lines(text: str, pieces):
+    """The data lines of the pieces, one at a time."""
+    return chain.from_iterable(_blocks(text, pieces))
 
 
 def _floats(tokens) -> np.ndarray:
@@ -246,11 +311,11 @@ def _floats(tokens) -> np.ndarray:
                            len(tokens))
 
 
-def _first_bad_row(body: list[str], n_cols: int, feat_cols: list[int],
+def _first_bad_row(body, n_cols: int, feat_cols: list[int],
                    attr_names: list[str]) -> KeelFormatError:
-    """The error of the first data line that fails a row check: its field
-    count, then a missing value in any column, then a non-numeric value
-    by feature column."""
+    """The error of the first of the data lines body that fails a row
+    check: its field count, then a missing value in any column, then a
+    non-numeric value by feature column."""
     for i, line in enumerate(body):
         row = [f.strip() for f in line.split(",")]
         if len(row) != n_cols:

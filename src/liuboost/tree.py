@@ -20,10 +20,11 @@ calls, and growth and prediction make no call that their output does
 not need.  A fit hands each node its own rows (X, y, w), taken from its
 parent's at the positions of the parent's mask, so no node carries row
 numbers into the input: the root searches the input itself when every
-weight is positive, and a node at max_depth is a leaf before any other
-work, so its X rows are never taken.  Prediction compares whole columns
-and carries boolean masks until a node holds under an eighth of the
-rows (predict_many).
+weight is positive, and a split whose children sit at max_depth labels
+both leaves from its own rows under the split's mask, so a leaf's rows
+are never taken.  Prediction compares whole columns and carries boolean
+masks until a node holds under an eighth of the rows, and labels every
+row of a stump by one comparison (predict_many).
 
 The order of the sort must be the stable one: a weight prefix sum over
 tied rows depends on their order in the last bit.  Every node takes
@@ -76,7 +77,9 @@ class DecisionTree:
         instead, and routes them by a gather of its column, so deep nodes
         of a large tree cost their own rows, not m.  Each stack entry
         holds one m-byte mask or an index array of under m / 8 entries,
-        so at worst one m-byte buffer per level of the tree.
+        so at worst one m-byte buffer per level of the tree.  A stump, a
+        root whose children are both leaves, labels the rows by one
+        np.where over its comparison.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -85,6 +88,11 @@ class DecisionTree:
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right, label = (self.left.tolist(), self.right.tolist(),
                               self.label.tolist())
+        kids = left[0], right[0]
+        if feature[0] >= 0 and feature[kids[0]] < 0 and feature[kids[1]] < 0:
+            # a stump: one comparison labels every row
+            return np.where(X[:, feature[0]] <= threshold[0],
+                            label[kids[0]], label[kids[1]])
         out = np.empty(m, dtype=np.int64)
         stack = [(0, None)]  # None: every row
         while stack:
@@ -213,6 +221,12 @@ def _live_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     return _best_split(X, y, w)
 
 
+def _leaf_label(weight: float, wpos: float) -> int:
+    """The label of a leaf of that weight, wpos of it on +1 rows: ties,
+    and leaves holding only zero-weight instances, go to -1."""
+    return 1 if wpos > weight - wpos else -1
+
+
 def fit_tree(features: np.ndarray, labels: np.ndarray,
              sample_weights: np.ndarray,
              max_depth: int = 8) -> DecisionTree:
@@ -245,10 +259,11 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
 
     def build(rows, depth):
         """The subtree of the rows [X, y, w] that the list rows hands
-        over, in row order; X is None at max_depth, where no search needs
-        it.  build empties the list and drops its rows once the children
-        have theirs, so a fit holds the rows of the node it is growing
-        and of the right children waiting on the path to it."""
+        over, in row order.  build empties the list and drops its rows
+        once the children have theirs, so a fit holds the rows of the node
+        it is growing and of the right children waiting on the path to
+        it.  Children at max_depth are leaves that build labels from
+        their parent's rows, with no rows of their own."""
         Xn, yn, wn = rows
         rows.clear()
         node, row = len(nodes), [-1, np.nan, -1, -1, 0]
@@ -261,18 +276,24 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
             ratio, f, thr = _live_split(Xn, yn, wn)
             if ratio >= MIN_GAIN:
                 go_left = Xn[:, f] <= thr
-                deeper = depth + 1 < max_depth
+                if depth + 1 == max_depth:
+                    # both children are leaves, nodes node + 1 and + 2:
+                    # their masked weights are the elements, in the order,
+                    # that their own rows would hold, so the sums agree
+                    pos = yn == 1
+                    row[:4] = f, thr, node + 1, node + 2
+                    for side in (go_left, ~go_left):
+                        nodes.append([-1, np.nan, -1, -1, _leaf_label(
+                            wn[side].sum(), wn[side & pos].sum())])
+                    return node
                 # the mask's positions, taken: faster than masking (n, d)
-                kids = [[Xn.take(at, axis=0) if deeper else None, yn[at],
-                         wn[at]]
+                kids = [[Xn.take(at, axis=0), yn[at], wn[at]]
                         for at in (go_left.nonzero()[0],
                                    (~go_left).nonzero()[0])]
                 del Xn, yn, wn, go_left
                 row[:4] = (f, thr, *(build(k, depth + 1) for k in kids))
                 return node
-        wpos = wn[yn == 1].sum()
-        # ties, and leaves holding only zero-weight instances, go to -1
-        row[4] = 1 if wpos > Wn - wpos else -1
+        row[4] = _leaf_label(Wn, wn[yn == 1].sum())
         return node
 
     build([X, y, w], 0)

@@ -186,6 +186,17 @@ class TestRunExperiment:
         assert str(bad) in report["skipped_datasets"]
         assert len(report["datasets"]) == 2
 
+    def test_undecodable_dataset_skipped_with_entry(self, small_suite):
+        # a Latin-1 byte is no UTF-8: the file is skipped with the
+        # decoder's message, like any unreadable file, and the run goes on
+        tmp_path, paths = small_suite
+        bad = tmp_path / "latin1.dat"
+        bad.write_bytes(b"@relation caf\xe9\n" + SAMPLE_INF.encode())
+        report = run_experiment(small_config(paths + [bad], repeats=1))
+        assert report["skipped_datasets"][str(bad)].startswith(
+            "'utf-8' codec can't decode byte 0xe9")
+        assert len(report["datasets"]) == 2
+
 
 class TestEmitReport:
     def test_json_round_trip(self, small_suite, tmp_path):

@@ -131,6 +131,9 @@ def loop_parse_keel(text: str, name: str | None = None) -> Dataset:
 
 # padding that str.strip() removes; float() itself does not strip '\x1f'
 PADS = ("", " ", "  ", "\t", " \t ", "\xa0", "\x1f")
+# line breaks of str.splitlines(), '\r\n' among them; a space is none:
+# two rows joined by one are one row
+BREAKS = ("\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028")
 VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["-0.0", "5e-324", "1e16", "1e+16", "3", "-7", "1_0"]))
@@ -151,7 +154,9 @@ FAULTS = st.sampled_from([
 @st.composite
 def keel_texts(draw):
     """A KEEL text of 2-12 rows and 1-4 features, its class column
-    anywhere, with 0-3 faults injected into rows drawn at random."""
+    anywhere, with 0-3 faults injected into rows drawn at random, 1-4
+    blank lines anywhere and each line ended by a line break drawn from
+    BREAKS."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(2, 12))
     class_col = draw(st.integers(0, d))
@@ -187,11 +192,15 @@ def keel_texts(draw):
             row[class_col] = token
         elif kind == "at_line" and row:
             row[0] = "@" + row[0]
-    lines = [draw(pad) + ",".join(draw(pad) + t + draw(pad) for t in row)
-             + draw(pad) for row in rows]
-    blank = draw(st.integers(0, m))
-    lines.insert(blank, draw(pad))  # a blank line is no row
-    return "\n".join(header + lines) + "\n"
+    lines = header + [
+        draw(pad) + ",".join(draw(pad) + t + draw(pad) for t in row)
+        + draw(pad) for row in rows]
+    # a line of padding only is blank, in the header as among the rows,
+    # and a blank line is no row
+    for _ in range(draw(st.integers(1, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(pad))
+    breaks = st.sampled_from(BREAKS)
+    return "".join(line + draw(breaks) for line in lines)
 
 
 def outcome(parse, text):
@@ -332,20 +341,33 @@ class TestParseKeel:
         assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
 
     @settings(max_examples=300, deadline=None)
-    @given(keel_texts(), st.integers(1, 3))
-    def test_matches_oracle_across_block_boundaries(self, text, block_lines):
-        # blocks of 1-3 lines put faults and class names in every block
-        # and at either end of one
+    @given(keel_texts(), st.integers(1, 64))
+    def test_matches_oracle_across_block_boundaries(self, text, block_chars):
+        # pieces of one to a few lines put faults, class names, blank
+        # lines and the @data line in every piece and at either end of one
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_BLOCK_LINES", block_lines)
+            mp.setattr(data, "_BLOCK_CHARS", block_chars)
             assert outcome(parse_keel, text) == outcome(loop_parse_keel, text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(keel_texts(), st.integers(1, 64))
+    def test_pieces_split_like_splitlines(self, text, block_chars):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_CHARS", block_chars)
+            pieces = list(data._pieces(text))
+        assert "".join(text[a:b] for a, b in pieces) == text
+        assert all(text[b - 1] == "\n" for _, b in pieces[:-1])
+        assert [line for a, b in pieces
+                for line in text[a:b].splitlines()] == text.splitlines()
+
     def test_memory_bounded_by_text_size(self):
-        # the policy: a parse holds the text, its lines, the array and one
-        # block. On this text the peak is 2.7 times the text's length; a
-        # parse that keeps every token until its column is converted
-        # peaks at 9.7 times
-        m, d = 200_000, 3
+        # the policy: a parse holds the text, the array with its class
+        # codes and one block. On this text the codes, which become the
+        # labels, and Dataset's check of them (a labels-sized copy) are a
+        # tenth of the array each, and a block's Python objects take about
+        # 7 bytes per character of its piece. The peak is 1.24 times the
+        # array; a parse that held every line peaked at 4.6 times
+        m, d = 100_000, 10
         rng = np.random.default_rng(0)
         text = serialize_keel(Dataset(
             features=rng.random((m, d)),
@@ -358,7 +380,9 @@ class TestParseKeel:
         finally:
             tracemalloc.stop()
         assert ds.n_instances == m
-        assert peak < 4 * len(text), f"peak {peak / len(text):.2f} x text"
+        block = 16 * data._BLOCK_CHARS
+        assert peak < 1.5 * ds.features.nbytes + block, \
+            f"peak {peak / ds.features.nbytes:.2f} x array"
 
     @pytest.mark.parametrize("token", ["\x1f1.5\x1f", " \t1.5\xa0"])
     def test_padded_tokens_convert_as_stripped(self, token):
