@@ -359,7 +359,8 @@ def as_labels(labels) -> np.ndarray:
     every value is exactly -1 or +1 (booleans are not labels), checked
     before the cast so that a fraction is never truncated to a label."""
     y = np.asarray(labels)
-    if y.dtype.kind not in "iuf" or not (np.abs(y) == 1).all():
+    if y.dtype.kind not in "iuf" or not np.logical_and.reduce(
+            np.abs(y) == 1, axis=None):
         raise ValueError("labels must be -1 or +1")
     return y.astype(np.int64, copy=False)
 

@@ -107,18 +107,20 @@ def _boost_loop(X, y, weight_plus, weight_minus, T, rng,
                         max_depth)  # take: faster than X[sample]
         pred = tree.predict_many(X)
         mis = pred != y
-        mis_sum = float(Dp[mis].sum())
-        cor_sum = float(Dm[~mis].sum())
+        mis_sum = float(np.add.reduce(Dp[mis]))
+        cor_sum = float(np.add.reduce(Dm[~mis]))
         alpha = compute_alpha(cor_sum, mis_sum)
         if alpha <= 0:
             retries += 1
             continue
         retries = 0
-        epsilon = float(D[mis].sum())  # cost-free weighted error under current D
+        # cost-free weighted error under current D
+        epsilon = float(np.add.reduce(D[mis]))
         # |alpha| < 14.2 and every cost is in (0, 1]: no overflow
         D = D * np.exp(np.where(mis, alpha * weight_plus,
                                 -alpha * weight_minus))
-        D = D / D.sum()  # rebinds D, so each record keeps its own array
+        # rebinds D, so each record keeps its own array
+        D = D / np.add.reduce(D)
         Dp, Dm = D * weight_plus, D * weight_minus
         alphas.append(alpha)
         trees.append(tree)

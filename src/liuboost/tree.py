@@ -20,21 +20,20 @@ calls, and growth and prediction make no call that their output does
 not need.  A fit hands each node its own rows (X, y, w), taken from its
 parent's at the positions of the parent's mask, so no node carries row
 numbers into the input: the root searches the input itself when every
-weight is positive, and a split whose children sit at max_depth labels
-both leaves from its own rows under the split's mask, so a leaf's rows
-are never taken.  Prediction compares whole columns and carries boolean
+weight is positive.  A split settles every child that is sure to be a
+leaf, one at max_depth, one whose live rows share a label and one below
+MIN_LEAF_WEIGHT, and labels it from the split's rows under its mask,
+so a leaf's rows are never taken (fit_tree states why the labels
+are exact).  Prediction compares whole columns and carries boolean
 masks until a node holds under an eighth of the rows, and labels every
 row of a stump by one comparison (predict_many).
 
 The order of the sort must be the stable one: a weight prefix sum over
 tied rows depends on their order in the last bit.  Every node takes
 numpy's default sort (vectorized where the CPU allows) and then repairs
-each run of tied values, which a node with no tie skips.  On (n, 10)
-nodes, on an AVX-512 Xeon with numpy 2.4, that made the whole search
-4-9% faster than the stable sort at 64-128 rows and 22-33% at 200-480
-on continuous columns.  Tied columns pay for the repair: below about
-200 rows it cost 10-30% more than the stable sort, from 256 rows on it
-was about even on 5-valued grids and faster on the rest.
+each run of tied values, which a node with no tie skips.  CHANGES.md
+holds what that costs and saves against the stable sort, by node size
+and by ties.
 """
 from __future__ import annotations
 
@@ -50,6 +49,10 @@ _TINY = 5e-324  # the smallest positive float: its log is finite
 # a node below this share of the rows it predicts routes an index array,
 # under m / 8 entries of 8 bytes: never more than an m-byte mask
 _ROUTE_SHARE = 1 / 8
+# Reductions call the ufunc's reduce (np.add.reduce for ndarray.sum,
+# np.logical_and.reduce for .all, np.minimum.reduce for .min): the methods
+# pass through a Python function in numpy._core._methods to that same
+# reduction, so the bits agree and a fit's many small nodes skip a frame.
 
 
 @dataclass(frozen=True)
@@ -174,12 +177,14 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """
     n, d = X.shape
     pos = y == 1
-    W = w.sum()
-    Wp = w[pos].sum()
+    W = np.add.reduce(w)
+    Wp = np.add.reduce(w[pos])
     order = X.argsort(axis=0).T
-    xs = np.sort(X, axis=0).T
+    xs = X.copy()  # np.sort(X, axis=0), without its Python wrapper
+    xs.sort(axis=0)
+    xs = xs.T
     step = xs[:, :-1] < xs[:, 1:]
-    if not step.all():
+    if not np.logical_and.reduce(step, axis=None):
         # run ids stay put: the repair moves rows only within their run
         run = np.zeros((d, n), dtype=np.int64)
         np.cumsum(step, axis=1, out=run[:, 1:])
@@ -191,7 +196,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     plc = (w * pos)[order].cumsum(axis=1)[:, :-1]
     # W - wl > 0 exactly when wl < W: a float difference is 0 only
     # between equal floats
-    flat = np.flatnonzero(step & (wl > 0) & (wl < W))
+    flat = (step & (wl > 0) & (wl < W)).ravel().nonzero()[0]
     if not flat.size:
         return -np.inf, -1, np.nan
     wl, plc = wl.take(flat), plc.take(flat)
@@ -214,9 +219,9 @@ def _live_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     when every row has one; no split, (-inf, -1, nan), when their labels
     agree.  The node has a row of positive weight."""
     live = w > 0
-    if not live.all():
+    if not np.logical_and.reduce(live):
         X, y, w = X[live], y[live], w[live]
-    if (y == y[0]).all():
+    if np.logical_and.reduce(y == y[0]):
         return -np.inf, -1, np.nan
     return _best_split(X, y, w)
 
@@ -225,6 +230,42 @@ def _leaf_label(weight: float, wpos: float) -> int:
     """The label of a leaf of that weight, wpos of it on +1 rows: ties,
     and leaves holding only zero-weight instances, go to -1."""
     return 1 if wpos > weight - wpos else -1
+
+
+def _children(X: np.ndarray, y: np.ndarray, w: np.ndarray,
+              go_left: np.ndarray, every_live: bool) -> list:
+    """The left and right child of a split of the rows (X, y, w) by the
+    mask go_left, each as the label of a leaf that the split settles or
+    as ([X, y, w] of its rows, their weight sum).  every_live says that
+    every weight is positive.  fit_tree states the rule."""
+    pos = y == 1
+    # (live +1 rows, live rows) on each side: exact integers
+    live_left = go_left
+    if every_live:
+        n_live, live_pos = len(y), pos
+    else:
+        live = w > 0
+        live_left = go_left & live
+        n_live, live_pos = np.count_nonzero(live), pos & live
+    n_left = np.count_nonzero(live_left)
+    pos_left = np.count_nonzero(live_left & live_pos)
+    counts = ((pos_left, n_left),
+              (np.count_nonzero(live_pos) - pos_left, n_live - n_left))
+    kids = []
+    for side, (n_pos, n_side) in zip((go_left, ~go_left), counts):
+        # a valid cut leaves live rows on both sides
+        if n_pos in (0, n_side):
+            kids.append(1 if n_pos else -1)
+            continue
+        # the mask's positions, taken: faster than masking (n, d)
+        at = side.nonzero()[0]
+        w_side = w[at]
+        W_side = np.add.reduce(w_side)
+        kids.append(
+            _leaf_label(W_side, np.add.reduce(w[side & pos]))
+            if W_side < MIN_LEAF_WEIGHT
+            else ([X.take(at, axis=0), y[at], w_side], W_side))
+    return kids
 
 
 def fit_tree(features: np.ndarray, labels: np.ndarray,
@@ -238,6 +279,23 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     routed to leaves.  NaN or infinite features or weights are rejected.
     Nodes are numbered in pre-order, each before its left, then its right
     subtree.
+
+    A split settles each child that is sure to be a leaf before any child
+    takes rows, and labels it from the split's rows under the child's
+    mask: the masked weights are the elements, in the order, that the
+    child's own rows would hold, so their sums are bit-equal to the
+    child's.  A child at max_depth is such a leaf, and so is one whose
+    masked weight sum is below MIN_LEAF_WEIGHT.  So is a child whose live
+    rows (of positive weight) carry one label, and it gets that label
+    without a sum: with only +1 live rows its +1 sum and its total add the
+    same positive weights (the total adds zeros too), so they differ by
+    rounding alone and the leaf rule gives +1; with no live +1 row its +1
+    sum is zero, which gives -1.  Purity is decided by counting rows,
+    never by comparing float sums, which a -1 row of weight 1e-300 would
+    leave equal.  Only the other children take their rows, with their
+    weight sum.  A child of a root whose weights are all positive has only
+    positive weights, and an unsettled child is impure, so it goes
+    straight to the split search.
     """
     if not (is_count(max_depth) and max_depth >= 0):
         raise ValueError("max_depth must be >= 0")
@@ -247,33 +305,43 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     if X.ndim != 2 or y.shape != (X.shape[0],) or w.shape != y.shape:
         raise ValueError("features/labels/weights dimension mismatch")
     for name, values in (("features", X), ("weights", w)):
-        if not np.isfinite(values).all():
+        if not np.logical_and.reduce(np.isfinite(values), axis=None):
             raise ValueError(f"{name} must be finite (no NaN or inf)")
-    W = w.sum()
-    if (w < 0).any() or not 0 < W < np.inf:
+    W = np.add.reduce(w)
+    lowest = np.minimum.reduce(w, initial=np.inf)  # inf with no rows
+    if lowest < 0 or not 0 < W < np.inf:
         raise ValueError(
             "weights must be nonnegative with a positive, finite sum")
     w = w / W
+    # liveness is decided once, for the root: a child's rows are some of
+    # its rows.  x / W rounds monotonically in x, so lowest / W is the
+    # least normalized weight; when it is positive no child filters rows
+    every_live = lowest / W > 0
+    kid_search = _best_split if every_live else _live_split
 
     nodes = []  # [feature, threshold, left, right, label] rows
 
-    def build(rows, depth):
+    def leaf(label):
+        nodes.append([-1, np.nan, -1, -1, label])
+        return len(nodes) - 1
+
+    def build(rows, Wn, depth, search):
         """The subtree of the rows [X, y, w] that the list rows hands
-        over, in row order.  build empties the list and drops its rows
-        once the children have theirs, so a fit holds the rows of the node
-        it is growing and of the right children waiting on the path to
-        it.  Children at max_depth are leaves that build labels from
-        their parent's rows, with no rows of their own."""
+        over, in row order, of weight sum Wn; search is the split search
+        for them.  build empties the list and drops its rows once the
+        children have theirs, so a fit holds the rows of the node it is
+        growing and of the right children waiting on the path to it.
+        Children at max_depth, and children that the split settles, are
+        leaves that build labels from their parent's rows, with no rows
+        of their own."""
         Xn, yn, wn = rows
         rows.clear()
-        node, row = len(nodes), [-1, np.nan, -1, -1, 0]
-        nodes.append(row)
-        Wn = wn.sum()
+        node, row = leaf(0), nodes[-1]
         # weights sum to 1: a node with no weighted row is below
         # MIN_LEAF_WEIGHT; a pure node, or one with no valid cut, gets the
         # ratio -inf < MIN_GAIN
         if depth < max_depth and Wn >= MIN_LEAF_WEIGHT:
-            ratio, f, thr = _live_split(Xn, yn, wn)
+            ratio, f, thr = search(Xn, yn, wn)
             if ratio >= MIN_GAIN:
                 go_left = Xn[:, f] <= thr
                 if depth + 1 == max_depth:
@@ -281,22 +349,21 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
                     # their masked weights are the elements, in the order,
                     # that their own rows would hold, so the sums agree
                     pos = yn == 1
-                    row[:4] = f, thr, node + 1, node + 2
-                    for side in (go_left, ~go_left):
-                        nodes.append([-1, np.nan, -1, -1, _leaf_label(
-                            wn[side].sum(), wn[side & pos].sum())])
+                    row[:4] = f, thr, *(leaf(_leaf_label(
+                        np.add.reduce(wn[side]),
+                        np.add.reduce(wn[side & pos])))
+                        for side in (go_left, ~go_left))
                     return node
-                # the mask's positions, taken: faster than masking (n, d)
-                kids = [[Xn.take(at, axis=0), yn[at], wn[at]]
-                        for at in (go_left.nonzero()[0],
-                                   (~go_left).nonzero()[0])]
+                kids = _children(Xn, yn, wn, go_left, every_live)
                 del Xn, yn, wn, go_left
-                row[:4] = (f, thr, *(build(k, depth + 1) for k in kids))
+                row[:4] = (f, thr, *(
+                    leaf(k) if isinstance(k, int)
+                    else build(*k, depth + 1, kid_search) for k in kids))
                 return node
-        row[4] = _leaf_label(Wn, wn[yn == 1].sum())
+        row[4] = _leaf_label(Wn, np.add.reduce(wn[yn == 1]))
         return node
 
-    build([X, y, w], 0)
+    build([X, y, w], np.add.reduce(w), 0, _live_split)
     del build  # it refers to itself: a cycle would hold X, y, w until gc
     feature, threshold, left, right, label = zip(*nodes)
     return DecisionTree(

@@ -22,10 +22,14 @@ def test_entry_points_resolve():
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
-# five files: the fewest on which run_experiment reaches the signed-rank test
-@pytest.mark.parametrize("algorithms", [("liuboost", "rusboost"),
-                                        ("liuboost",)], ids=["both", "liu"])
-def test_traced_run_matches_report(tmp_path, algorithms):
+# five files: the fewest on which run_experiment reaches the signed-rank
+# test.  At depth 8 a split settles children at every level, not only at
+# the one above the leaves
+@pytest.mark.parametrize("algorithms, max_depth", [
+    (("liuboost", "rusboost"), 2), (("liuboost",), 2),
+    (("liuboost", "rusboost"), 8), (("liuboost",), 8),
+], ids=["both", "liu", "both-depth8", "liu-depth8"])
+def test_traced_run_matches_report(tmp_path, algorithms, max_depth):
     paths = []
     for i in range(5):
         ds = make_clusters(8, 16 + 2 * i, d=2, sep=2.5, seed=40 + i)
@@ -33,7 +37,8 @@ def test_traced_run_matches_report(tmp_path, algorithms):
         paths[-1].write_text(serialize_keel(ds))
     cfg = ExperimentConfig(dataset_paths=tuple(map(str, paths)),
                            algorithms=algorithms, repeats=1, folds=3,
-                           rounds=3, knn_k=3, max_depth=2, master_seed=5)
+                           rounds=3, knn_k=3, max_depth=max_depth,
+                           master_seed=5)
     started = time.perf_counter()
     with spans.LayerTrace() as trace:
         report = run_experiment(cfg)

@@ -420,9 +420,41 @@ def training_sets(draw):
     return X, y, w, max_depth
 
 
+# Nodes whose split settles children, or must not: (X, y, w), one column.
+_SPLIT_EDGES = [
+    # the right child's live rows are all +1; zero-weight -1 rows ride
+    # along between them, so they are a settled +1 leaf
+    (np.arange(14.0)[:, None],
+     np.array([-1, -1, -1, 1, -1, 1, 1, -1, 1, 1, -1, 1, 1, 1]),
+     np.array([1, 1, 1, 0.7, 0, 0.3, 1.1, 0, 0.9, 0.6, 0, 1.3, 0.2, 0.8])),
+    # the right child holds one -1 row of normalized weight about 1e-300
+    # among +1 rows: its float sums cannot tell it from a pure node, but
+    # it is impure, so it takes its rows and is searched
+    (np.arange(10.0)[:, None], np.array([-1, -1, -1, -1, 1, 1, 1, -1, 1, 1]),
+     np.array([1, 1, 1, 1, 1, 1, 1, 1e-299, 1, 1])),
+    # an impure right child of 0.0099 of the weight, a settled leaf, and
+    # one of 0.0101, which is split
+    (np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0]]),
+     np.array([-1, -1, -1, -1, 1, -1]),
+     np.array([0.2475] * 4 + [0.005, 0.0049])),
+    (np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0]]),
+     np.array([-1, -1, -1, -1, 1, -1]),
+     np.array([0.2475] * 4 + [0.0051, 0.005])),
+]
+
+
+def split_edge_examples(test):
+    """test, with each of _SPLIT_EDGES as an example at max_depth 3 and 8."""
+    for X, y, w in _SPLIT_EDGES:
+        for max_depth in (3, 8):
+            test = example((X, y, w, max_depth))(test)
+    return test
+
+
 class TestGrowthOracle:
     @settings(max_examples=300, deadline=None)
     @given(training_sets())
+    @split_edge_examples
     def test_matches_closure_grower(self, training_set):
         X, y, w, max_depth = training_set
         tree = fit_tree(X, y, w, max_depth)
