@@ -240,13 +240,12 @@ def _children(X: np.ndarray, y: np.ndarray, w: np.ndarray,
     every weight is positive.  fit_tree states the rule."""
     pos = y == 1
     # (live +1 rows, live rows) on each side: exact integers
-    live_left = go_left
     if every_live:
-        n_live, live_pos = len(y), pos
+        live_left, live_pos, n_live = go_left, pos, len(y)
     else:
         live = w > 0
-        live_left = go_left & live
-        n_live, live_pos = np.count_nonzero(live), pos & live
+        live_left, live_pos = go_left & live, pos & live
+        n_live = np.count_nonzero(live)
     n_left = np.count_nonzero(live_left)
     pos_left = np.count_nonzero(live_left & live_pos)
     counts = ((pos_left, n_left),
