@@ -25,10 +25,9 @@ import numpy as np
 MISSING_TOKENS = {"?", "<null>"}
 NUMERIC_TYPES = {"real", "integer", "numeric"}
 # characters of text split at a time (_pieces): a block's Python objects
-# take about 7 bytes per character. On 2·10⁵ × 10 rows (a 15.3 MiB array)
-# the traced peak of a parse was 18.8 MiB with 2¹⁴ or 2¹⁶, 19.6 MiB with
-# 2¹² (more pieces to list) and 23.7 MiB with 2²⁰; 2¹⁴ took 0.3 MB off
-# knn_scale's peak RSS against 2¹⁶, and parses took 0.97-1.04 times as long
+# outweigh its text several times, so larger pieces raise a parse's peak
+# and smaller ones add pieces to list; CHANGES.md (the piece-by-piece
+# parse entry) has the peaks and times measured for each size
 _BLOCK_CHARS = 1 << 14
 
 

@@ -17,16 +17,17 @@ node, whatever d is.
 
 For the same reason a boosting round pays mostly a fixed count of numpy
 calls, and growth and prediction make no call that their output does
-not need.  A fit hands each node its own rows (X, y, w), taken from its
+not need.  A fit grows the tree in one loop over an explicit stack, so
+its depth is bounded by max_depth and the rows, not by Python's
+recursion limit.  Each node gets its own rows (X, y, w), taken from its
 parent's at the positions of the parent's mask, so no node carries row
 numbers into the input: the root searches the input itself when every
-weight is positive.  A split settles every child that is sure to be a
-leaf, one at max_depth, one whose live rows share a label and one below
-MIN_LEAF_WEIGHT, and labels it from the split's rows under its mask,
-so a leaf's rows are never taken (fit_tree states why the labels
-are exact).  Prediction compares whole columns and carries boolean
-masks until a node holds under an eighth of the rows, and labels every
-row of a stump by one comparison (predict_many).
+weight is positive.  One rule ends growth: a split settles each child
+that is sure to be a leaf, one at max_depth, one pure by count and one
+below MIN_LEAF_WEIGHT, and labels it without taking its rows (fit_tree
+states why the labels are exact).  Prediction compares whole columns
+and carries boolean masks until a node holds under an eighth of the
+rows, and labels every row of a stump by one comparison (predict_many).
 
 The order of the sort must be the stable one: a weight prefix sum over
 tied rows depends on their order in the last bit.  Every node takes
@@ -216,13 +217,10 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 def _live_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """_best_split of a node's rows of positive weight, searched in place
-    when every row has one; no split, (-inf, -1, nan), when their labels
-    agree.  The node has a row of positive weight."""
+    when every row has one."""
     live = w > 0
     if not np.logical_and.reduce(live):
         X, y, w = X[live], y[live], w[live]
-    if np.logical_and.reduce(y == y[0]):
-        return -np.inf, -1, np.nan
     return _best_split(X, y, w)
 
 
@@ -233,11 +231,12 @@ def _leaf_label(weight: float, wpos: float) -> int:
 
 
 def _children(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-              go_left: np.ndarray, every_live: bool) -> list:
+              go_left: np.ndarray, every_live: bool, at_max: bool) -> list:
     """The left and right child of a split of the rows (X, y, w) by the
     mask go_left, each as the label of a leaf that the split settles or
     as ([X, y, w] of its rows, their weight sum).  every_live says that
-    every weight is positive.  fit_tree states the rule."""
+    every weight is positive, at_max that the children are at max_depth.
+    fit_tree states the rule."""
     pos = y == 1
     # (live +1 rows, live rows) on each side: exact integers
     if every_live:
@@ -262,7 +261,7 @@ def _children(X: np.ndarray, y: np.ndarray, w: np.ndarray,
         W_side = np.add.reduce(w_side)
         kids.append(
             _leaf_label(W_side, np.add.reduce(w[side & pos]))
-            if W_side < MIN_LEAF_WEIGHT
+            if at_max or W_side < MIN_LEAF_WEIGHT
             else ([X.take(at, axis=0), y[at], w_side], W_side))
     return kids
 
@@ -272,29 +271,39 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
              max_depth: int = 8) -> DecisionTree:
     """Greedy top-down induction maximizing weighted gain ratio.
 
-    Recursion stops at max_depth, on a pure node, when node weight falls
+    Growth stops at max_depth, on a pure node, when node weight falls
     below MIN_LEAF_WEIGHT, or when the best gain ratio is below MIN_GAIN.
     Zero-weight instances are excluded from split statistics but still
     routed to leaves.  NaN or infinite features or weights are rejected.
-    Nodes are numbered in pre-order, each before its left, then its right
-    subtree.
 
-    A split settles each child that is sure to be a leaf before any child
-    takes rows, and labels it from the split's rows under the child's
-    mask: the masked weights are the elements, in the order, that the
-    child's own rows would hold, so their sums are bit-equal to the
-    child's.  A child at max_depth is such a leaf, and so is one whose
-    masked weight sum is below MIN_LEAF_WEIGHT.  So is a child whose live
-    rows (of positive weight) carry one label, and it gets that label
-    without a sum: with only +1 live rows its +1 sum and its total add the
-    same positive weights (the total adds zeros too), so they differ by
-    rounding alone and the leaf rule gives +1; with no live +1 row its +1
-    sum is zero, which gives -1.  Purity is decided by counting rows,
-    never by comparing float sums, which a -1 row of weight 1e-300 would
-    leave equal.  Only the other children take their rows, with their
-    weight sum.  A child of a root whose weights are all positive has only
-    positive weights, and an unsettled child is impure, so it goes
-    straight to the split search.
+    The tree grows in one loop over a stack of pending nodes, each the
+    label of a settled leaf or its rows with their weight sum.  A node
+    takes its id when it is popped, and a split pushes its right child
+    under its left, so nodes are numbered in pre-order, each before its
+    left, then its right subtree.  Popping a node drops the rows of the
+    last one, so a fit holds the rows of the node it is growing and of
+    the right children waiting on the stack.
+
+    A split settles each child that is sure to be a leaf before any
+    child takes rows: one at max_depth, one whose live rows (of positive
+    weight) carry one label, and one whose masked weight sum is below
+    MIN_LEAF_WEIGHT.  A child pure by count gets its label without a sum:
+    with only +1 live rows its +1 sum and its total add the same positive
+    weights (the total adds zeros too), so they differ by rounding alone
+    and the leaf rule gives +1; with no live +1 row its +1 sum is zero,
+    which gives -1.  Purity is decided by counting rows, never by
+    comparing float sums, which a -1 row of weight 1e-300 would leave
+    equal.  Any other settled child is labelled from the split's rows
+    under its mask: the masked weights are the elements, in the order,
+    that the child's own rows would hold, so their sums are bit-equal to
+    the child's.  Only the other children take their rows, with their
+    weight sum: each is impure and weighs at least MIN_LEAF_WEIGHT.
+
+    The split search is chosen once per fit.  When every weight of the
+    root is positive, so is every weight of a child, and each node goes
+    straight to _best_split; otherwise _live_split first drops the node's
+    zero-weight rows.  A pure root gets no split either way: its best
+    gain ratio is 0 or -inf, below MIN_GAIN.
     """
     if not (is_count(max_depth) and max_depth >= 0):
         raise ValueError("max_depth must be >= 0")
@@ -316,54 +325,35 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     # its rows.  x / W rounds monotonically in x, so lowest / W is the
     # least normalized weight; when it is positive no child filters rows
     every_live = lowest / W > 0
-    kid_search = _best_split if every_live else _live_split
+    search = _best_split if every_live else _live_split
 
     nodes = []  # [feature, threshold, left, right, label] rows
-
-    def leaf(label):
-        nodes.append([-1, np.nan, -1, -1, label])
-        return len(nodes) - 1
-
-    def build(rows, Wn, depth, search):
-        """The subtree of the rows [X, y, w] that the list rows hands
-        over, in row order, of weight sum Wn; search is the split search
-        for them.  build empties the list and drops its rows once the
-        children have theirs, so a fit holds the rows of the node it is
-        growing and of the right children waiting on the path to it.
-        Children at max_depth, and children that the split settles, are
-        leaves that build labels from their parent's rows, with no rows
-        of their own."""
-        Xn, yn, wn = rows
-        rows.clear()
-        node, row = leaf(0), nodes[-1]
-        # weights sum to 1: a node with no weighted row is below
-        # MIN_LEAF_WEIGHT; a pure node, or one with no valid cut, gets the
-        # ratio -inf < MIN_GAIN
-        if depth < max_depth and Wn >= MIN_LEAF_WEIGHT:
+    # an entry: a settled leaf's label or a node's ([X, y, w], weight
+    # sum), its depth, and the parent row and field (2 or 3) that take its
+    # id; the root's parent row is a throwaway
+    stack = [(([X, y, w], np.add.reduce(w)), 0, [None] * 3, 2)]
+    while stack:
+        node, depth, parent, field = stack.pop()
+        parent[field] = len(nodes)
+        if isinstance(node, int):
+            nodes.append([-1, np.nan, -1, -1, node])
+            continue
+        (Xn, yn, wn), Wn = node
+        row = [-1, np.nan, -1, -1, 0]
+        nodes.append(row)
+        # only the root can be at max_depth; a node with rows weighs at
+        # least MIN_LEAF_WEIGHT (the root about 1)
+        if depth < max_depth:
             ratio, f, thr = search(Xn, yn, wn)
             if ratio >= MIN_GAIN:
-                go_left = Xn[:, f] <= thr
-                if depth + 1 == max_depth:
-                    # both children are leaves, nodes node + 1 and + 2:
-                    # their masked weights are the elements, in the order,
-                    # that their own rows would hold, so the sums agree
-                    pos = yn == 1
-                    row[:4] = f, thr, *(leaf(_leaf_label(
-                        np.add.reduce(wn[side]),
-                        np.add.reduce(wn[side & pos])))
-                        for side in (go_left, ~go_left))
-                    return node
-                kids = _children(Xn, yn, wn, go_left, every_live)
-                del Xn, yn, wn, go_left
-                row[:4] = (f, thr, *(
-                    leaf(k) if isinstance(k, int)
-                    else build(*k, depth + 1, kid_search) for k in kids))
-                return node
+                row[:2] = f, thr
+                kids = _children(Xn, yn, wn, Xn[:, f] <= thr, every_live,
+                                 depth + 1 == max_depth)
+                # right, then left on top: pre-order, and kids ends empty
+                stack += ((kids.pop(), depth + 1, row, 3),
+                          (kids.pop(), depth + 1, row, 2))
+                continue
         row[4] = _leaf_label(Wn, np.add.reduce(wn[yn == 1]))
-        return node
-
-    build([X, y, w], np.add.reduce(w), 0, _live_split)
-    del build  # it refers to itself: a cycle would hold X, y, w until gc
     feature, threshold, left, right, label = zip(*nodes)
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import sys
 import warnings
 
 import numpy as np
@@ -440,13 +441,19 @@ _SPLIT_EDGES = [
     (np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0]]),
      np.array([-1, -1, -1, -1, 1, -1]),
      np.array([0.2475] * 4 + [0.0051, 0.005])),
+    # the right child holds one +1 and one -1 row of equal weight: at
+    # max_depth 1 it is labelled from an exact tie, which goes to -1
+    (np.arange(6.0)[:, None], np.array([-1, -1, -1, -1, 1, -1]),
+     np.ones(6)),
 ]
 
 
 def split_edge_examples(test):
-    """test, with each of _SPLIT_EDGES as an example at max_depth 3 and 8."""
+    """test, with each of _SPLIT_EDGES as an example at max_depth 1, 2, 3
+    and 8: at max_depth 1 the first, second and last settle a child at
+    max_depth, pure by count, impure by a weight of 1e-300 and tied."""
     for X, y, w in _SPLIT_EDGES:
-        for max_depth in (3, 8):
+        for max_depth in (1, 2, 3, 8):
             test = example((X, y, w, max_depth))(test)
     return test
 
@@ -461,6 +468,27 @@ class TestGrowthOracle:
         check_tree(tree)
         assert tree_bits(tree) == tree_bits(closure_fit_tree(X, y, w,
                                                              max_depth))
+
+    def test_deep_chain_is_not_bounded_by_the_recursion_limit(self):
+        # alternating labels on one column peel one row per level until a
+        # node is below MIN_LEAF_WEIGHT: 1485 levels, more than a grower
+        # that recurses per level gets under Python's recursion limit
+        n = 1500
+        X = np.arange(float(n))[:, None]
+        y = np.where(np.arange(n) % 2, 1, -1)
+        tree = fit_tree(X, y, np.ones(n), max_depth=10**5)
+        check_tree(tree)
+        depth = np.zeros(tree.n_nodes, dtype=np.int64)
+        for node in np.flatnonzero(tree.feature >= 0):  # parents first
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+        assert (tree.n_nodes, depth.max()) == (2971, 1485)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 4 * n)
+        try:
+            oracle = closure_fit_tree(X, y, np.ones(n), 10**5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree_bits(tree) == tree_bits(oracle)
 
 
 NO_SPLIT = (-np.inf, -1, np.nan)
