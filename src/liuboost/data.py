@@ -388,14 +388,20 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
 
 
 def fit_min_max(features: np.ndarray):
-    """Column-wise (min, range) statistics; constant columns get range 1."""
+    """Column-wise (min, range) statistics, the range taken in halves,
+    max/2 - min/2, so that a finite column never gives an infinite one
+    (max - min overflows for a column spanning +-1e308).  Constant
+    columns get range 0.5, so apply_min_max gives them x - min."""
     mins = features.min(axis=0)
-    ranges = features.max(axis=0) - mins
-    ranges = np.where(ranges == 0, 1.0, ranges)
+    ranges = features.max(axis=0) / 2 - mins / 2
+    ranges = np.where(ranges == 0, 0.5, ranges)
     return mins, ranges
 
 
 def apply_min_max(features: np.ndarray, mins: np.ndarray,
                   ranges: np.ndarray) -> np.ndarray:
-    return (features - mins) / ranges
+    """(x/2 - min/2) / range, with fit_min_max's half range.  Halving is
+    exact for normal floats and commutes with rounding, so wherever
+    (x - min) / (max - min) does not overflow it gives the same bits."""
+    return (features / 2 - mins / 2) / ranges
 

@@ -25,9 +25,10 @@ numbers into the input: the root searches the input itself when every
 weight is positive.  One rule ends growth: a split settles each child
 that is sure to be a leaf, one at max_depth, one pure by count and one
 below MIN_LEAF_WEIGHT, and labels it without taking its rows (fit_tree
-states why the labels are exact).  Prediction compares whole columns
-and carries boolean masks until a node holds under an eighth of the
-rows, and labels every row of a stump by one comparison (predict_many).
+states why the labels are exact).  Prediction follows one rule: the
+root compares its whole column, every other node routes an index array
+of its rows, and a split of two leaves labels its rows by one np.where,
+so a stump labels every row by one comparison (predict_many).
 
 The order of the sort must be the stable one: a weight prefix sum over
 tied rows depends on their order in the last bit.  Every node takes
@@ -47,9 +48,6 @@ from .data import as_labels, is_count
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
 _TINY = 5e-324  # the smallest positive float: its log is finite
-# a node below this share of the rows it predicts routes an index array,
-# under m / 8 entries of 8 bytes: never more than an m-byte mask
-_ROUTE_SHARE = 1 / 8
 # Reductions call the ufunc's reduce (np.add.reduce for ndarray.sum,
 # np.logical_and.reduce for .all, np.minimum.reduce for .min): the methods
 # pass through a Python function in numpy._core._methods to that same
@@ -74,58 +72,55 @@ class DecisionTree:
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """The leaf label of each row of an (m, n_features) matrix.
 
-        Rows go down the tree as a boolean mask over all m rows: a node
-        compares its whole column, X[:, f] <= threshold, and splits its
-        mask in two with no gather.  A child that is not a leaf and holds
-        under m * _ROUTE_SHARE rows takes its rows as an index array
-        instead, and routes them by a gather of its column, so deep nodes
-        of a large tree cost their own rows, not m.  Each stack entry
-        holds one m-byte mask or an index array of under m / 8 entries,
-        so at worst one m-byte buffer per level of the tree.  A stump, a
-        root whose children are both leaves, labels the rows by one
-        np.where over its comparison.
+        One rule routes the rows.  The root compares its whole column,
+        go = X[:, f] <= threshold; every other node takes its rows as an
+        index array and compares the gather of its column.  The root's
+        children get go.nonzero()[0] and (~go).nonzero()[0], deeper
+        children rows.compress(go) and rows.compress(~go) (rows[go], but
+        several times faster on a mixed mask).  A split whose children are
+        both leaves labels its rows by one np.where(go, label[left],
+        label[right]), so a stump labels every row by one comparison; a
+        leaf beside an internal sibling writes its label at its rows.  A
+        one-leaf tree gives np.full(m, label).
+
+        Memory: besides the (m,) output, the rows waiting on the stack
+        are disjoint, so at most m row indices (8·m bytes) wait there,
+        plus the node being split: its rows, the gather of its column,
+        its comparison and its children's rows.  Under tracemalloc on
+        complete trees over 10^5 rows the peak is 1.13 times the 8·m-byte
+        output at depth 1 and 2.8-3.5 times at depths 2 to 8; a test
+        bounds it by 4 times at depth 8.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError("feature dimensionality mismatch")
-        m = X.shape[0]
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right, label = (self.left.tolist(), self.right.tolist(),
                               self.label.tolist())
-        kids = left[0], right[0]
-        if feature[0] >= 0 and feature[kids[0]] < 0 and feature[kids[1]] < 0:
-            # a stump: one comparison labels every row
-            return np.where(X[:, feature[0]] <= threshold[0],
-                            label[kids[0]], label[kids[1]])
-        out = np.empty(m, dtype=np.int64)
-        stack = [(0, None)]  # None: every row
+        if feature[0] < 0:
+            return np.full(X.shape[0], label[0])
+        stack = [(0, None)]  # None: every row, at the root
         while stack:
             node, rows = stack.pop()
-            f, kids = feature[node], (left[node], right[node])
-            if rows is not None and rows.dtype != bool:  # an index array
-                if f < 0:
-                    out[rows] = label[node]
-                    continue
-                go = X[:, f][rows] <= threshold[node]
-                stack += zip(kids, (rows[go], rows[~go]))
+            a, b = left[node], right[node]
+            column = X[:, feature[node]]
+            go = (column if rows is None else column[rows]) <= threshold[node]
+            if feature[a] < 0 and feature[b] < 0:
+                labels = np.where(go, label[a], label[b])
+                if rows is None:  # a stump
+                    return labels
+                out[rows] = labels
                 continue
-            if f < 0:
-                if rows is None:
-                    out.fill(label[node])
-                else:
-                    np.putmask(out, rows, label[node])  # faster than out[rows]
-                continue
-            go = X[:, f] <= threshold[node]
             if rows is None:
-                rows = ~go
-            else:  # each mask has one owner: split it in place
-                go &= rows
-                rows ^= go
-            for child, mask in zip(kids, (go, rows)):
-                if (feature[child] >= 0
-                        and np.count_nonzero(mask) < m * _ROUTE_SHARE):
-                    mask = mask.nonzero()[0]
-                stack.append((child, mask))
+                out = np.empty(X.shape[0], dtype=np.int64)
+                kids = go.nonzero()[0], (~go).nonzero()[0]
+            else:
+                kids = rows.compress(go), rows.compress(~go)
+            for child, at in zip((a, b), kids):
+                if feature[child] < 0:
+                    out[at] = label[child]
+                else:
+                    stack.append((child, at))
         return out
 
 

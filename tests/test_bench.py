@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -138,6 +139,22 @@ class TestRunExperiment:
         emit_report(run_experiment(cfg, jobs=1), "json", out1)
         emit_report(run_experiment(cfg, jobs=2), "json", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_column_spanning_the_float_range_is_scored(self, tmp_path):
+        # each training split holds both -1e308 and 1e308: its min-max
+        # range, taken directly, overflows to inf and scales to NaN
+        ds = make_clusters(12, 28, d=2, sep=3.0, seed=21, noise=1.2)
+        X = ds.features.copy()
+        X[:, 1] = np.where(np.arange(len(X)) % 2, 1e308, -1e308)
+        path = write_dataset(tmp_path, dataclasses.replace(ds, features=X))
+        out = tmp_path / "report.json"
+        assert main(["run", "--data-dir", str(tmp_path), "--out", str(out),
+                     "--repeats", "1", "--folds", "3", "--rounds", "2",
+                     "--knn", "3", "--max-depth", "2", "--seed", "4"]) == 0
+        entry = json.loads(out.read_text())["datasets"][path.stem]
+        assert entry["skipped_folds"] == 0
+        for algo in ("liuboost", "rusboost"):
+            assert len(entry["algorithms"][algo]["auroc_values"]) == 3
 
     def test_summary_tests_the_reports_own_means(self, tmp_path):
         # six scored datasets, and one whose single +1 row leaves every

@@ -580,3 +580,30 @@ class TestMinMax:
         twice = apply_min_max(once, *fit_min_max(once))
         np.testing.assert_allclose(twice, once, atol=1e-15)
         assert once.min() >= 0.0 and once.max() <= 1.0
+
+    def test_column_spanning_the_float_range_scales_without_overflow(self):
+        # max - min of this column overflows to inf
+        X = np.array([[-1e308, 2.0], [1e308, 2.0], [0.0, 2.0], [5e307, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_min_max(X, *fit_min_max(X))
+        np.testing.assert_array_equal(out[:, 0], [0.0, 1.0, 0.5, 0.75])
+        np.testing.assert_array_equal(out[:, 1], [0.0] * 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_halves_give_the_bits_of_the_direct_formula(self, data):
+        # with normal halves and a finite range, (x/2 - min/2) / range is
+        # (x - min) / (max - min) to the bit, on rows outside the fitted
+        # range too; a constant column keeps x - min
+        values = st.floats(-1e300, 1e300).filter(
+            lambda v: v == 0 or abs(v) > 1e-290)
+        train = np.array(data.draw(st.lists(values, min_size=1,
+                                            max_size=8)))[:, None]
+        test = np.array(data.draw(st.lists(values, max_size=8)))[:, None]
+        mins, maxs = train.min(axis=0), train.max(axis=0)
+        ranges = np.where(maxs == mins, 1.0, maxs - mins)
+        fitted = fit_min_max(train)
+        for X in (train, test):
+            np.testing.assert_array_equal(apply_min_max(X, *fitted),
+                                          (X - mins) / ranges)

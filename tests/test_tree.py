@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import itertools
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,13 +56,18 @@ def check_tree(tree) -> None:
 def walk_tree(tree, x):
     """Oracle: route one feature vector to a leaf; x[f] <= threshold goes
     left."""
+    return int(tree.label[leaf_of(tree, x)])
+
+
+def leaf_of(tree, x):
+    """The node id of the leaf that walk_tree routes x to."""
     node = 0
     while tree.feature[node] >= 0:
         if x[tree.feature[node]] <= tree.threshold[node]:
             node = tree.left[node]
         else:
             node = tree.right[node]
-    return int(tree.label[node])
+    return int(node)
 
 
 def masked_binary_entropy(p: np.ndarray) -> np.ndarray:
@@ -623,19 +630,21 @@ class TestOracleGuard:
         assert max(rows for rows, _ in calls) >= 256
 
 
-@st.composite
-def complete_trees(draw, depth=8):
-    """A complete tree of the given depth, numbered in pre-order, with
-    features, thresholds and leaf labels drawn; the thresholds come from
-    a small grid, so a path may contradict itself and reach no row."""
-    d = draw(st.integers(1, 4))
-    n_inner = 2 ** depth - 1
-    split_on = iter(zip(
-        draw(arrays(np.int64, n_inner, elements=st.integers(0, d - 1))),
-        draw(arrays(np.float64, n_inner,
-                    elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))))
-    leaf_labels = iter(draw(arrays(np.int64, n_inner + 1,
-                                   elements=st.sampled_from([-1, 1]))))
+def tree_from_nodes(nodes, d):
+    """A DecisionTree of [feature, threshold, left, right, label] rows."""
+    feature, threshold, left, right, label = zip(*nodes)
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        label=np.array(label, dtype=np.int64), n_features=d)
+
+
+def complete_tree(depth, d, split_on, leaf_labels):
+    """A complete tree of the given depth, numbered in pre-order, that
+    takes its (feature, threshold) pairs and its leaf labels in order from
+    the iterators split_on and leaf_labels."""
     nodes = []  # [feature, threshold, left, right, label] rows
 
     def build(level):
@@ -650,9 +659,57 @@ def complete_trees(draw, depth=8):
         return node
 
     build(0)
-    feature, threshold, left, right, label = map(np.array, zip(*nodes))
-    return DecisionTree(feature=feature, threshold=threshold, left=left,
-                        right=right, label=label, n_features=d)
+    return tree_from_nodes(nodes, d)
+
+
+@st.composite
+def complete_trees(draw, depth=8):
+    """A complete tree of the given depth with features, thresholds and
+    leaf labels drawn; the thresholds come from a small grid, so a path
+    may contradict itself and reach no row."""
+    d = draw(st.integers(1, 4))
+    n_inner = 2 ** depth - 1
+    split_on = zip(
+        draw(arrays(np.int64, n_inner, elements=st.integers(0, d - 1))),
+        draw(arrays(np.float64, n_inner,
+                    elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0]))))
+    leaf_labels = iter(draw(arrays(np.int64, n_inner + 1,
+                                   elements=st.sampled_from([-1, 1]))))
+    return complete_tree(depth, d, split_on, leaf_labels)
+
+
+def _leaf(label):
+    return [-1, np.nan, -1, -1, label]
+
+
+def _split(f, threshold, left, right):
+    return [f, threshold, left, right, 0]
+
+
+# one tree of two features for each branch of predict_many's routing rule
+ROUTING_SHAPES = {
+    "one-leaf": [_leaf(1)],
+    "stump": [_split(0, 0.5, 1, 2), _leaf(-1), _leaf(1)],
+    "two-leaf-splits-below-the-root": [
+        _split(0, 0.5, 1, 4), _split(1, 0.0, 2, 3), _leaf(1), _leaf(-1),
+        _split(1, 1.0, 5, 6), _leaf(-1), _leaf(1)],
+    "leaf-left-of-an-internal-sibling-at-the-root": [
+        _split(0, 0.5, 1, 2), _leaf(1), _split(1, 0.0, 3, 4), _leaf(-1),
+        _leaf(1)],
+    "leaf-right-of-an-internal-sibling-at-the-root": [
+        _split(0, 0.5, 1, 4), _split(1, 0.0, 2, 3), _leaf(-1), _leaf(1),
+        _leaf(-1)],
+    "leaf-beside-an-internal-sibling-deeper": [
+        _split(0, 0.5, 1, 6),
+        _split(1, 0.0, 2, 3), _leaf(1),
+        _split(0, 0.0, 4, 5), _leaf(-1), _leaf(1),
+        _split(1, 1.0, 7, 10),
+        _split(0, 1.0, 8, 9), _leaf(1), _leaf(-1),
+        _leaf(-1)],
+}
+# every pair of values around the thresholds: each leaf above gets rows
+ROUTING_GRID = np.array(list(itertools.product(
+    [-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5], repeat=2)))
 
 
 def assert_routes_like_walk(tree, X):
@@ -678,9 +735,8 @@ class TestPrediction:
     @settings(max_examples=50, deadline=None)
     @given(complete_trees(), st.data())
     def test_predict_many_matches_walk_on_a_complete_tree(self, tree, data):
-        # 511 nodes: under 256 rows some leaves receive none, and the
-        # deeper nodes hold under an eighth of the rows, so their masks
-        # turn into index arrays
+        # 511 nodes: under 256 rows some leaves receive none, and some
+        # nodes route an empty index array
         assert tree.n_nodes == 511
         check_tree(tree)
         X = data.draw(arrays(
@@ -688,6 +744,45 @@ class TestPrediction:
             elements=st.sampled_from([-2.0, -1.0, 0.0, 0.5, 0.75, 1.0, 2.0])
             | st.floats(-3, 3), fill=st.nothing()))
         assert_routes_like_walk(tree, X)
+
+    @pytest.mark.parametrize("X", [ROUTING_GRID, ROUTING_GRID[:0]],
+                             ids=["grid", "no-rows"])
+    @pytest.mark.parametrize("nodes", ROUTING_SHAPES.values(),
+                             ids=ROUTING_SHAPES.keys())
+    def test_each_branch_of_the_routing_rule(self, nodes, X):
+        tree = tree_from_nodes(nodes, 2)
+        check_tree(tree)
+        out = tree.predict_many(X)
+        assert out.dtype == np.int64 and out.shape == (len(X),)
+        assert_routes_like_walk(tree, X)
+
+    def test_shapes_reach_every_leaf(self):
+        # the grid routes rows to each leaf of each shape, so every branch
+        # of the rule labels some row
+        for nodes in ROUTING_SHAPES.values():
+            tree = tree_from_nodes(nodes, 2)
+            reached = {leaf_of(tree, x) for x in ROUTING_GRID}
+            assert reached == set(np.flatnonzero(tree.feature < 0).tolist())
+
+    def test_traced_peak_of_a_complete_depth_8_tree(self):
+        # besides the (m,) output at most m row indices wait on the stack,
+        # plus the node being split: measured at 3.0 times the output
+        rng = np.random.default_rng(0)
+        m, d = 10 ** 5, 4
+        tree = complete_tree(
+            8, d, zip(rng.integers(0, d, 255).tolist(),
+                      rng.uniform(0.2, 0.8, 255).tolist()),
+            iter(rng.choice([-1, 1], 256).tolist()))
+        X = rng.uniform(size=(m, d))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = tree.predict_many(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_routes_like_walk(tree, X[:2000])
+        assert peak <= 4 * out.nbytes, f"peak {peak / out.nbytes:.2f}x"
 
     def test_predict_many_matches_single(self):
         rng = np.random.default_rng(5)
