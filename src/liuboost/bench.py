@@ -94,6 +94,17 @@ def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
     return None
 
 
+def _skip_reason(path, cfg: ExperimentConfig) -> str | None:
+    """Why the file at path cannot be run under cfg (unreadable, not a
+    KEEL dataset, or too small), or None.  Its Dataset is dropped on
+    return, so the check holds one parsed file at a time."""
+    try:
+        ds = parse_keel(Path(path).read_text(), name=Path(path).stem)
+    except (OSError, UnicodeDecodeError, KeelFormatError) as exc:
+        return str(exc)
+    return _too_small(ds, cfg)
+
+
 def _fold_plan(ds: Dataset, cfg: ExperimentConfig, repeat: int):
     """The stratified fold plan of one repeat on one dataset."""
     return stratified_folds(ds, cfg.folds, derive_seed(
@@ -109,10 +120,13 @@ def _fold_models(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int,
     y_train, y_test = ds.labels[train_idx], ds.labels[test_idx]
     if len(set(y_test.tolist())) < 2 or len(set(y_train.tolist())) < 2:
         return None
-    mins, ranges = fit_min_max(ds.features[train_idx])
-    train_ds = Dataset(
-        features=apply_min_max(ds.features[train_idx], mins, ranges),
-        labels=y_train, feature_names=ds.feature_names, name=ds.name)
+    # one gather of the training rows serves the fit and the scaling, and
+    # the scaled copy replaces it before any model is trained
+    X_train = ds.features[train_idx]
+    mins, ranges = fit_min_max(X_train)
+    X_train = apply_min_max(X_train, mins, ranges)
+    train_ds = Dataset(features=X_train, labels=y_train,
+                       feature_names=ds.feature_names, name=ds.name)
     X_test = apply_min_max(ds.features[test_idx], mins, ranges)
     models = {}
     for algo in cfg.algorithms:
@@ -163,15 +177,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     skipped_datasets = {}
     paths = []
     for p in cfg.dataset_paths:
-        try:
-            ds = parse_keel(Path(p).read_text(), name=Path(p).stem)
-        except (OSError, UnicodeDecodeError, KeelFormatError) as exc:
-            skipped_datasets[str(p)] = str(exc)
-            continue
-        if reason := _too_small(ds, cfg):
-            skipped_datasets[str(p)] = reason
-        else:
+        reason = _skip_reason(p, cfg)
+        if reason is None:
             paths.append(p)
+        else:
+            skipped_datasets[str(p)] = reason
 
     cells = [(p, r, cfg) for p in sorted(paths) for r in range(cfg.repeats)]
     if jobs > 1:

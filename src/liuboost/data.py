@@ -400,8 +400,17 @@ def fit_min_max(features: np.ndarray):
 
 def apply_min_max(features: np.ndarray, mins: np.ndarray,
                   ranges: np.ndarray) -> np.ndarray:
-    """(x/2 - min/2) / range, with fit_min_max's half range.  Halving is
-    exact for normal floats and commutes with rounding, so wherever
-    (x - min) / (max - min) does not overflow it gives the same bits."""
-    return (features / 2 - mins / 2) / ranges
+    """(x/2 - min/2) / range, with fit_min_max's half range, as one new
+    float64 array computed in place.  Halving is exact for normal floats
+    and commutes with rounding, so wherever (x - min) / (max - min) does
+    not overflow it gives the same bits.  A value past the float range (a
+    row far outside the fitted one) saturates at +-finfo(float).max, with
+    no warning: every threshold is finite, so it goes to the side of
+    every split that the overflowed value would."""
+    out = np.divide(features, 2, dtype=np.float64)
+    out -= mins / 2
+    with np.errstate(over="ignore"):
+        out /= ranges
+    big = np.finfo(np.float64).max
+    return np.clip(out, -big, big, out=out)
 

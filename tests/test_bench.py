@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -155,6 +156,50 @@ class TestRunExperiment:
         assert entry["skipped_folds"] == 0
         for algo in ("liuboost", "rusboost"):
             assert len(entry["algorithms"][algo]["auroc_values"]) == 3
+
+    def test_a_test_row_past_the_float_range_is_scored(self, tmp_path):
+        # column f1 is 0 or 1e-300 but for one row at 1e10: the folds that
+        # train without that row fit a range of 1e-300, where it scales
+        # past the float range, to inf unless it saturates, and
+        # decision_score rejects an inf feature
+        ds = make_clusters(12, 28, d=2, sep=3.0, seed=21, noise=1.2)
+        X = ds.features.copy()
+        X[:, 1] = np.where(np.arange(len(X)) % 2, 1e-300, 0.0)
+        X[7, 1] = 1e10
+        path = write_dataset(tmp_path, dataclasses.replace(ds, features=X))
+        out = tmp_path / "report.json"
+        assert main(["run", "--data-dir", str(tmp_path), "--out", str(out),
+                     "--repeats", "1", "--folds", "5", "--rounds", "3",
+                     "--knn", "3"]) == 0
+        entry = json.loads(out.read_text())["datasets"][path.stem]
+        assert entry["skipped_folds"] == 0
+        for algo in ("liuboost", "rusboost"):
+            assert len(entry["algorithms"][algo]["auroc_values"]) == 5
+
+    def test_traced_peak_holds_one_file_and_one_copy_of_the_rows(
+            self, tmp_path):
+        # integer values make a short text, so the copies of the rows, not
+        # the read of the text, set the peak: the file's Dataset, the
+        # gather of a fold's training rows and its scaled copy.  It is
+        # 2 x text + 2.1 x features; a Dataset kept from the check parse
+        # and a second gather with two temporaries gave 4.1
+        ds = make_clusters(200, 19800, d=10, sep=1.0, seed=0)
+        path = write_dataset(tmp_path, dataclasses.replace(
+            ds, features=np.rint(ds.features * 10)))
+        text = path.stat().st_size
+        cfg = ExperimentConfig(dataset_paths=(str(path),),
+                               algorithms=("rusboost",), repeats=1,
+                               folds=10, rounds=2, max_depth=1)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["datasets"][path.stem]["skipped_folds"] < cfg.folds
+        rows = ds.features.nbytes
+        assert peak <= 2 * text + 3 * rows, \
+            f"peak 2 x text + {(peak - 2 * text) / rows:.2f} x features"
 
     def test_summary_tests_the_reports_own_means(self, tmp_path):
         # six scored datasets, and one whose single +1 row leaves every

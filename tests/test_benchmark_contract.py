@@ -24,11 +24,13 @@ def test_entry_points_resolve():
 
 # five files: the fewest on which run_experiment reaches the signed-rank
 # test.  At depth 8 a split settles children at every level, not only at
-# the one above the leaves
+# the one above the leaves; at depth 1 (the protocol's stumps) the root
+# settles both children and prediction labels every row by one np.where
 @pytest.mark.parametrize("algorithms, max_depth", [
+    (("liuboost", "rusboost"), 1),
     (("liuboost", "rusboost"), 2), (("liuboost",), 2),
     (("liuboost", "rusboost"), 8), (("liuboost",), 8),
-], ids=["both", "liu", "both-depth8", "liu-depth8"])
+], ids=["both-depth1", "both", "liu", "both-depth8", "liu-depth8"])
 def test_traced_run_matches_report(tmp_path, algorithms, max_depth):
     paths = []
     for i in range(5):

@@ -590,12 +590,35 @@ class TestMinMax:
         np.testing.assert_array_equal(out[:, 0], [0.0, 1.0, 0.5, 0.75])
         np.testing.assert_array_equal(out[:, 1], [0.0] * 4)
 
+    def test_a_test_row_past_the_float_range_saturates(self):
+        # the range is 1e-272, so these rows scale past +-1.8e308; the
+        # warning would be an error under pytest
+        big = np.finfo(np.float64).max
+        fitted = fit_min_max(np.array([[0.0], [2.0170756978734342e-272]]))
+        X = np.array([[3.6260831345646875e+36], [-1e40], [1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_min_max(X, *fitted)
+        np.testing.assert_array_equal(out[:, 0], [big, -big, X[2, 0] / 2
+                                                  / fitted[1][0]])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_any_numeric_input_gives_float64(self, dtype):
+        X = np.array([[1, 7], [4, 3], [9, 5]], dtype=dtype)
+        out = apply_min_max(X, *fit_min_max(X))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(
+            out, apply_min_max(X.astype(np.float64),
+                               *fit_min_max(X.astype(np.float64))))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_halves_give_the_bits_of_the_direct_formula(self, data):
         # with normal halves and a finite range, (x/2 - min/2) / range is
         # (x - min) / (max - min) to the bit, on rows outside the fitted
-        # range too; a constant column keeps x - min
+        # range too; a constant column keeps x - min.  A test row far
+        # outside a tiny range scales past the float range: there both
+        # saturate at +-max, and every other entry keeps its bits
         values = st.floats(-1e300, 1e300).filter(
             lambda v: v == 0 or abs(v) > 1e-290)
         train = np.array(data.draw(st.lists(values, min_size=1,
@@ -604,6 +627,9 @@ class TestMinMax:
         mins, maxs = train.min(axis=0), train.max(axis=0)
         ranges = np.where(maxs == mins, 1.0, maxs - mins)
         fitted = fit_min_max(train)
+        big = np.finfo(np.float64).max
         for X in (train, test):
+            with np.errstate(over="ignore"):
+                direct = (X - mins) / ranges
             np.testing.assert_array_equal(apply_min_max(X, *fitted),
-                                          (X - mins) / ranges)
+                                          np.clip(direct, -big, big))
