@@ -78,48 +78,50 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _too_small(ds: Dataset, cfg: ExperimentConfig) -> str | None:
-    """Why a parsed file is too small for the config, or None: it needs a
-    row per fold and, for LIUBoost, more than knn_k rows in every training
-    split; the smallest is beside fold 0, with ceil(n/folds) of each class."""
+def _load(path, cfg: ExperimentConfig):
+    """(the file's Dataset, None), or (None, why it cannot be run under
+    cfg): unreadable, not a KEEL dataset, or too small.  It needs a row
+    per fold and, for LIUBoost, more than knn_k rows in every training
+    split; the smallest is beside fold 0, with ceil(n/folds) of each
+    class."""
+    try:
+        ds = parse_keel(Path(path).read_text(), name=Path(path).stem)
+    except (OSError, UnicodeDecodeError, KeelFormatError) as exc:
+        return None, str(exc)
     m = ds.n_instances
     if cfg.folds > m:
-        return f"folds={cfg.folds} exceeds instance count m={m}"
+        return None, f"folds={cfg.folds} exceeds instance count m={m}"
     if "liuboost" in cfg.algorithms:
         smallest = (m - math.ceil(ds.minority_count / cfg.folds)
                     - math.ceil(ds.majority_count / cfg.folds))
         if cfg.knn_k >= smallest:
-            return (f"knn_k={cfg.knn_k} must be below the smallest training "
-                    f"split, {smallest} of m={m} rows at folds={cfg.folds}")
-    return None
+            return None, (f"knn_k={cfg.knn_k} must be below the smallest "
+                          f"training split, {smallest} of m={m} rows at "
+                          f"folds={cfg.folds}")
+    return ds, None
 
 
-def _skip_reason(path, cfg: ExperimentConfig) -> str | None:
-    """Why the file at path cannot be run under cfg (unreadable, not a
-    KEEL dataset, or too small), or None.  Its Dataset is dropped on
-    return, so the check holds one parsed file at a time."""
-    try:
-        ds = parse_keel(Path(path).read_text(), name=Path(path).stem)
-    except (OSError, UnicodeDecodeError, KeelFormatError) as exc:
-        return str(exc)
-    return _too_small(ds, cfg)
-
-
-def _fold_plan(ds: Dataset, cfg: ExperimentConfig, repeat: int):
-    """The stratified fold plan of one repeat on one dataset."""
-    return stratified_folds(ds, cfg.folds, derive_seed(
+def _folds(ds: Dataset, cfg: ExperimentConfig, repeat: int):
+    """For each fold of one repeat on one dataset, (skip reason, None) or
+    (None, (models by algorithm, test features, test labels))."""
+    plan = stratified_folds(ds, cfg.folds, derive_seed(
         cfg.master_seed, ds.name, "folds", repeat))
+    for fold in range(cfg.folds):
+        # a fold's splits and scaled rows are _fold's locals, so they are
+        # freed before the next fold gathers its own
+        yield _fold(ds, plan, cfg, repeat, fold)
 
 
-def _fold_models(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int,
-                 fold: int):
-    """(models by algorithm, test features, test labels) of one fold, both
-    splits min-max scaled by the training rows, or None when a split lacks
-    a class or a model has no stage (cells stay paired across algorithms)."""
+def _fold(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int, fold: int):
+    """One fold of _folds, both splits min-max scaled by the training rows.
+    The plan deals each class from fold 0, so a split without a class
+    lacks the minority (+1).  A fold with a zero-stage model is skipped
+    for every algorithm, so that cells stay paired."""
     train_idx, test_idx = plan.split(fold)
     y_train, y_test = ds.labels[train_idx], ds.labels[test_idx]
-    if len(set(y_test.tolist())) < 2 or len(set(y_train.tolist())) < 2:
-        return None
+    for split, y in (("test", y_test), ("train", y_train)):
+        if not ((y == 1).any() and (y == -1).any()):  # sound when empty
+            return f"no_minority_in_{split}", None
     # one gather of the training rows serves the fit and the scaling, and
     # the scaled copy replaces it before any model is trained
     X_train = ds.features[train_idx]
@@ -139,24 +141,23 @@ def _fold_models(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int,
             models[algo] = train_rusboost(train_ds, T=cfg.rounds, rng=seed,
                                           max_depth=cfg.max_depth)
     if any(m.trained_iterations == 0 for m in models.values()):
-        return None
-    return models, X_test, y_test
+        return "zero_stage_model", None
+    return None, (models, X_test, y_test)
 
 
 def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
     """All folds of one repeat on one dataset: (name, entry, seconds), where
     entry has the report's per-dataset shape and this repeat's results."""
     started = time.perf_counter()
-    name = Path(path).stem
-    ds = parse_keel(Path(path).read_text(), name=name)
+    ds, reason = _load(path, cfg)
+    if ds is None:  # the file changed after run_experiment checked it
+        raise ValueError(f"{path}: {reason}")
     entry = {"algorithms": {a: {"auroc_values": [], "aupr_values": []}
                             for a in cfg.algorithms},
              "skipped_folds": 0, "n_instances": ds.n_instances,
              "n_features": ds.n_features, "imbalance_ratio": imbalance_ratio(ds)}
-    plan = _fold_plan(ds, cfg, repeat)
-    for fold in range(cfg.folds):
-        scored = _fold_models(ds, plan, cfg, repeat, fold)
-        if scored is None:
+    for reason, scored in _folds(ds, cfg, repeat):
+        if reason:
             entry["skipped_folds"] += 1
             continue
         models, X_test, y_test = scored
@@ -165,7 +166,7 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
             values = entry["algorithms"][algo]
             values["auroc_values"].append(metrics.auroc(scores, y_test))
             values["aupr_values"].append(metrics.aupr(scores, y_test))
-    return name, entry, time.perf_counter() - started
+    return ds.name, entry, time.perf_counter() - started
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
@@ -174,14 +175,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     if not is_count(jobs) or jobs < 1:
         raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
-    skipped_datasets = {}
-    paths = []
-    for p in cfg.dataset_paths:
-        reason = _skip_reason(p, cfg)
-        if reason is None:
-            paths.append(p)
-        else:
-            skipped_datasets[str(p)] = reason
+    # each check drops its Dataset at once, so the run holds one at a time
+    reasons = {p: _load(p, cfg)[1] for p in cfg.dataset_paths}
+    skipped_datasets = {str(p): r for p, r in reasons.items() if r is not None}
+    paths = [p for p, r in reasons.items() if r is None]
 
     cells = [(p, r, cfg) for p in sorted(paths) for r in range(cfg.repeats)]
     if jobs > 1:
@@ -316,16 +313,18 @@ def _cmd_run(args) -> int:
 def _cmd_curves(args) -> int:
     path = Path(args.dataset)
     cfg = _config_from_args(args, [path])
-    ds = parse_keel(path.read_text(), name=path.stem)
-    if reason := _too_small(ds, cfg):
+    ds, reason = _load(path, cfg)
+    if ds is None:
         raise ValueError(f"{path}: {reason}")
     # the first fold that `bench run` scores in repeat 0, with its models
-    plan = _fold_plan(ds, cfg, 0)
-    for fold in range(cfg.folds):
-        if scored := _fold_models(ds, plan, cfg, 0, fold):
+    reasons = []
+    for reason, scored in _folds(ds, cfg, 0):
+        if scored:
             break
-    else:
-        raise ValueError(f"{path}: no fold of repeat 0 can be scored")
+        reasons.append(reason)
+    if not scored:
+        raise ValueError(f"{path}: no fold of repeat 0 can be scored: "
+                         + ", ".join(reasons))
     models, X_test, y_test = scored
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -201,6 +201,28 @@ class TestRunExperiment:
         assert peak <= 2 * text + 3 * rows, \
             f"peak 2 x text + {(peak - 2 * text) / rows:.2f} x features"
 
+    @pytest.mark.parametrize("n, folds, algorithms, reasons", [
+        (2, 3, ("liuboost", "rusboost"), [None, None, "no_minority_in_test"]),
+        (1, 2, ("rusboost",), ["no_minority_in_train", "no_minority_in_test"]),
+    ], ids=["2+2-at-3-folds", "1+1-at-2-folds"])
+    def test_empty_splits_are_skipped_by_name(self, tmp_path, n, folds,
+                                              algorithms, reasons):
+        # the plan deals each class round-robin, so small files leave a
+        # split with no row at all: fold 2's test split at 2+2 rows, and
+        # at 1+1 rows (RUSBoost only, as LIUBoost needs knn_k training
+        # rows) fold 0's training split and fold 1's test split.  An empty
+        # split has no minimum, so the class check must not take one
+        ds = make_clusters(n, n, sep=12.0, noise=0.3, seed=31)
+        path = write_dataset(tmp_path, ds)
+        cfg = ExperimentConfig(dataset_paths=(str(path),),
+                               algorithms=algorithms, repeats=1, folds=folds,
+                               rounds=3, knn_k=1, max_depth=1)
+        assert [r for r, _ in bench._folds(ds, cfg, 0)] == reasons
+        entry = run_experiment(cfg)["datasets"][path.stem]
+        assert entry["skipped_folds"] == sum(r is not None for r in reasons)
+        assert len(entry["algorithms"]["rusboost"]["auroc_values"]) \
+            == reasons.count(None)
+
     def test_summary_tests_the_reports_own_means(self, tmp_path):
         # six scored datasets, and one whose single +1 row leaves every
         # fold's training or test split without a class: no fold is scored
@@ -400,8 +422,9 @@ class TestCli:
         out = tmp_path / "curves.csv"
         assert main(["curves", "--dataset", str(dat), "--out", str(out),
                      "--folds", "2", "--knn", "1"]) == 1
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("error:") and str(dat) in last
+        assert capsys.readouterr().err == (
+            f"error: {dat}: no fold of repeat 0 can be scored: "
+            "zero_stage_model, zero_stage_model\n")
         assert not out.exists()
 
     def test_curves_rejects_file_too_small(self, glass5_and_pima, tmp_path,
@@ -413,6 +436,26 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {glass5}: knn_k=150 must be below the smallest training "
             "split, 106 of m=214 rows at folds=2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"not a keel file\n",
+         "data line before @data section: 'not a keel file'"),
+        (b"@relation r\n@attribute a real [0.0, 1.0]\n@data\n",
+         "empty @data section"),
+        (b"\xff" + SAMPLE_INF.encode(),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid "
+         "start byte"),
+    ], ids=["garbage", "no-data", "undecodable"])
+    def test_curves_names_the_file_it_cannot_read(self, tmp_path, capsys,
+                                                  content, reason):
+        # every file error names the file, as `bench run`'s skip line does
+        dat = tmp_path / "bad.dat"
+        dat.write_bytes(content)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", "--dataset", str(dat), "--out",
+                     str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {dat}: {reason}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "curves"])

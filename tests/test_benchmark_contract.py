@@ -4,11 +4,13 @@ before a benchmark run would."""
 import hashlib
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import make_clusters
 
+from liuboost import bench
 from liuboost.bench import ExperimentConfig, emit_report, run_experiment
 from liuboost.data import serialize_keel
 
@@ -49,6 +51,45 @@ def test_traced_run_matches_report(tmp_path, algorithms, max_depth):
     assert trace.problems(cfg, report, trace.layer_metrics(wall)) == []
     # the check that sets `failed` on every untraced benchmark run
     assert run.output_problems(cfg, report, len(trace.models)) == []
+
+
+def test_fold_reasons_match_the_trace(tmp_path, monkeypatch):
+    # a lone +1 row is in fold 0's test split and leaves its training split
+    # without the minority, and every other test split without it; on
+    # identical features no stump beats chance, so every model is empty
+    flat = tmp_path / "flat.dat"
+    flat.write_text("@relation flat\n@attribute a real [0.0, 1.0]\n"
+                    "@attribute Class {negative, positive}\n"
+                    "@outputs Class\n@data\n"
+                    + "0.5, negative\n0.5, positive\n" * 3)
+    datasets = [make_clusters(1, 19, seed=46),
+                make_clusters(8, 16, d=2, sep=2.5, seed=40)]
+    paths = [flat]
+    for ds in datasets:
+        paths.append(tmp_path / f"{ds.name}.dat")
+        paths[-1].write_text(serialize_keel(ds))
+    cfg = ExperimentConfig(dataset_paths=tuple(map(str, paths)), repeats=2,
+                           folds=3, rounds=3, knn_k=1, max_depth=1,
+                           master_seed=5)
+    reasons = Counter()
+    runner = bench._folds
+
+    def counted(*args):
+        for reason, scored in runner(*args):
+            reasons[reason] += 1
+            yield reason, scored
+
+    monkeypatch.setattr(bench, "_folds", counted)
+    with spans.LayerTrace() as trace:
+        report = run_experiment(cfg)
+    assert all(reasons[r] for r in ("no_minority_in_test",
+                                    "no_minority_in_train",
+                                    "zero_stage_model"))
+    assert reasons["no_minority_in_test"] + reasons["no_minority_in_train"] \
+        == trace.folds_no_class
+    assert reasons["zero_stage_model"] == trace.zero_stage_folds()
+    assert sum(reasons.values()) - reasons[None] == sum(
+        e["skipped_folds"] for e in report["datasets"].values())
 
 
 def test_report_digest_hashes_the_emitted_json(tmp_path):

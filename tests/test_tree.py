@@ -612,9 +612,10 @@ class TestOracleGuard:
         def fold_models():
             out = []
             for ds in stand_ins:
-                scored = bench._fold_models(ds, bench._fold_plan(ds, cfg, 0),
-                                            cfg, 0, folds[ds.name])
-                assert scored is not None
+                # the runner trains the folds before this one too
+                reason, scored = next(itertools.islice(
+                    bench._folds(ds, cfg, 0), folds[ds.name], None))
+                assert reason is None
                 out += [model_bits(m) for m in scored[0].values()]
             return out
 
