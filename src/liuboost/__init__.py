@@ -9,7 +9,6 @@ it, do.
 
 from importlib import import_module
 
-# every exported name and the module that defines it
 _EXPORTS = {
     "Dataset": "data", "FoldPlan": "data", "KeelFormatError": "data",
     "imbalance_ratio": "data", "parse_keel": "data",

@@ -107,8 +107,7 @@ def _folds(ds: Dataset, cfg: ExperimentConfig, repeat: int):
     plan = stratified_folds(ds, cfg.folds, derive_seed(
         cfg.master_seed, ds.name, "folds", repeat))
     for fold in range(cfg.folds):
-        # a fold's splits and scaled rows are _fold's locals, so they are
-        # freed before the next fold gathers its own
+        # _fold's locals are freed before the next fold gathers its rows
         yield _fold(ds, plan, cfg, repeat, fold)
 
 
@@ -122,8 +121,6 @@ def _fold(ds: Dataset, plan, cfg: ExperimentConfig, repeat: int, fold: int):
     for split, y in (("test", y_test), ("train", y_train)):
         if not ((y == 1).any() and (y == -1).any()):  # sound when empty
             return f"no_minority_in_{split}", None
-    # one gather of the training rows serves the fit and the scaling, and
-    # the scaled copy replaces it before any model is trained
     X_train = ds.features[train_idx]
     mins, ranges = fit_min_max(X_train)
     X_train = apply_min_max(X_train, mins, ranges)
@@ -171,11 +168,16 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Full protocol: repeats x stratified folds per dataset, both
-    algorithms, aggregated metrics, win counts and signed-rank tests."""
+    algorithms, aggregated metrics, win counts and signed-rank tests.
+
+    Memory: one parsed file at a time, and in a fold one gather of its
+    training rows, replaced by their scaled copy before any model is
+    trained, and its scaled test rows (README Memory).
+    """
     if not is_count(jobs) or jobs < 1:
         raise ValueError("jobs must be >= 1")
     started = time.perf_counter()
-    # each check drops its Dataset at once, so the run holds one at a time
+    # only each check's reason is kept, so its Dataset is dropped at once
     reasons = {p: _load(p, cfg)[1] for p in cfg.dataset_paths}
     skipped_datasets = {str(p): r for p, r in reasons.items() if r is not None}
     paths = [p for p, r in reasons.items() if r is None]
@@ -248,10 +250,10 @@ def emit_report(report: dict, format: str, path,
                 include_timings: bool = False) -> None:
     """Write a report as JSON, the one report format.
 
-    ``format`` must be "json".  It remains a parameter because callers
-    written for the removed CSV writer, such as perfbench's report digest,
-    pass it positionally.  Timings are excluded by default so that emitted
-    files are byte-reproducible for identical configs and seeds.
+    ``format`` must be "json"; it stays a parameter because perfbench's
+    report digest passes it positionally.  Timings are excluded by default
+    so that emitted files are byte-reproducible for identical configs and
+    seeds.
     """
     if format != "json":
         raise ValueError("format must be 'json'")

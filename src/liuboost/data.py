@@ -1,19 +1,9 @@
-"""KEEL dataset parsing, label mapping and cross-validation splitting.
+"""KEEL dataset parsing, label mapping, cross-validation folds and min-max
+scaling.
 
 Labels are always mapped to {-1, +1} with the minority class as +1, so
-that recall/precision downstream refer to the rare class.
-
-parse_keel never splits the whole text: it reads the text in pieces of
-about _BLOCK_CHARS characters, each ending right after a newline, counts
-the data lines in a first walk over them, and converts each piece's
-lines as one block in a second walk, one float() pass per feature column
-of a block, into one preallocated array; only when a block fails does it
-walk the rows again, from the first, for the first bad one, so its
-errors are those of a row-by-row check.  A parse holds the text, the
-(m, d) array with one class code per row, and one block: its piece, its
-lines and their tokens.  Reading a file holds its bytes and its text
-together, twice the text, so the read, not the parse, sets the peak of a
-read and parse.
+that recall/precision downstream refer to the rare class.  parse_keel
+states the parse, its error order and its memory.
 """
 from __future__ import annotations
 
@@ -25,9 +15,8 @@ import numpy as np
 MISSING_TOKENS = {"?", "<null>"}
 NUMERIC_TYPES = {"real", "integer", "numeric"}
 # characters of text split at a time (_pieces): a block's Python objects
-# outweigh its text several times, so larger pieces raise a parse's peak
-# and smaller ones add pieces to list; CHANGES.md (the piece-by-piece
-# parse entry) has the peaks and times measured for each size
+# outweigh its text, so larger pieces raise a parse's peak and smaller
+# ones add pieces; CHANGES.md has the sizes measured
 _BLOCK_CHARS = 1 << 14
 
 
@@ -113,19 +102,20 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     tie the lexicographically smaller class name becomes +1.
 
     The lines are those of text.splitlines(), stripped, with blank lines
-    dropped, but text is split a piece at a time (_pieces): the header is
-    read piece by piece up to @data, one walk over the rest counts the
-    data lines, and a second converts each piece's data lines as one
-    block: each line of a block is split once at its commas, the block's
-    rows are transposed into columns, and each feature column is
-    converted by one pass of float() into its rows of a preallocated
-    C-ordered (m, d) float64 array; every value is that of float() on the
-    stripped token.  Each class token becomes an integer code against a
-    table of the class names, so no token outlives its block, and the
-    codes become the labels in place.  A row with the wrong field count,
-    a missing value ('?' or '<null>' in any column) or a non-numeric
-    value raises for the first such row, with the checks of a row in that
-    order; a non-finite value raises only when every row passes them.
+    dropped, but text is split a piece at a time (_pieces): the header up
+    to @data, one walk over the rest to count the data lines, and a
+    second that converts each piece's data lines as one block, one
+    float() pass per feature column, into a preallocated (m, d) float64
+    array; every value is that of float() on the stripped token.  Each
+    class token becomes an integer code against a table of the class
+    names, and the codes become the labels in place.  Memory: the text,
+    the array with its codes and one block (README Memory).
+
+    Errors: a row with the wrong field count, a missing value ('?' or
+    '<null>' in any column) or a non-numeric value raises for the first
+    such row, with the checks of a row in that order; a non-finite value
+    raises only when every row passes them, and names its row before the
+    class count is checked.
     """
     relation, attr_names, attr_nominal, outputs, tail = _read_header(text)
     # the pieces that hold data rows, each with the count of its non-blank
@@ -313,8 +303,7 @@ def _floats(tokens) -> np.ndarray:
 def _first_bad_row(body, n_cols: int, feat_cols: list[int],
                    attr_names: list[str]) -> KeelFormatError:
     """The error of the first of the data lines body that fails a row
-    check: its field count, then a missing value in any column, then a
-    non-numeric value by feature column."""
+    check, in parse_keel's order."""
     for i, line in enumerate(body):
         row = [f.strip() for f in line.split(",")]
         if len(row) != n_cols:

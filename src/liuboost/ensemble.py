@@ -1,20 +1,11 @@
-"""Boosting core: cost-sensitive undersampled boosting and the RUSBoost
-baseline, sharing one training loop.
+"""Boosting core: LIUBoost and the RUSBoost baseline, one training loop.
 
-Per round: draw a balanced (50:50) random undersample, fit a tree on it
-using the current distribution D as sample weights, then account
-cost-weighted correct/incorrect mass over ALL training instances (not
-just the subsample) to set the stage coefficient alpha and the weight
-update.  Rounds whose alpha is non-positive are discarded and redrawn.
-When MAX_CONSECUTIVE_RETRIES redraws in a row fail, training stops; the
-model records this in ``retries_exhausted``, and ``trained_iterations``
-is the stage count it stopped at.  No warning is issued.  Undersampling
-is part of the algorithm, not a setting: every round of both boosters
-draws one.
-
-Every trained model carries its round trace in ``history``: one
-RoundRecord (mis_sum, cor_sum, epsilon and the updated D) per kept
-stage.
+Each round draws a balanced (50:50) undersample, fits a tree on it with
+the current distribution D as sample weights, and sets the stage
+coefficient alpha and the weight update from cost-weighted masses over
+all training rows, not just the subsample.  Undersampling is part of
+both algorithms, not a setting.  _boost_loop states the retry rule and
+what a model records.
 """
 from __future__ import annotations
 
@@ -85,17 +76,21 @@ def _check_counts(T, max_depth) -> None:
 
 def _boost_loop(X, y, weight_plus, weight_minus, T, rng,
                 max_depth) -> BoostModel:
-    """The shared loop, on counts that _check_counts accepted."""
-    # retries_exhausted must be a Python bool, since the benchmark sums it
-    # into a JSON digest: with a NumPy T, `len(alphas) < T` is a NumPy bool
-    T = int(T)
+    """The shared loop, on counts that _check_counts accepted.
+
+    A round whose alpha is not positive is discarded and redrawn.  After
+    MAX_CONSECUTIVE_RETRIES failed redraws in a row training stops, and
+    the model records retries_exhausted, a Python bool; no warning is
+    issued.  history keeps one RoundRecord per kept stage, so D of each:
+    up to T·m floats, beside the two D · cost products of the current
+    stage (README Memory).
+    """
     rng = np.random.default_rng(rng)  # a Generator is passed through
     D = np.full(len(y), 1.0 / len(y))
-    # D * cost of each row, for either outcome, is taken once per stage:
-    # the stage's redraws share it, so each round's two sums are one mask
-    # and one sum each.  A product does not depend on when it is taken and
-    # a sign flip is exact, so the sums and the update exponent have the
-    # bits of (D[mis] * weight_plus[mis]).sum() and -alpha * y * pred * cost
+    # D * cost is taken once per stage and shared by its redraws.  A
+    # product does not depend on when it is taken and a sign flip is exact,
+    # so the sums and the update exponent have the bits of
+    # (D[mis] * weight_plus[mis]).sum() and -alpha * y * pred * cost
     Dp, Dm = D * weight_plus, D * weight_minus
     alphas: list[float] = []
     trees: list[DecisionTree] = []
@@ -114,7 +109,6 @@ def _boost_loop(X, y, weight_plus, weight_minus, T, rng,
             retries += 1
             continue
         retries = 0
-        # cost-free weighted error under current D
         epsilon = float(np.add.reduce(D[mis]))
         # |alpha| < 14.2 and every cost is in (0, 1]: no overflow
         D = D * np.exp(np.where(mis, alpha * weight_plus,
@@ -130,7 +124,7 @@ def _boost_loop(X, y, weight_plus, weight_minus, T, rng,
     return BoostModel(
         alphas=tuple(alphas),
         trees=tuple(trees),
-        retries_exhausted=len(alphas) < T,
+        retries_exhausted=retries > MAX_CONSECUTIVE_RETRIES,
         history=tuple(history),
     )
 

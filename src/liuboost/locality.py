@@ -1,46 +1,16 @@
-"""Per-instance cost assignment from k-nearest-neighbor class composition.
+"""Per-instance costs from the class mix of each row's k nearest rows.
 
-Every training instance receives a pair (weight_plus, weight_minus):
-weight_plus amplifies the boosting weight increase when the instance is
-misclassified, weight_minus accelerates the decrease when it is correct.
-Instances in hostile neighborhoods (few same-class neighbors) get large
-weight_plus; instances in safe neighborhoods get large weight_minus.
+Every training row gets a pair (weight_plus, weight_minus): weight_plus
+amplifies its boosting weight increase when it is misclassified,
+weight_minus accelerates the decrease when it is correct.  Rows in
+hostile neighbourhoods (few same-class neighbours) get a large
+weight_plus, rows in safe ones a large weight_minus.
 
-The costs read only how many of each row's k nearest rows share its
-class, and they are exact: the same as from a full exact k-NN search.
-That search uses one index, a k-d tree (Friedman, Bentley & Finkel, ACM
-TOMS 1977), so it holds O(m k) memory, not an m x m distance matrix.
-Rows whose k-th and (k+1)-th candidates are too close to rank safely
-(distance ties) are settled from the same tree: a ball query just past
-the k-th distance collects every tied row, and those few candidates are
-ranked exactly.  One relative tolerance, _MARGIN, decides both what is
-too close and how far past the ball goes.
-
-Most majority rows of an imbalanced split are safe: all k neighbours
-share their class (Napierala & Stefanowski, JIIS 2016).  Such a row is
-certified without the exact search.  Any k other rows bound a row's
-k-th distance from above.  When the nearest +1 row, from a small tree
-over the +1 rows, lies beyond such a bound by more than _MARGIN, every
-row the exact search could return is a majority row: the count is k,
-as the search would give.  The certificate runs in two passes.  The
-first reads each row's bound from its own leaf of the tree, by one
-cdist per leaf: it is cheap and proves most safe rows.  The second
-queries only the rows the first left, with an approximate query on the
-same tree (cKDTree's eps = _EPS; Arya et al., JACM 1998), whose k+1
-candidates give tighter bounds; any eps gives an upper bound, so eps
-moves speed and never a count.  The +1 rows, the rows that fail both
-passes, and every row of a split with fewer than _CERTIFY_ROWS more
-majority than +1 rows take the exact search.
-
-The tree has leaves of up to _LEAF_ROWS = 64 rows.  Leaf size cannot
-change a neighbour set: a settled row has a strict gap at its k-th
-distance, so any exact search returns the same k rows, and a tied row
-is ranked from an exact ball query.
-
-Each tree query runs on one thread per _ROWS_PER_WORKER of its query
-rows, up to the cores this process may run on, so small queries stay on
-one thread.  Each query row is answered on its own, so the neighbour
-sets, and every cost, are the same at any worker count.
+The counts are those of an exact k-NN search on one k-d tree (Friedman,
+Bentley & Finkel, ACM TOMS 1977).  assign_weights states which rows take
+which path and the layer's memory, _exact_neighbors the search and its
+tie rule, and _certified_rows the certificate that proves most safe
+majority rows without the search (Napierala & Stefanowski, JIIS 2016).
 """
 from __future__ import annotations
 
@@ -73,28 +43,24 @@ class CostVector:
 # row tied at the k-th distance.
 _MARGIN = 1e-9
 
-# Query rows per k-d tree worker thread.  Below about twice this a second
-# thread costs more than it saves (timings in CHANGES.md).
+# The sizes below move speed, never a count; CHANGES.md has the timings
+# that chose them.
+
+# Query rows per k-d tree worker thread: on fewer, a second thread costs
+# more than it saves.
 _ROWS_PER_WORKER = 2048
 
-# Rows per k-d tree leaf.  A leaf is scanned by brute force; leaves of 64
-# rows rather than cKDTree's 16 build a shallower tree that answers the
-# benchmark's training splits (hundreds to thousands of rows) faster
-# (timings in CHANGES.md).
+# Rows per k-d tree leaf (cKDTree's default is 16).  Leaf size cannot
+# change a neighbour set: a settled row has a strict gap at its k-th
+# distance, so any exact search returns the same k rows, and a tied row
+# is ranked from an exact ball query.
 _LEAF_ROWS = 64
 
-# Relative error allowed to the certificate's second pass, the candidate
-# query of the rows that their own leaf did not prove safe (cKDTree's
-# eps).  Any eps gives an upper bound on a row's k-th distance, so it
-# moves speed only, never a count; from 2 to 5 the benchmark's large
-# splits certify fastest (timings in CHANGES.md).
+# Relative error (cKDTree's eps) of the certificate's second pass.
 _EPS = 2.0
 
-# A training split runs the certificate only when its majority rows
-# outnumber its +1 rows by at least this many; every row of another split
-# takes the exact search.  On small splits the candidate queries cost
-# about as much as the exact query they would save, and a large +1 share
-# leaves few rows to certify (timings in CHANGES.md).
+# Majority rows in excess of +1 rows from which a split runs the
+# certificate: on smaller splits its queries cost about what they save.
 _CERTIFY_ROWS = 420
 
 
@@ -111,21 +77,16 @@ def _query_workers(m: int) -> int:
 def _exact_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
                      k: int) -> np.ndarray:
     """(len(rows), k) matrix whose i-th row holds the k nearest rows to
-    row rows[i] of the tree's features.
+    row rows[i] of the tree's features: Euclidean distance, self
+    excluded, each row a set in unspecified order.  Ties at the k-th
+    distance go to the smaller index.
 
-    Euclidean distance, self excluded.  Each row is a set: its order is
-    unspecified.  Ties at the k-th distance go to the smaller index.
-
-    Candidates are the k+2 nearest points from the k-d tree, self dropped
-    by index (a duplicate point may come before it); when self is not
-    among them, the last candidate is dropped instead.  A row is settled
-    when its k-th distance is below (1 - _MARGIN) times its (k+1)-th;
-    the other rows are resolved by _tied_neighbors from the same tree.
-    Memory is O(m k) for the tree and candidates.
-
-    The query runs on _query_workers(len(rows)) threads.  Each thread
-    answers its own query rows, so the result does not depend on their
-    number.
+    The candidates are the tree's k+2 nearest points, self dropped by
+    index (a duplicate may come before it) or else the last one.  A row
+    is settled when its k-th distance is below (1 - _MARGIN) times its
+    (k+1)-th; _tied_neighbors resolves the others from the same tree.
+    The query runs on _query_workers(len(rows)) threads, each answering
+    its own rows, so the result does not depend on their number.
     """
     n = len(rows)
     dist, idx = tree.query(features[rows], k=k + 2,
@@ -146,13 +107,11 @@ def _exact_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
 def _leaf_bounds(tree: cKDTree, features: np.ndarray, k: int) -> np.ndarray:
     """(m,) upper bound on each row's k-th distance, from its own leaf.
 
-    A leaf of the tree (split_dim -1) holds the rows
-    tree.indices[start_idx:end_idx].  Each row's (k+1)-th smallest cdist
-    distance to its leaf's rows, self at 0 among them, has at least k
-    other rows within it.  A leaf of k rows or fewer gives no bound: inf.
-    The distances are taken for _LEAF_ROWS rows at a time, so a block is
-    at most _LEAF_ROWS by the leaf's rows (a leaf holds more than
-    _LEAF_ROWS rows only when they are copies of one point).
+    A leaf (split_dim -1) holds the rows tree.indices[start_idx:end_idx].
+    Each row's (k+1)-th smallest cdist distance to its leaf's rows, self
+    at 0 among them, has at least k other rows within it; a leaf of k
+    rows or fewer gives inf.  The distances are taken _LEAF_ROWS rows at
+    a time (a leaf holds more only when they are copies of one point).
     """
     bound = np.full(len(features), np.inf)
     nodes = [tree.tree]
@@ -176,15 +135,15 @@ def _certified_rows(tree: cKDTree, features: np.ndarray, labels: np.ndarray,
     """The majority rows whose k nearest rows are all majority rows,
     proven without the exact search.
 
-    Each pass gives each majority row still open an upper bound on its
-    k-th distance: the first from its own leaf (_leaf_bounds), the
-    second, for the rows the first left, from the k+1 candidates of an
-    approximate query at eps = _EPS, at least k of them other rows.  A
-    row is certified when its nearest +1 row lies beyond its bound by
-    more than _MARGIN: then every row at or near its k-th distance is a
-    majority row.  The +1 tree is asked once per majority row, before
-    the first pass: the distance does not depend on the bound.  The rows
-    that fail both passes are left to the exact search.
+    Any k other rows bound a row's k-th distance from above.  A row is
+    certified when its nearest +1 row, from a tree over the +1 rows,
+    lies beyond such a bound by more than _MARGIN: then every row the
+    exact search could return is a majority row, and n_s = k, as the
+    search would give.  Pass 1 reads each bound from the row's own leaf
+    (_leaf_bounds); pass 2, for the rows pass 1 left, from the k+1
+    candidates of an approximate query at eps = _EPS (Arya et al., JACM
+    1998).  Any eps gives an upper bound, so eps moves speed, never a
+    count.  The rows that fail both passes are left to the exact search.
     """
     plus = cKDTree(features[labels == 1], leafsize=_LEAF_ROWS)
     rows = np.flatnonzero(labels == -1)
@@ -202,15 +161,11 @@ def _certified_rows(tree: cKDTree, features: np.ndarray, labels: np.ndarray,
 
 def _tied_neighbors(tree: cKDTree, features: np.ndarray, rows: np.ndarray,
                     kth: np.ndarray, k: int) -> np.ndarray:
-    """(len(rows), k) exact k nearest neighbours of the given query rows.
-
-    Same contract as _exact_neighbors.  kth holds each row's k-th
-    distance from the tree.  The tree's ball of radius kth * (1 + _MARGIN)
-    holds every row at or below the k-th distance, ties included; those
-    candidates are ranked by cdist distance, then index.  cdist computes
-    every pair on its own, so a pair's distance does not depend on which
-    other rows are ranked with it.
-    """
+    """_exact_neighbors of the given rows, whose k-th tree distances are
+    kth.  The ball of radius kth * (1 + _MARGIN) holds every row at or
+    below the k-th distance, ties included; those candidates are ranked
+    by cdist distance, then index.  cdist computes each pair on its own,
+    so a pair's distance does not depend on the other rows ranked."""
     nearest = np.empty((len(rows), k), dtype=np.intp)
     for out, i, radius in zip(nearest, rows, kth * (1 + _MARGIN)):
         near = np.array(tree.query_ball_point(features[i], radius))
@@ -229,9 +184,10 @@ def assign_weights(ds, k: int = 5, delta: float = 1.0) -> CostVector:
 
     The counts are those of the exact k-NN search.  On a split whose
     majority rows outnumber its +1 rows by at least _CERTIFY_ROWS, the
-    majority rows that either pass of _certified_rows proves safe get
-    n_s = k without it.  Every other row, and every row of another split,
-    takes the exact search, on the same tree.
+    rows that _certified_rows proves safe get n_s = k without it; every
+    other row takes the exact search, on the same tree.  Memory: O(m k),
+    the tree and each row's neighbours, never an m x m matrix (README
+    Memory).
     """
     m = ds.n_instances
     if not is_count(k) or not 1 <= k <= m - 1:

@@ -5,9 +5,7 @@ original: discard zero differences before ranking) and "pratt" (rank all
 differences including zeros, then exclude the zero ranks from both sums).
 The exact null distribution is enumerated when the effective sample is
 small; otherwise a normal approximation with tie and continuity
-corrections is used.  Tied |differences| share their midrank; one
-grouping of |d| (``np.unique``) gives both the midranks and the tie
-sizes, so the module needs numpy only.
+corrections is used.  Tied |differences| share their midrank.
 """
 from __future__ import annotations
 

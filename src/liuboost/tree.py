@@ -1,41 +1,11 @@
-"""Weighted gain-ratio decision tree used as the boosting weak learner.
+"""Weighted gain-ratio decision tree, the boosting weak learner.
 
-Binary numeric splits only; no pruning (boosting wants low-bias weak
-learners and handles errors by reweighting).  Sample weights are
-normalized internally, so any positive rescaling yields the same tree.
-Depth is the tree's one parameter; the other two stopping rules are the
-constants MIN_LEAF_WEIGHT and MIN_GAIN.
-
-The split search scores every feature of a node in one pass: one
-column-wise argsort gives feature-major (d, n) weight prefix sums and
-one column-wise sort the sorted values, one entropy call covers the
-parent and both sides of every valid cut, and one argmax over those cuts
-picks the lowest feature, then the lowest threshold, among equal gain
-ratios.  Most nodes of a boosting round hold tens of rows, so the search
-costs numpy calls, not arithmetic: it makes a fixed number of them per
-node, whatever d is.
-
-For the same reason a boosting round pays mostly a fixed count of numpy
-calls, and growth and prediction make no call that their output does
-not need.  A fit grows the tree in one loop over an explicit stack, so
-its depth is bounded by max_depth and the rows, not by Python's
-recursion limit.  Each node gets its own rows (X, y, w), taken from its
-parent's at the positions of the parent's mask, so no node carries row
-numbers into the input: the root searches the input itself when every
-weight is positive.  One rule ends growth: a split settles each child
-that is sure to be a leaf, one at max_depth, one pure by count and one
-below MIN_LEAF_WEIGHT, and labels it without taking its rows (fit_tree
-states why the labels are exact).  Prediction follows one rule: the
-root compares its whole column, every other node routes an index array
-of its rows, and a split of two leaves labels its rows by one np.where,
-so a stump labels every row by one comparison (predict_many).
-
-The order of the sort must be the stable one: a weight prefix sum over
-tied rows depends on their order in the last bit.  Every node takes
-numpy's default sort (vectorized where the CPU allows) and then repairs
-each run of tied values, which a node with no tie skips.  CHANGES.md
-holds what that costs and saves against the stable sort, by node size
-and by ties.
+Binary numeric splits, no pruning: boosting wants low-bias weak learners
+and handles errors by reweighting.  Sample weights are normalized, so
+any positive rescaling gives the same tree.  Depth is the one parameter;
+the other stopping rules are the constants MIN_LEAF_WEIGHT and MIN_GAIN.
+fit_tree states the growth rule and its memory, _best_split the split
+order and its ties, and DecisionTree.predict_many the routing rule.
 """
 from __future__ import annotations
 
@@ -48,10 +18,9 @@ from .data import as_labels, is_count
 MIN_LEAF_WEIGHT = 0.01  # fraction of total weight
 MIN_GAIN = 1e-7
 _TINY = 5e-324  # the smallest positive float: its log is finite
-# Reductions call the ufunc's reduce (np.add.reduce for ndarray.sum,
-# np.logical_and.reduce for .all, np.minimum.reduce for .min): the methods
-# pass through a Python function in numpy._core._methods to that same
-# reduction, so the bits agree and a fit's many small nodes skip a frame.
+# Reductions call the ufunc's reduce (np.add.reduce for ndarray.sum, and
+# so on): the methods reach the same reduction through a Python function,
+# so the bits agree and a fit's many small nodes skip a frame.
 
 
 @dataclass(frozen=True)
@@ -72,24 +41,16 @@ class DecisionTree:
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """The leaf label of each row of an (m, n_features) matrix.
 
-        One rule routes the rows.  The root compares its whole column,
-        go = X[:, f] <= threshold; every other node takes its rows as an
-        index array and compares the gather of its column.  The root's
-        children get go.nonzero()[0] and (~go).nonzero()[0], deeper
-        children rows.compress(go) and rows.compress(~go) (rows[go], but
-        several times faster on a mixed mask).  A split whose children are
-        both leaves labels its rows by one np.where(go, label[left],
-        label[right]), so a stump labels every row by one comparison; a
-        leaf beside an internal sibling writes its label at its rows.  A
-        one-leaf tree gives np.full(m, label).
+        The root compares its whole column, go = X[:, f] <= threshold;
+        every other node compares the gather of its column at its rows,
+        an index array (rows.compress(go): rows[go], but faster on a
+        mixed mask).  A split of two leaves labels its rows by one
+        np.where, so a stump labels every row by one comparison.
 
         Memory: besides the (m,) output, the rows waiting on the stack
-        are disjoint, so at most m row indices (8·m bytes) wait there,
-        plus the node being split: its rows, the gather of its column,
-        its comparison and its children's rows.  Under tracemalloc on
-        complete trees over 10^5 rows the peak is 1.13 times the 8·m-byte
-        output at depth 1 and 2.8-3.5 times at depths 2 to 8; a test
-        bounds it by 4 times at depth 8.
+        are disjoint, so at most m row indices wait there, plus the node
+        being split: its rows, the gather of its column, its comparison
+        and its children's rows.  README Memory has the measured peaks.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -137,37 +98,31 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Best (gain_ratio, feature, threshold) over all midpoint candidates.
+    """Best (gain_ratio, feature, threshold) over all midpoint cuts.
 
-    All features are scored in one pass over feature-major (d, n) arrays:
-    row j holds the node's rows sorted stably by feature j, and position
-    c of a row is the cut between sorted rows c and c + 1.  A cut is valid
-    where those two values differ and both sides carry weight.  The
-    columns take numpy's default sort, faster but unstable, and then the
-    stable order is restored exactly: within each run of equal values
-    (-0.0 equals 0.0) rows go by index, through one sort of the unique
-    keys run * n + row, run being the index of the row's run in the
-    sorted column.  A node with no tie in any column skips that sort.
-    The flat argmax over the valid cuts, in feature-major order, takes
-    the first maximum: ties among equal gain ratios resolve to the lower
-    feature index, then the lower threshold.  The valid cuts are kept as flat
-    indices j * (n - 1) + c into the (d, n - 1) cut grid, so the winner's
-    feature and position are one divmod.  One _binary_entropy call scores
-    the parent and the left and right side of every valid cut; the right
-    weights are formed for the valid cuts only.  The threshold is the
-    midpoint lo / 2 + hi / 2 of the two values, which cannot overflow;
-    between adjacent floats that rounds to hi, so lo is taken instead and
-    the cut still separates them.
+    Every feature is scored in one pass over feature-major (d, n) arrays:
+    row j holds the node's rows in the stable order of feature j, and
+    position c is the cut between sorted rows c and c + 1, valid where
+    their values differ and both sides carry weight.  The order must be
+    the stable one, since a weight prefix sum over tied rows depends on
+    their order in the last bit.  The columns take numpy's default sort,
+    faster but unstable, and then each run of equal values (-0.0 equals
+    0.0) is put back in row order by one sort of the unique keys
+    run * n + row, run numbering the runs of the sorted column.  A node
+    with no tie in any column skips that sort.
 
-    The sorted values come from a sort of their own, not through the
-    order, so within a run of zeros the signs may stand in any order.  No
-    sign reaches a threshold.  lo and hi lie in different runs, so at
-    most one of them is a zero.  A zero lo gives mid = hi / 2 (+0.0 when
-    hi is the smallest float), always below hi, so mid is taken.  A zero
-    hi makes lo negative: mid is lo / 2, taken, or else a zero, and then
-    lo is taken.
+    The argmax over the valid cuts, kept as flat indices j * (n - 1) + c,
+    takes the first maximum: equal gain ratios go to the lower feature,
+    then the lower threshold.  The threshold is lo / 2 + hi / 2, which
+    cannot overflow; between adjacent floats that rounds to hi, so lo is
+    taken instead and the cut still separates them.  The sorted values
+    come from a sort of their own, so the signs within a run of zeros may
+    stand in any order, and no sign reaches a threshold: lo and hi lie in
+    different runs, so at most one is a zero.  A zero lo gives
+    mid = hi / 2 < hi, taken; a zero hi makes lo negative, and mid is
+    lo / 2, taken, or a zero, and then lo is taken.
 
-    Returns (-inf, -1, nan) when no valid cut exists.  With finite inputs
+    Returns (-inf, -1, nan) when no cut is valid.  With finite inputs
     (fit_tree checks them) every ratio is finite, so no NaN reaches the
     argmax.
     """
@@ -266,39 +221,37 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
              max_depth: int = 8) -> DecisionTree:
     """Greedy top-down induction maximizing weighted gain ratio.
 
-    Growth stops at max_depth, on a pure node, when node weight falls
-    below MIN_LEAF_WEIGHT, or when the best gain ratio is below MIN_GAIN.
-    Zero-weight instances are excluded from split statistics but still
-    routed to leaves.  NaN or infinite features or weights are rejected.
+    Growth stops at max_depth, on a pure node, below MIN_LEAF_WEIGHT of
+    node weight, or when the best gain ratio is below MIN_GAIN.
+    Zero-weight rows take no part in split statistics but are routed to
+    leaves.  NaN or infinite features or weights are rejected.
 
-    The tree grows in one loop over a stack of pending nodes, each the
-    label of a settled leaf or its rows with their weight sum.  A node
-    takes its id when it is popped, and a split pushes its right child
-    under its left, so nodes are numbered in pre-order, each before its
-    left, then its right subtree.  Popping a node drops the rows of the
-    last one, so a fit holds the rows of the node it is growing and of
-    the right children waiting on the stack.
+    The tree grows in one loop over a stack of pending nodes, each a
+    settled leaf's label or its rows with their weight sum, so depth is
+    not bounded by Python's recursion limit.  A split pushes its right
+    child under its left, so nodes are numbered in pre-order.  Memory: a
+    fit holds the rows of the node it grows and of the right children on
+    the stack, disjoint rows, so with the split in hand at most two
+    copies of the input beyond it; the root's split search sets the peak
+    (README Memory).
 
-    A split settles each child that is sure to be a leaf before any
-    child takes rows: one at max_depth, one whose live rows (of positive
-    weight) carry one label, and one whose masked weight sum is below
-    MIN_LEAF_WEIGHT.  A child pure by count gets its label without a sum:
-    with only +1 live rows its +1 sum and its total add the same positive
-    weights (the total adds zeros too), so they differ by rounding alone
-    and the leaf rule gives +1; with no live +1 row its +1 sum is zero,
-    which gives -1.  Purity is decided by counting rows, never by
+    A split settles each child sure to be a leaf before any child takes
+    rows: one at max_depth, one whose live rows (of positive weight)
+    carry one label, and one whose masked weight sum is below
+    MIN_LEAF_WEIGHT.  Purity is decided by counting rows, never by
     comparing float sums, which a -1 row of weight 1e-300 would leave
-    equal.  Any other settled child is labelled from the split's rows
-    under its mask: the masked weights are the elements, in the order,
-    that the child's own rows would hold, so their sums are bit-equal to
-    the child's.  Only the other children take their rows, with their
-    weight sum: each is impure and weighs at least MIN_LEAF_WEIGHT.
+    equal: with only +1 live rows the +1 sum and the total add the same
+    positive weights, so the leaf rule gives +1, and with no live +1 row
+    the +1 sum is zero, which gives -1.  Any other settled child is
+    labelled from the split's rows under its mask: the masked weights are
+    the elements, in the order, that the child's own rows would hold, so
+    their sums are bit-equal to the child's.  Only impure children of at
+    least MIN_LEAF_WEIGHT take their rows.
 
-    The split search is chosen once per fit.  When every weight of the
-    root is positive, so is every weight of a child, and each node goes
-    straight to _best_split; otherwise _live_split first drops the node's
-    zero-weight rows.  A pure root gets no split either way: its best
-    gain ratio is 0 or -inf, below MIN_GAIN.
+    When every weight of the root is positive so is every child's, and
+    each node goes straight to _best_split; otherwise _live_split drops
+    a node's zero-weight rows first.  A pure root gets no split either
+    way: its best gain ratio is 0 or -inf, below MIN_GAIN.
     """
     if not (is_count(max_depth) and max_depth >= 0):
         raise ValueError("max_depth must be >= 0")
@@ -316,9 +269,8 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
         raise ValueError(
             "weights must be nonnegative with a positive, finite sum")
     w = w / W
-    # liveness is decided once, for the root: a child's rows are some of
-    # its rows.  x / W rounds monotonically in x, so lowest / W is the
-    # least normalized weight; when it is positive no child filters rows
+    # x / W rounds monotonically in x, so lowest / W is the least
+    # normalized weight, and a child's rows are some of the root's
     every_live = lowest / W > 0
     search = _best_split if every_live else _live_split
 

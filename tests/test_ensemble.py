@@ -176,6 +176,34 @@ class TestTraining:
         with pytest.raises(ValueError, match="no trained stages"):
             decision_score(model, ds.features)
 
+    @pytest.mark.parametrize("script, T, stages, exhausted", [
+        ("F" * ensemble.MAX_CONSECUTIVE_RETRIES + "P", 1, 1, False),
+        (("F" * ensemble.MAX_CONSECUTIVE_RETRIES + "P") * 2, 2, 2, False),
+        ("P" + "F" * (ensemble.MAX_CONSECUTIVE_RETRIES + 1), 2, 1, True),
+    ], ids=["kept-after-max-failures", "budget-renewed-by-a-kept-stage",
+            "max-plus-one-failures-stop"])
+    def test_retry_budget_is_consecutive(self, separable_ds, monkeypatch,
+                                         script, T, stages, exhausted):
+        # the loop gets the scripted trees in order: "P" labels every row
+        # right (alpha > 0), "F" every row wrong (alpha < 0); a kept stage
+        # gives the next stage the full budget again
+        X, y = separable_ds.features, separable_ds.labels
+        trees = {"P": fit_tree(X, y, np.ones(len(y))),
+                 "F": fit_tree(X, -y, np.ones(len(y)))}
+        assert (trees["P"].predict_many(X) == y).all()
+        assert (trees["F"].predict_many(X) == -y).all()
+        calls = []
+
+        def scripted_fit(*args, **kwargs):
+            calls.append(None)
+            return trees[script[len(calls) - 1]]
+
+        monkeypatch.setattr(ensemble, "fit_tree", scripted_fit)
+        model = train_rusboost(separable_ds, T=T, rng=0)
+        assert len(calls) == len(script)
+        assert model.trained_iterations == stages
+        assert model.retries_exhausted is exhausted
+
     def test_no_undersampling_path(self, noisy_ds, keep_all):
         model = train_liuboost(noisy_ds, T=3, rng=0, max_depth=2)
         assert model.trained_iterations == 3
