@@ -107,7 +107,8 @@ def _folds(ds: Dataset, cfg: ExperimentConfig, repeat: int):
     plan = stratified_folds(ds, cfg.folds, derive_seed(
         cfg.master_seed, ds.name, "folds", repeat))
     for fold in range(cfg.folds):
-        # _fold's locals are freed before the next fold gathers its rows
+        # only _fold's locals are freed here: a caller that keeps a
+        # yielded fold keeps its models and test rows through the next
         yield _fold(ds, plan, cfg, repeat, fold)
 
 
@@ -157,13 +158,20 @@ def _run_repeat(path: str, repeat: int, cfg: ExperimentConfig):
         if reason:
             entry["skipped_folds"] += 1
             continue
-        models, X_test, y_test = scored
-        for algo, model in models.items():
-            scores = decision_score(model, X_test)
-            values = entry["algorithms"][algo]
-            values["auroc_values"].append(metrics.auroc(scores, y_test))
-            values["aupr_values"].append(metrics.aupr(scores, y_test))
+        _score(entry["algorithms"], *scored)
+        # free this fold's models and test rows before _folds trains the
+        # next fold
+        del scored
     return ds.name, entry, time.perf_counter() - started
+
+
+def _score(values: dict, models: dict, X_test, y_test) -> None:
+    """Append each model's AUROC and AUPR on the test rows to its
+    algorithm's lists in values."""
+    for algo, model in models.items():
+        scores = decision_score(model, X_test)
+        values[algo]["auroc_values"].append(metrics.auroc(scores, y_test))
+        values[algo]["aupr_values"].append(metrics.aupr(scores, y_test))
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
@@ -172,7 +180,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
 
     Memory: one parsed file at a time, and in a fold one gather of its
     training rows, replaced by their scaled copy before any model is
-    trained, and its scaled test rows (README Memory).
+    trained, its scaled test rows and its own models: a scored fold's
+    models and test rows are freed before the next fold trains (README
+    Memory).
     """
     if not is_count(jobs) or jobs < 1:
         raise ValueError("jobs must be >= 1")

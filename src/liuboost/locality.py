@@ -123,10 +123,11 @@ def _leaf_bounds(tree: cKDTree, features: np.ndarray, k: int) -> np.ndarray:
         leaf = tree.indices[node.start_idx:node.end_idx]
         if len(leaf) <= k:
             continue
+        points = features[leaf]
         for start in range(0, len(leaf), _LEAF_ROWS):
-            rows = leaf[start:start + _LEAF_ROWS]
-            bound[rows] = np.partition(cdist(features[rows], features[leaf]),
-                                       k, axis=1)[:, k]
+            block = slice(start, start + _LEAF_ROWS)
+            bound[leaf[block]] = np.partition(cdist(points[block], points),
+                                              k, axis=1)[:, k]
     return bound
 
 

@@ -5,7 +5,8 @@ and handles errors by reweighting.  Sample weights are normalized, so
 any positive rescaling gives the same tree.  Depth is the one parameter;
 the other stopping rules are the constants MIN_LEAF_WEIGHT and MIN_GAIN.
 fit_tree states the growth rule and its memory, _best_split the split
-order and its ties, and DecisionTree.predict_many the routing rule.
+order and its ties, _split_search its column blocks, and
+DecisionTree.predict_many the routing rule.
 """
 from __future__ import annotations
 
@@ -21,6 +22,11 @@ _TINY = 5e-324  # the smallest positive float: its log is finite
 # Reductions call the ufunc's reduce (np.add.reduce for ndarray.sum, and
 # so on): the methods reach the same reduction through a Python function,
 # so the bits agree and a fit's many small nodes skip a frame.
+
+# The most cells (rows times columns) that one pass of the split search
+# takes: above it, passes over blocks of columns are no slower, and one
+# pass's arrays outgrow a core's cache (CHANGES.md has the sweep).
+_SEARCH_CELLS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -165,13 +171,37 @@ def _best_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     return float(ratio[i]), j, mid if mid < hi else lo
 
 
+def _split_search(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """_best_split of a node, taken over blocks of its columns when the
+    node holds more than _SEARCH_CELLS cells (rows times columns).
+
+    There are as few blocks of equal width as keep each block within
+    max(_SEARCH_CELLS, n) cells, so a search holds one block's arrays.
+    Each column's sort, tie repair, prefix sums and ratios are those of
+    one pass, and a later block replaces the best split only with a
+    strictly larger ratio, so the first maximum in feature-major order
+    wins, as in one pass: the result is the same, bit for bit.
+    """
+    n, d = X.shape
+    if n * d <= _SEARCH_CELLS:
+        return _best_split(X, y, w)
+    blocks = -(-d // max(1, _SEARCH_CELLS // n))
+    width = -(-d // blocks)
+    best = -np.inf, -1, np.nan
+    for start in range(0, d, width):
+        ratio, j, thr = _best_split(X[:, start:start + width], y, w)
+        if ratio > best[0]:
+            best = ratio, start + j, thr
+    return best
+
+
 def _live_split(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """_best_split of a node's rows of positive weight, searched in place
-    when every row has one."""
+    """_split_search of a node's rows of positive weight, searched in
+    place when every row has one."""
     live = w > 0
     if not np.logical_and.reduce(live):
         X, y, w = X[live], y[live], w[live]
-    return _best_split(X, y, w)
+    return _split_search(X, y, w)
 
 
 def _leaf_label(weight: float, wpos: float) -> int:
@@ -232,8 +262,8 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     child under its left, so nodes are numbered in pre-order.  Memory: a
     fit holds the rows of the node it grows and of the right children on
     the stack, disjoint rows, so with the split in hand at most two
-    copies of the input beyond it; the root's split search sets the peak
-    (README Memory).
+    copies of the input beyond it, and the arrays of one block of
+    _split_search (README Memory).
 
     A split settles each child sure to be a leaf before any child takes
     rows: one at max_depth, one whose live rows (of positive weight)
@@ -249,7 +279,7 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     least MIN_LEAF_WEIGHT take their rows.
 
     When every weight of the root is positive so is every child's, and
-    each node goes straight to _best_split; otherwise _live_split drops
+    each node goes straight to _split_search; otherwise _live_split drops
     a node's zero-weight rows first.  A pure root gets no split either
     way: its best gain ratio is 0 or -inf, below MIN_GAIN.
     """
@@ -272,7 +302,7 @@ def fit_tree(features: np.ndarray, labels: np.ndarray,
     # x / W rounds monotonically in x, so lowest / W is the least
     # normalized weight, and a child's rows are some of the root's
     every_live = lowest / W > 0
-    search = _best_split if every_live else _live_split
+    search = _split_search if every_live else _live_split
 
     nodes = []  # [feature, threshold, left, right, label] rows
     # an entry: a settled leaf's label or a node's ([X, y, w], weight

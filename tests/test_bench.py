@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -200,6 +201,33 @@ class TestRunExperiment:
         rows = ds.features.nbytes
         assert peak <= 2 * text + 3 * rows, \
             f"peak 2 x text + {(peak - 2 * text) / rows:.2f} x features"
+
+    def test_a_fold_trains_with_no_earlier_fold_model_alive(
+            self, tmp_path, monkeypatch):
+        # LIUBoost trains first in each fold: when it starts, every model
+        # of the folds before must be gone, with their scores and test rows
+        entry, = [e for e in BENCHMARK_CATALOG if e.name == "glass0"]
+        path = write_dataset(tmp_path, generate_catalog_dataset(entry))
+        cfg = ExperimentConfig(dataset_paths=(str(path),), repeats=1,
+                               folds=5, rounds=3, max_depth=1)
+        trained, alive = [], []
+
+        def keep_a_weakref(train):
+            def wrapper(*args, **kwargs):
+                if train is liuboost_trainer:
+                    alive.append(sum(ref() is not None for ref in trained))
+                model = train(*args, **kwargs)
+                trained.append(weakref.ref(model))
+                return model
+            return wrapper
+
+        liuboost_trainer = bench.train_liuboost
+        for name in ("train_liuboost", "train_rusboost"):
+            monkeypatch.setattr(bench, name,
+                                keep_a_weakref(getattr(bench, name)))
+        report = run_experiment(cfg)
+        assert report["datasets"][path.stem]["skipped_folds"] == 0
+        assert alive == [0] * cfg.folds
 
     @pytest.mark.parametrize("n, folds, algorithms, reasons", [
         (2, 3, ("liuboost", "rusboost"), [None, None, "no_minority_in_test"]),

@@ -4,6 +4,7 @@ import itertools
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from liuboost import bench
+from liuboost import tree as tree_module
 from liuboost.bench import ExperimentConfig
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
 from liuboost.tree import (MIN_GAIN, MIN_LEAF_WEIGHT,
@@ -580,6 +582,78 @@ class TestBestSplit:
         w = np.array([0.0, 0.0, 1.0, 1.0])
         for search in (_best_split, loop_best_split):
             np.testing.assert_equal(search(X, y, w), NO_SPLIT)
+
+
+def search_cells(cells):
+    """A context in which liuboost.tree._SEARCH_CELLS is cells."""
+    return mock.patch.object(tree_module, "_SEARCH_CELLS", cells)
+
+
+class TestSplitSearch:
+    """A node above the cell budget is searched in blocks of columns and
+    gets one pass's (ratio, feature, threshold), bit for bit."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(node=nodes())
+    @example(node=(np.array([[0.0, -0.0, 1.0, 0.0], [-0.0, 0.0, 0.0, 1.0],
+                             [1.0, 1.0, -0.0, -0.0], [0.0, -1.0, 1.0, 0.0]]),
+                   np.array([1, -1, 1, -1]),
+                   np.array([1.0, 0.0, 2.0, 1.0])))  # signed zeros
+    def test_blocks_match_one_pass(self, width, node):
+        # a budget of width * n cells gives blocks of width columns
+        X, y, w = node
+        with search_cells(width * len(X)):
+            blocked = tree_module._split_search(X, y, w)
+        np.testing.assert_equal(blocked, _best_split(X, y, w))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_match_one_pass_on_large_tied_nodes(self, width, seed):
+        # seven columns: two tied nodes of TestBestSplit side by side and
+        # a continuous column, so the best cut may fall in any block
+        rng = np.random.default_rng(seed)
+        for n in (16, 200, 480):
+            for shape in ("grid5", "one_tied", "signed_zero"):
+                X, y, w = TestBestSplit.tied_node(shape, n, rng)
+                X = np.hstack([rng.normal(size=(n, 1)),
+                               TestBestSplit.tied_node("grid5", n, rng)[0], X])
+                w[rng.uniform(size=n) < 0.1] = 0.0
+                with search_cells(width * n):
+                    blocked = tree_module._split_search(X, y, w)
+                np.testing.assert_equal(blocked, _best_split(X, y, w),
+                                        err_msg=f"{shape}, n = {n}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(training_sets())
+    @split_edge_examples
+    def test_trees_match_the_closure_grower_in_blocks(self, training_set):
+        # a budget of 2 cells searches every node of two or more rows one
+        # column at a time, zero-weight nodes through _live_split
+        X, y, w, max_depth = training_set
+        with search_cells(2):
+            tree = fit_tree(X, y, w, max_depth)
+        assert tree_bits(tree) == tree_bits(closure_fit_tree(X, y, w,
+                                                             max_depth))
+
+    def test_traced_peak_of_a_depth_8_fit(self):
+        # the root's 5e4 rows exceed the budget, so it is searched one
+        # column at a time: measured at 2.9 times X (17 in one pass)
+        rng = np.random.default_rng(0)
+        n, d = 5 * 10 ** 4, 10
+        X = rng.uniform(size=(n, d))
+        y = np.where(rng.uniform(size=n) < 0.3, 1, -1)
+        w = np.ones(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = fit_tree(X, y, w, max_depth=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        check_tree(tree)
+        assert tree.n_nodes > 3
+        assert peak <= 4 * X.nbytes, f"peak {peak / X.nbytes:.2f}x"
 
 
 class TestBinaryEntropy:
