@@ -19,7 +19,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"wrote {path.name} ({path.stat().st_size} bytes)")
     print("--- first lines of the file ---")
     print("\n".join(path.read_text().splitlines()[:14]))
-    ds = parse_keel(path.read_text(), name=entry.name)
+    # parsed from the path, a piece at a time: the text is never held whole
+    ds = parse_keel(path, name=entry.name)
 
 print("\n--- parsed dataset ---")
 print(f"name:            {ds.name}")

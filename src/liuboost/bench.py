@@ -85,7 +85,7 @@ def _load(path, cfg: ExperimentConfig):
     split; the smallest is beside fold 0, with ceil(n/folds) of each
     class."""
     try:
-        ds = parse_keel(Path(path).read_text(), name=Path(path).stem)
+        ds = parse_keel(Path(path), name=Path(path).stem)
     except (OSError, UnicodeDecodeError, KeelFormatError) as exc:
         return None, str(exc)
     m = ds.n_instances

@@ -7,16 +7,18 @@ states the parse, its error order and its memory.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 
 import numpy as np
 
 MISSING_TOKENS = {"?", "<null>"}
 NUMERIC_TYPES = {"real", "integer", "numeric"}
-# characters of text split at a time (_pieces): a block's Python objects
-# outweigh its text, so larger pieces raise a parse's peak and smaller
-# ones add pieces; CHANGES.md has the sizes measured
+# characters of a text split, or of a file read, at a time (_pieces): a
+# block's Python objects outweigh its text, so larger pieces raise a
+# parse's peak and smaller ones add pieces; CHANGES.md has the sizes
+# measured
 _BLOCK_CHARS = 1 << 14
 
 
@@ -94,38 +96,44 @@ def imbalance_ratio(ds: Dataset) -> float:
     return ds.majority_count / ds.minority_count
 
 
-def parse_keel(text: str, name: str | None = None) -> Dataset:
-    """Parse KEEL .dat text into a Dataset.
+def parse_keel(source: str | os.PathLike, name: str | None = None) -> Dataset:
+    """Parse KEEL .dat text, or the file at a path, into a Dataset.
 
     The class column is the single @outputs attribute (last attribute if
     @outputs is absent).  The minority class becomes +1; on a cardinality
     tie the lexicographically smaller class name becomes +1.
 
-    The lines are those of text.splitlines(), stripped, with blank lines
-    dropped, but text is split a piece at a time (_pieces): the header up
-    to @data, one walk over the rest to count the data lines, and a
-    second that converts each piece's data lines as one block, one
-    float() pass per feature column, into a preallocated (m, d) float64
-    array; every value is that of float() on the stripped token.  Each
-    class token becomes an integer code against a table of the class
-    names, and the codes become the labels in place.  Memory: the text,
-    the array with its codes and one block (README Memory).
+    source is the text itself (a str) or a path (os.PathLike).  Either
+    is taken a piece at a time (_pieces): slices of the text, or reads
+    of the file decoded as Path.read_text() decodes it (the locale's
+    encoding, strict errors, universal newlines), so a file's text is
+    never held whole.  The lines are those of text.splitlines(),
+    stripped, with blank lines dropped.  One walk over the pieces reads
+    the header up to @data and counts the data lines; a second converts
+    each piece's data lines as one block, one float() pass per feature
+    column, into a preallocated (m, d) float64 array; every value is
+    that of float() on the stripped token.  Each class token becomes an
+    integer code against a table of the class names, and the codes
+    become the labels in place.  Only an error's message walks the
+    pieces again.  A file is read afresh on each walk, and a walk that
+    reads other pieces than the first raises KeelFormatError, so a parse
+    never mixes two versions of a file.  Memory: the array with its
+    codes and one block, besides a text passed in (README Memory).
 
     Errors: a row with the wrong field count, a missing value ('?' or
     '<null>' in any column) or a non-numeric value raises for the first
     such row, with the checks of a row in that order; a non-finite value
     raises only when every row passes them, and names its row before the
-    class count is checked.
+    class count is checked.  A byte of a file that cannot be decoded
+    raises UnicodeDecodeError in the first walk, when the reading
+    reaches it, so only a header error read before it comes first; its
+    position is counted within the chunk that was read, not the file.
     """
-    relation, attr_names, attr_nominal, outputs, tail = _read_header(text)
-    # the pieces that hold data rows, each with the count of its non-blank
-    # lines to skip: the header's, in the piece of the @data line
-    pieces, m = [], 0
-    for start, stop, skip in tail:
-        rows = len(_lines(text[start:stop])) - skip
-        if rows:
-            pieces.append((start, stop, skip))
-            m += rows
+    walks = _Walks(source)
+    pieces = iter(walks)
+    relation, attr_names, attr_nominal, outputs, skip, m = _read_header(
+        pieces)
+    m += sum(len(_lines(piece)) for piece in pieces)
 
     if relation is None:
         raise KeelFormatError("missing @relation line")
@@ -154,8 +162,10 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
     codes = np.empty(m, dtype=np.int64)
     table: dict[str, int] = {}  # class name -> code, by first row
     start = 0
-    try:
-        for block in _blocks(text, pieces):
+    # the walk stays outside the try: its KeelFormatError (the file
+    # changed) is no bad row
+    for block in _blocks(walks, skip):
+        try:
             rows = [line.split(",") for line in block]
             if set(map(len, rows)) != {n_cols}:
                 raise ValueError
@@ -172,15 +182,15 @@ def parse_keel(text: str, name: str | None = None) -> Dataset:
                         raise ValueError
                     table[c] = len(table)
             codes[start:stop] = [table[c] for c in classes]
-            start = stop
-    except ValueError:
-        raise _first_bad_row(_data_lines(text, pieces), n_cols, feat_cols,
-                             attr_names) from None
+        except ValueError:
+            raise _first_bad_row(_data_lines(walks, skip), n_cols, feat_cols,
+                                 attr_names) from None
+        start = stop
 
     finite = np.isfinite(features)
     if not finite.all():
         i, jj = np.argwhere(~finite)[0]
-        line = next(islice(_data_lines(text, pieces), i, None))
+        line = next(islice(_data_lines(walks, skip), i, None))
         token = line.split(",")[feat_cols[jj]].strip()
         raise KeelFormatError(
             f"non-finite value {token!r} in row {i}, "
@@ -215,33 +225,69 @@ def _lines(piece: str) -> list[str]:
             if line]
 
 
-def _pieces(text: str, start: int = 0):
-    """(start, stop) of each piece of text[start:], in order: a piece
-    ends right after the last newline ('\\n') of its first _BLOCK_CHARS
-    characters, or after the first newline past them (a longer line), or
-    at the end of text.  splitlines() ends a line at every '\\n' (with
-    the '\\r' of a '\\r\\n'), so the lines of the pieces are those of
-    the text."""
-    end = len(text)
-    while start < end:
-        stop = (text.rfind("\n", start, start + _BLOCK_CHARS) + 1
-                or text.find("\n", start + _BLOCK_CHARS) + 1 or end)
-        yield start, stop
-        start = stop
+def _pieces(source):
+    """The pieces of a text (str) or of the file at a path, in order:
+    the next _BLOCK_CHARS characters, finished to the end of their last
+    line, so that each piece ends right after a newline ('\\n') or at
+    the end.  splitlines() ends a line at every '\\n' (with the '\\r'
+    of a '\\r\\n'), so the lines of the pieces are those of the whole
+    text."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            stop = (source.find("\n", start + _BLOCK_CHARS - 1) + 1
+                    or len(source))
+            yield source[start:stop]
+            start = stop
+        return
+    # decoded as by Path.read_text(): the locale's encoding, strict
+    # errors, and '\r\n' and '\r' read as '\n'
+    with open(source) as file:
+        while piece := file.read(_BLOCK_CHARS):
+            if not piece.endswith("\n"):
+                piece += file.readline()
+            yield piece
 
 
-def _read_header(text: str):
-    """(relation, attribute names, which are nominal, outputs, tail) of
-    the header of text, read a piece at a time up to @data.  tail yields
-    (start, stop, skip) for each piece from that of the @data line on,
-    skip being the count of its non-blank lines up to the @data line:
-    1 + the @data line's index in the piece, 0 in every later piece."""
+class _Walks:
+    """The pieces of source (_pieces), walked afresh by each iter().  A
+    file is read again on each walk, and every walk after the first must
+    read the first walk's pieces, or it raises KeelFormatError."""
+
+    def __init__(self, source):
+        self.source = source
+        self.digests = None  # hash() of each piece of a file's first walk
+
+    def __iter__(self):
+        pieces = _pieces(self.source)
+        if isinstance(self.source, str):
+            yield from pieces
+        elif self.digests is None:
+            self.digests = []
+            for piece in pieces:
+                self.digests.append(hash(piece))
+                yield piece
+        else:
+            for piece, digest in zip_longest(pieces, self.digests):
+                if piece is None or hash(piece) != digest:
+                    raise KeelFormatError(
+                        "the file changed while it was parsed")
+                yield piece
+
+
+def _read_header(pieces):
+    """(relation, attribute names, which are nominal, outputs, skip,
+    rows) of the header, read from the iterator pieces up to the @data
+    line: skip counts the non-blank lines up to and including it, rows
+    those after it in its piece.  The later pieces are left in pieces."""
     attr_names: list[str] = []
     attr_nominal: list[bool] = []
     relation = None
     outputs: list[str] = []
-    for start, stop in _pieces(text):
-        for n, line in enumerate(_lines(text[start:stop])):
+    skip = 0
+    for piece in pieces:
+        lines = _lines(piece)
+        for n, line in enumerate(lines, 1):
             if not line.startswith("@"):
                 raise KeelFormatError(
                     f"data line before @data section: {line!r}")
@@ -268,23 +314,28 @@ def _read_header(text: str):
             elif keyword == "@outputs":
                 outputs = [s.strip() for s in rest.split(",") if s.strip()]
             elif keyword == "@data":
-                return relation, attr_names, attr_nominal, outputs, chain(
-                    [(start, stop, n + 1)],
-                    ((a, b, 0) for a, b in _pieces(text, stop)))
+                return (relation, attr_names, attr_nominal, outputs,
+                        skip + n, len(lines) - n)
             elif keyword != "@inputs":  # the input list is implied by @outputs
                 raise KeelFormatError(f"unknown header keyword: {keyword!r}")
+        skip += len(lines)
     raise KeelFormatError("missing @data section")
 
 
-def _blocks(text: str, pieces):
-    """The data lines of each (start, stop, skip) piece, as one list."""
-    for start, stop, skip in pieces:
-        yield _lines(text[start:stop])[skip:]
+def _blocks(walks, skip: int):
+    """The data lines of each piece of a walk that holds any, as one
+    list: the non-blank lines past the first skip."""
+    for piece in walks:
+        lines = _lines(piece)
+        if skip:
+            lines, skip = lines[skip:], max(skip - len(lines), 0)
+        if lines:
+            yield lines
 
 
-def _data_lines(text: str, pieces):
-    """The data lines of the pieces, one at a time."""
-    return chain.from_iterable(_blocks(text, pieces))
+def _data_lines(walks, skip: int):
+    """The data lines of a walk, one at a time."""
+    return chain.from_iterable(_blocks(walks, skip))
 
 
 def _floats(tokens) -> np.ndarray:

@@ -51,10 +51,16 @@ BENCHMARK_CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
-def _mixture(rng: np.random.Generator, n: int, d: int,
-             centers: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    assign = rng.integers(0, len(centers), size=n)
-    return centers[assign] + rng.normal(size=(n, d)) * stds[assign][:, None]
+def _mixture(rng: np.random.Generator, out: np.ndarray,
+             centers: np.ndarray, stds: np.ndarray) -> None:
+    """Fill out, in place, with the draws and the bits of
+    centers[assign] + rng.normal(size=out.shape) * stds[assign][:, None]:
+    b *= c; b += a is bit-equal to a + b * c, as IEEE addition
+    commutes."""
+    assign = rng.integers(0, len(centers), size=len(out))
+    rng.standard_normal(out=out)
+    out *= stds[assign][:, None]
+    out += centers[assign]
 
 
 def generate_dataset(name: str, m: int, d: int, n_min: int,
@@ -79,28 +85,31 @@ def generate_dataset(name: str, m: int, d: int, n_min: int,
     maj_stds = rng.uniform(0.8, 1.6, size=k_maj) * scale
     min_stds = rng.uniform(0.25, 0.6, size=k_min) * scale
 
-    X_min = _mixture(rng, n_min, d, min_centers, min_stds)
-    # a borderline-majority halo around each minority disjunct: the
-    # instances random undersampling is most likely to under-represent
+    # one (m, d) array, filled block by block (_mixture): the minority
+    # rows, then a borderline-majority halo around each minority
+    # disjunct (the instances random undersampling is most likely to
+    # under-represent), then the rest of the majority
+    X = np.empty((m, d))
+    _mixture(rng, X[:n_min], min_centers, min_stds)
     n_halo = int(round(0.2 * n_maj))
     halo = rng.integers(0, k_min, size=n_halo)
-    X_halo = min_centers[halo] + rng.normal(size=(n_halo, d)) \
-        * (min_stds[halo][:, None] * rng.uniform(1.5, 2.5))
-    X_maj = np.vstack([
-        X_halo,
-        _mixture(rng, n_maj - n_halo, d, maj_centers, maj_stds),
-    ])
-    X = np.vstack([X_min, X_maj])
+    X_halo = X[n_min:n_min + n_halo]
+    rng.standard_normal(out=X_halo)
+    X_halo *= min_stds[halo][:, None] * rng.uniform(1.5, 2.5)
+    X_halo += min_centers[halo]
+    del halo  # not held through the permuted copy
+    _mixture(rng, X[n_min + n_halo:], maj_centers, maj_stds)
     y = np.r_[np.ones(n_min, dtype=np.int64), -np.ones(n_maj, dtype=np.int64)]
     # arbitrary per-column affine ranges, as raw files would have
-    col_scale = rng.uniform(0.5, 50.0, size=d)
-    col_offset = rng.uniform(-10.0, 10.0, size=d)
-    X = X * col_scale + col_offset
+    X *= rng.uniform(0.5, 50.0, size=d)
+    X += rng.uniform(-10.0, 10.0, size=d)
 
     perm = rng.permutation(m)
+    # the unpermuted rows are freed before Dataset checks the permuted
+    X, y = X[perm], y[perm]
     return Dataset(
-        features=X[perm],
-        labels=y[perm],
+        features=X,
+        labels=y,
         feature_names=tuple(f"f{j}" for j in range(d)),
         name=name,
     )

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from conftest import make_clusters
 
-from liuboost import bench
+from liuboost import bench, data
 from liuboost.bench import (ExperimentConfig, derive_seed, emit_report, main,
                             run_experiment)
-from liuboost.data import serialize_keel
+from liuboost.data import Dataset, serialize_keel
 from liuboost.stats import wilcoxon_signed_rank
 from liuboost.synth import BENCHMARK_CATALOG, generate_catalog_dataset
 
@@ -176,6 +177,32 @@ class TestRunExperiment:
         assert entry["skipped_folds"] == 0
         for algo in ("liuboost", "rusboost"):
             assert len(entry["algorithms"][algo]["auroc_values"]) == 5
+
+    def test_load_holds_no_text(self, tmp_path):
+        # the file is parsed a piece at a time from disk: the peak is the
+        # parse's (1.3 x the array with its codes, as Dataset's label
+        # check copies the codes) and the reader's, with no term for the
+        # text; a load that read the whole text first peaked at 4.2 x
+        m, d = 200_000, 3
+        rng = np.random.default_rng(0)
+        path = write_dataset(tmp_path, Dataset(
+            features=rng.random((m, d)),
+            labels=np.where(np.arange(m) % 10 == 0, 1, -1),
+            feature_names=tuple(f"x{j}" for j in range(d)), name="big"))
+        cfg = ExperimentConfig(dataset_paths=(str(path),))
+        tracemalloc.start()
+        try:
+            ds, reason = bench._load(path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reason is None and ds.n_instances == m
+        array = ds.features.nbytes + ds.labels.nbytes
+        block = 16 * data._BLOCK_CHARS
+        # one read's bytes and the buffered reader's own buffer
+        reader = data._BLOCK_CHARS + io.DEFAULT_BUFFER_SIZE
+        assert peak < 1.5 * array + block + reader, \
+            f"peak {peak / array:.2f} x array"
 
     def test_traced_peak_holds_one_file_and_one_copy_of_the_rows(
             self, tmp_path):

@@ -1,5 +1,7 @@
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,10 +357,76 @@ class TestParseKeel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_BLOCK_CHARS", block_chars)
             pieces = list(data._pieces(text))
-        assert "".join(text[a:b] for a, b in pieces) == text
-        assert all(text[b - 1] == "\n" for _, b in pieces[:-1])
-        assert [line for a, b in pieces
-                for line in text[a:b].splitlines()] == text.splitlines()
+        assert "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
+        assert [line for piece in pieces
+                for line in piece.splitlines()] == text.splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(keel_texts(), st.integers(1, 64))
+    def test_path_parses_like_its_text(self, text, block_chars):
+        # a file read a few characters at a time, its '\r\n' and '\r'
+        # read as '\n', parses as its text does; a tempfile directory,
+        # since Hypothesis rejects function-scoped fixtures
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "gen.dat"
+            with open(path, "w", newline="") as file:
+                file.write(text)
+            mp.setattr(data, "_BLOCK_CHARS", block_chars)
+            assert outcome(parse_keel, path) == outcome(parse_keel, text)
+
+    @pytest.mark.parametrize("walk, old, new", [
+        (2, "7.0, 8.0, positive\n", "7.0, 8.0, positive\n9.0, 1.0, positive\n"),
+        (2, "7.0, 8.0, positive\n", ""),
+        (2, "3.0, 4.0", "3.5, 4.0"),
+        (3, "5.0, 6.0", "5.0, x"),
+        (3, "5.0, 6.0", "5.0, inf"),
+    ], ids=["grown", "shrunk", "edited", "bad_row_mended", "inf_mended"])
+    def test_file_changed_between_walks_raises(self, tmp_path, monkeypatch,
+                                               walk, old, new):
+        # the file is rewritten as walk `walk` starts: the conversion (2),
+        # which must not write past the array sized by the first walk, or
+        # the walk that names a bad row or a non-finite value (3), which
+        # must not miss the row the conversion failed on
+        path = tmp_path / "toy.dat"
+        first, then = (SAMPLE.replace(old, new), SAMPLE) if walk == 3 \
+            else (SAMPLE, SAMPLE.replace(old, new))
+        path.write_text(first)
+        walks, pieces = [], data._pieces
+
+        def rewrite(source):
+            walks.append(source)
+            if len(walks) == walk:
+                path.write_text(then)
+            return pieces(source)
+
+        monkeypatch.setattr(data, "_pieces", rewrite)
+        with pytest.raises(KeelFormatError,
+                           match="^the file changed while it was parsed$"):
+            parse_keel(path)
+        assert len(walks) == walk
+
+    @pytest.mark.parametrize("head, error", [
+        ("@relation r\n@bogus\n", "unknown header keyword: '@bogus'"),
+        (SAMPLE.replace("1.0, 2.0", "1.0, x"), None),
+        (SAMPLE.replace("@relation toy\n", ""), None),
+    ], ids=["header_error_first", "after_a_bad_row", "after_no_relation"])
+    def test_undecodable_byte_raises_unless_a_header_error_came_first(
+            self, tmp_path, head, error):
+        # the byte sits far past what the reader has decoded when the
+        # header is read, and the first walk reads the whole file: only a
+        # header error read before it comes first
+        path = tmp_path / "late.dat"
+        rows = "1.0, 2.0, negative\n" * 10_000
+        path.write_bytes(head.encode() + rows.encode() + b"caf\xe9\n")
+        if error is None:
+            with pytest.raises(UnicodeDecodeError,
+                               match="can't decode byte 0xe9"):
+                parse_keel(path)
+        else:
+            with pytest.raises(KeelFormatError, match=f"^{error}$"):
+                parse_keel(path)
 
     def test_memory_bounded_by_text_size(self):
         # the policy: a parse holds the text, the array with its class
