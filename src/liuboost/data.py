@@ -240,9 +240,7 @@ def _pieces(source):
             yield source[start:stop]
             start = stop
         return
-    # decoded as by Path.read_text(): the locale's encoding, strict
-    # errors, and '\r\n' and '\r' read as '\n'
-    with open(source) as file:
+    with open(source) as file:  # as Path.read_text() opens it
         while piece := file.read(_BLOCK_CHARS):
             if not piece.endswith("\n"):
                 piece += file.readline()
