@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, islice, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -114,11 +114,12 @@ def parse_keel(source: str | os.PathLike, name: str | None = None) -> Dataset:
     column, into a preallocated (m, d) float64 array; every value is
     that of float() on the stripped token.  Each class token becomes an
     integer code against a table of the class names, and the codes
-    become the labels in place.  Only an error's message walks the
-    pieces again.  A file is read afresh on each walk, and a walk that
-    reads other pieces than the first raises KeelFormatError, so a parse
-    never mixes two versions of a file.  Memory: the array with its
-    codes and one block, besides a text passed in (README Memory).
+    become the labels in place.  An error is named from the block that
+    holds its row.  A file is read afresh on the second walk, and if
+    that reads other pieces than the first it raises KeelFormatError,
+    so a parse never mixes two versions of a file.  Memory: the array
+    with its codes and one block, besides a text passed in (README
+    Memory).
 
     Errors: a row with the wrong field count, a missing value ('?' or
     '<null>' in any column) or a non-numeric value raises for the first
@@ -162,16 +163,17 @@ def parse_keel(source: str | os.PathLike, name: str | None = None) -> Dataset:
     codes = np.empty(m, dtype=np.int64)
     table: dict[str, int] = {}  # class name -> code, by first row
     start = 0
+    non_finite = None  # the error of the first non-finite value
     # the walk stays outside the try: its KeelFormatError (the file
     # changed) is no bad row
     for block in _blocks(walks, skip):
+        stop = start + len(block)
         try:
             rows = [line.split(",") for line in block]
             if set(map(len, rows)) != {n_cols}:
                 raise ValueError
             columns = list(zip(*rows))
             del rows
-            stop = start + len(block)
             for jj, j in enumerate(feat_cols):
                 features[start:stop, jj] = _floats(columns[j])
             classes = [token.strip() for token in columns[class_col]]
@@ -183,19 +185,19 @@ def parse_keel(source: str | os.PathLike, name: str | None = None) -> Dataset:
                     table[c] = len(table)
             codes[start:stop] = [table[c] for c in classes]
         except ValueError:
-            raise _first_bad_row(_data_lines(walks, skip), n_cols, feat_cols,
+            # every earlier block passed every row check
+            raise _first_bad_row(block, start, n_cols, feat_cols,
                                  attr_names) from None
+        finite = np.isfinite(features[start:stop])
+        if non_finite is None and not finite.all():
+            i, jj = np.argwhere(~finite)[0]
+            token = block[i].split(",")[feat_cols[jj]].strip()
+            non_finite = KeelFormatError(
+                f"non-finite value {token!r} in row {start + i}, "
+                f"attribute {attr_names[feat_cols[jj]]!r}")
         start = stop
-
-    finite = np.isfinite(features)
-    if not finite.all():
-        i, jj = np.argwhere(~finite)[0]
-        line = next(islice(_data_lines(walks, skip), i, None))
-        token = line.split(",")[feat_cols[jj]].strip()
-        raise KeelFormatError(
-            f"non-finite value {token!r} in row {i}, "
-            f"attribute {attr_names[feat_cols[jj]]!r}")
-    del finite
+    if non_finite is not None:
+        raise non_finite
 
     # the class names sorted as Python strings: a NumPy unicode array
     # drops trailing '\x00', so np.unique would merge 'a\x00' into 'a'
@@ -249,8 +251,8 @@ def _pieces(source):
 
 class _Walks:
     """The pieces of source (_pieces), walked afresh by each iter().  A
-    file is read again on each walk, and every walk after the first must
-    read the first walk's pieces, or it raises KeelFormatError."""
+    file is read again on each later walk (parse_keel makes one), which
+    must read the first walk's pieces, or it raises KeelFormatError."""
 
     def __init__(self, source):
         self.source = source
@@ -331,11 +333,6 @@ def _blocks(walks, skip: int):
             yield lines
 
 
-def _data_lines(walks, skip: int):
-    """The data lines of a walk, one at a time."""
-    return chain.from_iterable(_blocks(walks, skip))
-
-
 def _floats(tokens) -> np.ndarray:
     """float(token.strip()) of each token as a float64 array; a
     ValueError when one is not a number."""
@@ -349,11 +346,11 @@ def _floats(tokens) -> np.ndarray:
                            len(tokens))
 
 
-def _first_bad_row(body, n_cols: int, feat_cols: list[int],
+def _first_bad_row(block, start: int, n_cols: int, feat_cols: list[int],
                    attr_names: list[str]) -> KeelFormatError:
-    """The error of the first of the data lines body that fails a row
-    check, in parse_keel's order."""
-    for i, line in enumerate(body):
+    """The error of the first of the data lines block, rows start on,
+    that fails a row check, in parse_keel's order."""
+    for i, line in enumerate(block, start):
         row = [f.strip() for f in line.split(",")]
         if len(row) != n_cols:
             return KeelFormatError(
@@ -367,7 +364,7 @@ def _first_bad_row(body, n_cols: int, feat_cols: list[int],
                 return KeelFormatError(
                     f"non-numeric value {row[j]!r} in attribute "
                     f"{attr_names[j]!r}")
-    raise AssertionError("no data line fails a row check")
+    raise AssertionError("no line of the block fails a row check")
 
 
 def serialize_keel(ds: Dataset) -> str:

@@ -97,7 +97,7 @@ def generate_dataset(name: str, m: int, d: int, n_min: int,
     rng.standard_normal(out=X_halo)
     X_halo *= min_stds[halo][:, None] * rng.uniform(1.5, 2.5)
     X_halo += min_centers[halo]
-    del halo  # not held through the permuted copy
+    del halo  # not held through the majority's draw
     _mixture(rng, X[n_min + n_halo:], maj_centers, maj_stds)
     y = np.r_[np.ones(n_min, dtype=np.int64), -np.ones(n_maj, dtype=np.int64)]
     # arbitrary per-column affine ranges, as raw files would have
@@ -105,8 +105,10 @@ def generate_dataset(name: str, m: int, d: int, n_min: int,
     X += rng.uniform(-10.0, 10.0, size=d)
 
     perm = rng.permutation(m)
-    # the unpermuted rows are freed before Dataset checks the permuted
-    X, y = X[perm], y[perm]
+    # permuted in place a column at a time, so one column is copied at once
+    for j in range(d):
+        X[:, j] = X[perm, j]
+    y = y[perm]
     return Dataset(
         features=X,
         labels=y,

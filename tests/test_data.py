@@ -376,36 +376,61 @@ class TestParseKeel:
             mp.setattr(data, "_BLOCK_CHARS", block_chars)
             assert outcome(parse_keel, path) == outcome(parse_keel, text)
 
-    @pytest.mark.parametrize("walk, old, new", [
-        (2, "7.0, 8.0, positive\n", "7.0, 8.0, positive\n9.0, 1.0, positive\n"),
-        (2, "7.0, 8.0, positive\n", ""),
-        (2, "3.0, 4.0", "3.5, 4.0"),
-        (3, "5.0, 6.0", "5.0, x"),
-        (3, "5.0, 6.0", "5.0, inf"),
-    ], ids=["grown", "shrunk", "edited", "bad_row_mended", "inf_mended"])
+    @pytest.mark.parametrize("old, new", [
+        ("7.0, 8.0, positive\n", "7.0, 8.0, positive\n9.0, 1.0, positive\n"),
+        ("7.0, 8.0, positive\n", ""),
+        ("3.0, 4.0", "3.5, 4.0"),
+    ], ids=["grown", "shrunk", "edited"])
     def test_file_changed_between_walks_raises(self, tmp_path, monkeypatch,
-                                               walk, old, new):
-        # the file is rewritten as walk `walk` starts: the conversion (2),
-        # which must not write past the array sized by the first walk, or
-        # the walk that names a bad row or a non-finite value (3), which
-        # must not miss the row the conversion failed on
+                                               old, new):
+        # the file is rewritten as the conversion walk starts, which must
+        # not write past the array sized by the first walk
         path = tmp_path / "toy.dat"
-        first, then = (SAMPLE.replace(old, new), SAMPLE) if walk == 3 \
-            else (SAMPLE, SAMPLE.replace(old, new))
-        path.write_text(first)
+        path.write_text(SAMPLE)
         walks, pieces = [], data._pieces
 
         def rewrite(source):
             walks.append(source)
-            if len(walks) == walk:
-                path.write_text(then)
+            if len(walks) == 2:
+                path.write_text(SAMPLE.replace(old, new))
             return pieces(source)
 
         monkeypatch.setattr(data, "_pieces", rewrite)
         with pytest.raises(KeelFormatError,
                            match="^the file changed while it was parsed$"):
             parse_keel(path)
-        assert len(walks) == walk
+        assert len(walks) == 2
+
+    @pytest.mark.parametrize("bad, error", [
+        ({0: "inf", 29: "x"}, "non-numeric value 'x' in attribute 'b'"),
+        ({29: "inf"}, "non-finite value 'inf' in row 29, attribute 'b'"),
+        ({}, None),
+    ], ids=["non_numeric_after_inf", "inf_in_last_block", "clean"])
+    def test_parse_walks_the_file_twice(self, tmp_path, monkeypatch, bad,
+                                        error):
+        # 30 rows, a few to a piece: an error is named from the block
+        # that holds its row (bad maps a row to its token of b), with no
+        # third walk of the file to find it
+        text = SAMPLE.split("@data")[0] + "@data\n" + "".join(
+            f"{i}.0, {bad.get(i, '1.0')}, "
+            f"{'positive' if i % 3 else 'negative'}\n" for i in range(30))
+        path = tmp_path / "rows.dat"
+        path.write_text(text)
+        walks, pieces = [], data._pieces
+
+        def count(source):
+            walks.append(source)
+            return pieces(source)
+
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 64)
+        monkeypatch.setattr(data, "_pieces", count)
+        if error is None:
+            assert parse_keel(path).n_instances == 30
+        else:
+            with pytest.raises(KeelFormatError, match=f"^{error}$"):
+                parse_keel(path)
+        assert len(walks) == 2
+        assert len(list(pieces(text))) > 5
 
     @pytest.mark.parametrize("head, error", [
         ("@relation r\n@bogus\n", "unknown header keyword: '@bogus'"),

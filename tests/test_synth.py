@@ -19,9 +19,9 @@ def test_stand_ins_are_pinned():
 
 
 def test_generation_peak_is_bounded():
-    # the rows are drawn into one preallocated array and permuted once:
-    # 2.35 x the features, against 4.37 x when each block was drawn,
-    # stacked twice and rescaled into new arrays
+    # the rows are drawn into one preallocated array and permuted in
+    # place a column at a time: 1.92 x the features, against 2.37 x with
+    # a permuted copy of the whole array
     m = 200_000
     tracemalloc.start()
     try:
@@ -30,4 +30,4 @@ def test_generation_peak_is_bounded():
     finally:
         tracemalloc.stop()
     features = ds.features.nbytes
-    assert peak < 2.6 * features, f"peak {peak / features:.2f} x features"
+    assert peak < 2.1 * features, f"peak {peak / features:.2f} x features"
